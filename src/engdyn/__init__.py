@@ -12,8 +12,8 @@ from .errors import (DegenerateFit, DomainError, EmptyArticle, EngdynError,
 from .metrics import (TopicMetrics, love_hate, speed_index,
                       speed_index_quadrature, topic_metrics)
 from .model import (CATEGORIES, CategoryAssignment, ParseResult, PostRecord,
-                    TopicSeries, build_series, load_posts, parse_posts,
-                    read_categories)
+                    PostTable, TopicSeries, build_series, load_posts,
+                    parse_posts, read_categories)
 from .stats import (CorrelationResult, MannWhitneyResult, PairwiseTestMatrix,
                     mann_whitney_u, pairwise_category_tests, spearman)
 from .synth import SynthSpec, generate_corpus, generate_topic, sample_times
@@ -28,7 +28,7 @@ __all__ = [
     "DegenerateFit", "DomainError", "EmptyArticle", "EngdynError",
     "FitOptions", "FitResult", "InsufficientData", "InvalidInput",
     "MannWhitneyResult", "PairwiseTestMatrix", "ParseResult", "PostRecord",
-    "SynthSpec", "TermGraph", "TopicMetrics", "TopicSeries",
+    "PostTable", "SynthSpec", "TermGraph", "TopicMetrics", "TopicSeries",
     "UndefinedCorrelation", "ZeroEngagement", "build_series",
     "cluster_report", "extract_terms", "fit", "generate_corpus",
     "generate_topic", "initial_guess", "load_posts", "load_stopwords",

@@ -12,6 +12,7 @@ import argparse
 import concurrent.futures
 import csv
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -44,8 +45,8 @@ class RunConfig:
     def __post_init__(self):
         if not (0.0 < self.alpha_level < 1.0):
             raise InvalidInput("alpha-level must lie in (0, 1)")
-        if self.bin_width <= 0:
-            raise InvalidInput("bin-width-days must be positive")
+        if not (math.isfinite(self.bin_width) and self.bin_width > 0):
+            raise InvalidInput("bin-width-days must be positive and finite")
         if self.jobs < 1:
             raise InvalidInput("jobs must be at least 1")
 

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 from .curvefit import sigmoid
 from .errors import DomainError, InvalidInput
-from .model import PostRecord
+from .model import PostTable
 
 LH_MODES = ("pooled", "mean_of_posts")
 
@@ -110,15 +112,13 @@ def _adaptive_step(f, a, b, fa, fm, fb, whole, eps, depth) -> float:
             + _adaptive_step(f, m, b, fm, frm, fb, right, half, depth - 1))
 
 
-def reaction_totals(posts: Sequence[PostRecord]) -> tuple[int, int, int]:
+def reaction_totals(posts: PostTable) -> tuple[int, int, int]:
     """(total love, total angry, number of posts with any of either)."""
-    love = sum(p.love for p in posts)
-    angry = sum(p.angry for p in posts)
-    used = sum(1 for p in posts if p.love + p.angry > 0)
-    return love, angry, used
+    love, angry = posts.column("love"), posts.column("angry")
+    return int(love.sum()), int(angry.sum()), int(np.count_nonzero(love + angry))
 
 
-def love_hate(posts: Sequence[PostRecord], mode: str = "pooled") -> Optional[float]:
+def love_hate(posts: PostTable, mode: str = "pooled") -> Optional[float]:
     """Love-Hate score of one topic's posts, or None when undefined.
 
     ``pooled`` applies (love - angry) / (love + angry) to the summed
@@ -128,29 +128,31 @@ def love_hate(posts: Sequence[PostRecord], mode: str = "pooled") -> Optional[flo
     """
     if mode not in LH_MODES:
         raise InvalidInput(f"unknown love_hate mode {mode!r}")
-    topics = {p.topic_id for p in posts}
-    if len(topics) > 1:
-        raise InvalidInput(f"posts span multiple topics: {sorted(topics)}")
+    if len(posts.topic_ids) > 1:
+        raise InvalidInput(f"posts span multiple topics: {list(posts.topic_ids)}")
     if mode == "pooled":
-        love = sum(p.love for p in posts)
-        angry = sum(p.angry for p in posts)
+        love, angry, _ = reaction_totals(posts)
         if love + angry == 0:
             return None
         return (love - angry) / (love + angry)
-    scores = [(p.love - p.angry) / (p.love + p.angry)
-              for p in posts if p.love + p.angry > 0]
-    if not scores:
+    love, angry = posts.column("love"), posts.column("angry")
+    rated = love + angry > 0
+    if not rated.any():
         return None
-    return sum(scores) / len(scores)
+    scores = (love[rated] - angry[rated]) / (love[rated] + angry[rated])
+    # Python's sum adds in row order, as the per-post loop did
+    return sum(scores.tolist()) / len(scores)
 
 
-def topic_metrics(topic_id: str, posts: Sequence[PostRecord], alpha: float,
+def topic_metrics(topic_id: str, posts: PostTable, alpha: float,
                   beta: float, horizon: float, lh_mode: str = "pooled") -> TopicMetrics:
-    love, angry, used = reaction_totals(posts)
+    """Speed Index and reaction figures of the rows of ``topic_id``."""
+    rows = posts.topic(topic_id)
+    love, angry, used = reaction_totals(rows)
     return TopicMetrics(
         topic_id=topic_id,
         speed_index=speed_index(alpha, beta, horizon),
-        lh_score=love_hate(posts, mode=lh_mode),
+        lh_score=love_hate(rows, mode=lh_mode),
         lh_posts_used=used,
         total_love=love,
         total_angry=angry,

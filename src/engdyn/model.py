@@ -1,18 +1,21 @@
 """Domain types, post parsing, and normalized cumulative engagement curves.
 
-A post stream (JSON lines) is turned into per-topic series of daily bins
-holding the cumulative fraction of total engagement, the raw material for
-the growth-curve fit.
+A post stream (JSON lines) is parsed once into a columnar
+:class:`PostTable`, and each topic's slice of it is turned into a series of
+daily bins holding the cumulative fraction of total engagement, the raw
+material for the growth-curve fit.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
-from datetime import datetime, timezone
+import math
+from array import array
+from dataclasses import dataclass, field
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -20,8 +23,15 @@ from .errors import InsufficientData, InvalidInput, ZeroEngagement
 
 SECONDS_PER_DAY = 86400.0
 
-POST_FIELDS = ("post_id", "topic_id", "timestamp", "likes", "shares",
-               "comments", "love", "angry")
+COUNT_FIELDS = ("likes", "shares", "comments", "love", "angry")
+POST_FIELDS = ("post_id", "topic_id", "timestamp") + COUNT_FIELDS
+# counts above this are rejected, so int64 sums over any table that fits in
+# memory cannot overflow
+MAX_COUNT = 2**32 - 1
+
+UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_ONE_US = timedelta(microseconds=1)
+_raw_decode = json.JSONDecoder().raw_decode
 
 CATEGORIES = (
     "Art_Culture_Sport",
@@ -110,9 +120,91 @@ class CategoryAssignment:
                 f"topic {self.topic_id!r} has unknown categories {sorted(unknown)}")
 
 
+@dataclass(frozen=True, eq=False)
+class PostTable:
+    """Posts as numpy columns, rows grouped by topic.
+
+    ``topic_ids`` is sorted, and the rows of ``topic_ids[i]`` are
+    ``bounds[i]:bounds[i + 1]``, in input order. ``stamps_us`` holds int64
+    microseconds since the Unix epoch; ``counts`` is an (n, 5) int64 array
+    whose columns follow :data:`COUNT_FIELDS`. Arrays are read-only, so the
+    per-topic views that :meth:`topic` hands out cannot alter the table.
+    Build one with :func:`parse_posts` or, from records, :meth:`from_records`.
+    """
+
+    topic_ids: tuple[str, ...]
+    bounds: np.ndarray
+    stamps_us: np.ndarray
+    counts: np.ndarray
+    _index: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for column in (self.bounds, self.stamps_us, self.counts):
+            column.flags.writeable = False
+        object.__setattr__(self, "_index",
+                           {tid: i for i, tid in enumerate(self.topic_ids)})
+
+    @classmethod
+    def from_records(cls, records: Iterable[PostRecord]) -> PostTable:
+        builder = _TableBuilder()
+        for p in records:
+            builder.add(p.topic_id, _stamp_us(p.timestamp),
+                        (p.likes, p.shares, p.comments, p.love, p.angry))
+        return builder.table()
+
+    def __len__(self) -> int:
+        return len(self.stamps_us)
+
+    def rows(self, topic_id: str) -> slice:
+        """The rows of ``topic_id``; empty when the table has none."""
+        i = self._index.get(topic_id)
+        if i is None:
+            return slice(0, 0)
+        return slice(int(self.bounds[i]), int(self.bounds[i + 1]))
+
+    def topic(self, topic_id: str) -> PostTable:
+        """A table of views holding only the rows of ``topic_id``."""
+        rows = self.rows(topic_id)
+        n = rows.stop - rows.start
+        return PostTable((topic_id,) if n else (), np.array([0, n] if n else [0]),
+                         self.stamps_us[rows], self.counts[rows])
+
+    def column(self, name: str) -> np.ndarray:
+        """One count column, by its name in :data:`COUNT_FIELDS`."""
+        return self.counts[:, COUNT_FIELDS.index(name)]
+
+
+class _TableBuilder:
+    """Appends rows in input order; :meth:`table` groups them by topic."""
+
+    def __init__(self):
+        self.codes: dict[str, int] = {}  # topic id -> first-seen code
+        self.row_codes = array("q")
+        self.stamps = array("q")
+        self.counts = array("q")
+
+    def add(self, topic_id: str, stamp_us: int, counts) -> None:
+        self.row_codes.append(self.codes.setdefault(topic_id, len(self.codes)))
+        self.stamps.append(stamp_us)
+        self.counts.extend(counts)
+
+    def table(self) -> PostTable:
+        names = sorted(self.codes)
+        rank = np.empty(len(names), dtype=np.int64)
+        rank[[self.codes[name] for name in names]] = np.arange(len(names))
+        keys = rank[np.frombuffer(self.row_codes, dtype=np.int64)]
+        order = np.argsort(keys, kind="stable")  # keeps input order in a topic
+        bounds = np.zeros(len(names) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys, minlength=len(names)), out=bounds[1:])
+        counts = np.frombuffer(self.counts, dtype=np.int64).reshape(-1, len(COUNT_FIELDS))
+        return PostTable(tuple(names), bounds,
+                         np.frombuffer(self.stamps, dtype=np.int64)[order],
+                         counts[order])
+
+
 @dataclass(frozen=True)
 class ParseResult:
-    records: tuple[PostRecord, ...]
+    records: PostTable  # the valid posts
     rejects: tuple[tuple[int, str], ...]  # (1-based line number, reason)
 
     @property
@@ -132,62 +224,86 @@ def _parse_timestamp(raw) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-def _parse_count(obj, field) -> int:
-    value = obj[field]
+def _stamp_us(ts: datetime) -> int:
+    return (ts - UNIX_EPOCH) // _ONE_US
+
+
+def _parse_count(obj, name) -> int:
+    value = obj[name]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{field} must be an integer")
+        raise ValueError(f"{name} must be an integer")
     if value < 0:
-        raise ValueError(f"{field} is negative")
+        raise ValueError(f"{name} is negative")
+    if value > MAX_COUNT:
+        raise ValueError(f"{name} exceeds {MAX_COUNT}")
     return value
 
 
-def parse_post_line(line: str) -> PostRecord:
-    """Parse one JSON-lines record; raises ValueError with a reason."""
-    obj = json.loads(line)
+def _loads(line: str):
+    """``json.loads(line)``, without its wrappers when the line is one JSON
+    value followed by at most a newline. Any other line goes to
+    ``json.loads`` itself, so what is accepted and every error message stay
+    the same."""
+    try:
+        obj, end = _raw_decode(line)
+    except ValueError:
+        return json.loads(line)
+    if end == len(line) or line[end:] == "\n":
+        return obj
+    return json.loads(line)
+
+
+def _parse_line(line: str) -> tuple[str, str, int, list[int]]:
+    """Check one JSON-lines record; returns (post_id, topic_id, stamp_us,
+    counts) or raises ValueError with the reject reason."""
+    obj = _loads(line)
     if not isinstance(obj, dict):
         raise ValueError("record is not a JSON object")
     missing = [f for f in POST_FIELDS if f not in obj]
     if missing:
         raise ValueError(f"missing fields: {', '.join(missing)}")
-    for field in ("post_id", "topic_id"):
-        if not isinstance(obj[field], str) or not obj[field]:
-            raise ValueError(f"{field} must be a non-empty string")
-    return PostRecord(
-        post_id=obj["post_id"],
-        topic_id=obj["topic_id"],
-        timestamp=_parse_timestamp(obj["timestamp"]),
-        likes=_parse_count(obj, "likes"),
-        shares=_parse_count(obj, "shares"),
-        comments=_parse_count(obj, "comments"),
-        love=_parse_count(obj, "love"),
-        angry=_parse_count(obj, "angry"),
-    )
+    for name in ("post_id", "topic_id"):
+        if not isinstance(obj[name], str) or not obj[name]:
+            raise ValueError(f"{name} must be a non-empty string")
+    stamp = _stamp_us(_parse_timestamp(obj["timestamp"]))
+    return (obj["post_id"], obj["topic_id"], stamp,
+            [_parse_count(obj, name) for name in COUNT_FIELDS])
 
 
 def parse_posts(stream: Iterable[str]) -> ParseResult:
-    """Parse a line-delimited post stream, keeping valid records.
+    """Parse a line-delimited post stream into a :class:`PostTable`.
 
     Malformed lines are reported with their 1-based line number instead of
-    aborting the whole stream; blank lines are skipped silently.
+    aborting the whole stream; blank lines are skipped silently. A post
+    whose ``post_id`` was already accepted is rejected, so a repeated line
+    cannot count its engagement twice; the first one is kept.
     """
-    records: list[PostRecord] = []
+    builder = _TableBuilder()
+    first_line: dict[str, int] = {}  # accepted post_id -> its line
     rejects: list[tuple[int, str]] = []
     for lineno, line in enumerate(stream, start=1):
         if not line.strip():
             continue
         try:
-            records.append(parse_post_line(line))
-        except (ValueError, json.JSONDecodeError) as exc:
+            post_id, topic_id, stamp, counts = _parse_line(line)
+        except ValueError as exc:  # json.JSONDecodeError included
             rejects.append((lineno, str(exc)))
-    return ParseResult(tuple(records), tuple(rejects))
+            continue
+        seen = first_line.setdefault(post_id, lineno)
+        if seen != lineno:
+            rejects.append(
+                (lineno, f"duplicate post_id {post_id!r} (first seen on line {seen})"))
+            continue
+        builder.add(topic_id, stamp, counts)
+    return ParseResult(builder.table(), tuple(rejects))
 
 
 def load_posts(path: str | Path) -> ParseResult:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_posts(fh)
 
 
-def build_series(posts: Sequence[PostRecord], topic_id: str,
+def build_series(posts: PostTable, topic_id: str,
                  bin_width: float = 1.0) -> TopicSeries:
     """Bin a topic's posts into a normalized cumulative engagement curve.
 
@@ -198,29 +314,32 @@ def build_series(posts: Sequence[PostRecord], topic_id: str,
     the last post's bin. ``times[k] = k * bin_width`` is the start of bin k,
     while ``fractions[k]`` counts engagement up to its end (see
     :class:`TopicSeries` for converting fitted times to another frame).
+    Day offsets are ``microseconds / 1e6 / 86400``, which rounds exactly as
+    ``timedelta.total_seconds() / 86400`` for spans below 2**53 us (285 years).
     """
-    if bin_width <= 0:
-        raise InvalidInput("bin_width must be positive")
-    selected = [p for p in posts if p.topic_id == topic_id]
-    if len(selected) < 2:
+    if not (math.isfinite(bin_width) and bin_width > 0):
+        raise InvalidInput("bin_width must be positive and finite")
+    rows = posts.rows(topic_id)
+    n_posts = rows.stop - rows.start
+    if n_posts < 2:
         raise InsufficientData(
-            f"topic {topic_id!r} has {len(selected)} post(s); need at least 2")
-    total = sum(p.engagement for p in selected)
+            f"topic {topic_id!r} has {n_posts} post(s); need at least 2")
+    engagement = posts.counts[rows, :3].sum(axis=1)
+    total = int(engagement.sum())
     if total <= 0:
         raise ZeroEngagement(f"topic {topic_id!r} has zero total engagement")
 
-    t0 = min(p.timestamp for p in selected)
-    offsets = np.array(
-        [(p.timestamp - t0).total_seconds() / SECONDS_PER_DAY for p in selected])
-    weights = np.array([p.engagement for p in selected], dtype=float)
+    stamps = posts.stamps_us[rows]
+    us0 = int(stamps.min())
+    offsets = ((stamps - us0) / 1e6) / SECONDS_PER_DAY
     bins = np.floor(offsets / bin_width).astype(int)
     n_bins = int(bins.max()) + 1
     if n_bins < 2:
         raise InsufficientData(
             f"topic {topic_id!r} spans a single {bin_width}-day bin")
 
-    per_bin = np.zeros(n_bins)
-    np.add.at(per_bin, bins, weights)
+    # bincount adds in row order, as np.add.at would
+    per_bin = np.bincount(bins, weights=engagement.astype(float))
     cumulative = np.cumsum(per_bin)
     # divide by the accumulated last value (== total) so the terminal
     # fraction is exactly 1.0 regardless of magnitude
@@ -229,26 +348,24 @@ def build_series(posts: Sequence[PostRecord], topic_id: str,
 
     return TopicSeries(
         topic_id=topic_id,
-        t0=t0,
+        t0=UNIX_EPOCH + timedelta(microseconds=us0),
         times=tuple(times.tolist()),
         fractions=tuple(fractions.tolist()),
-        total_engagement=int(total),
-        n_posts=len(selected),
+        total_engagement=total,
+        n_posts=n_posts,
         horizon_days=float(times[-1]),
     )
 
 
-def group_by_topic(records: Iterable[PostRecord]) -> dict[str, list[PostRecord]]:
-    grouped: dict[str, list[PostRecord]] = {}
-    for rec in records:
-        grouped.setdefault(rec.topic_id, []).append(rec)
-    return grouped
+def group_by_topic(posts: PostTable) -> dict[str, PostTable]:
+    """Each topic's rows as a table of views, keyed by topic id."""
+    return {tid: posts.topic(tid) for tid in posts.topic_ids}
 
 
 def read_categories(path: str | Path) -> dict[str, CategoryAssignment]:
     """Read the ``topic_id,category`` CSV (one row per pair)."""
     pairs: dict[str, set[str]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or \
                 [f.strip() for f in reader.fieldnames] != ["topic_id", "category"]:

@@ -24,7 +24,9 @@ def _scale(values, lo, hi, out_lo, out_hi):
 
 
 def _polyline(xs, ys, color: str, width: float = 1.5, dash: str = "") -> str:
-    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+    # format Python floats: numpy scalars format about half as fast
+    pts = " ".join(["%.2f,%.2f" % p for p in zip(np.asarray(xs).tolist(),
+                                                  np.asarray(ys).tolist())])
     extra = f' stroke-dasharray="{dash}"' if dash else ""
     return (f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{width}"{extra}/>')

@@ -2,7 +2,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from engdyn.model import PostRecord, TopicSeries
+from engdyn.model import PostRecord, PostTable, TopicSeries
 
 EPOCH = datetime(2018, 1, 1, tzinfo=timezone.utc)
 
@@ -17,6 +17,11 @@ def make_post(topic_id="t", day=0.0, likes=1, shares=0, comments=0, love=0,
         likes=likes, shares=shares, comments=comments,
         love=love, angry=angry,
     )
+
+
+def table_of(posts) -> PostTable:
+    """A list of records as the library's post table."""
+    return PostTable.from_records(posts)
 
 
 def series_from_curve(times, fractions, topic_id="s", n_posts=100,

@@ -227,6 +227,46 @@ class TestAnalyze:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_rejected_lines"] == 1
 
+    @pytest.mark.parametrize("width", ["nan", "inf"])
+    def test_non_finite_bin_width_exits_two(self, tmp_path, capsys, width):
+        corpus = simulate(tmp_path)
+        out = tmp_path / "run"
+        assert cli.main(["analyze", "--input", str(corpus / "posts.jsonl"),
+                         "--out", str(out), "--bin-width-days", width]) == 2
+        assert "bin-width-days" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_byte_order_marks_accepted(self, tmp_path):
+        corpus = simulate(tmp_path)
+        plain = tmp_path / "plain"
+        assert cli.main(["analyze", "--input", str(corpus / "posts.jsonl"),
+                         "--categories", str(corpus / "categories.csv"),
+                         "--out", str(plain)]) == 0
+        for name in ("posts.jsonl", "categories.csv"):
+            path = corpus / name
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        marked = tmp_path / "marked"
+        assert cli.main(["analyze", "--input", str(corpus / "posts.jsonl"),
+                         "--categories", str(corpus / "categories.csv"),
+                         "--out", str(marked)]) == 0
+        summary = json.loads((marked / "summary.json").read_text())
+        assert summary["n_rejected_lines"] == 0
+        assert read_tree(marked) == read_tree(plain)
+
+    def test_repeated_posts_counted_once(self, tmp_path):
+        corpus = simulate(tmp_path)
+        posts = corpus / "posts.jsonl"
+        once = tmp_path / "once"
+        assert cli.main(["analyze", "--input", str(posts), "--out", str(once)]) == 0
+        text = posts.read_text()
+        posts.write_text(text + text)
+        twice = tmp_path / "twice"
+        assert cli.main(["analyze", "--input", str(posts), "--out", str(twice)]) == 0
+        summary = json.loads((twice / "summary.json").read_text())
+        assert summary["n_rejected_lines"] == len(text.splitlines())
+        for name in ("fits.csv", "metrics.csv"):
+            assert (twice / name).read_bytes() == (once / name).read_bytes()
+
 
 ARTICLES = []
 for i in range(6):

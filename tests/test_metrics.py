@@ -9,7 +9,7 @@ from engdyn.errors import DomainError, InvalidInput
 from engdyn.metrics import (love_hate, reaction_totals, speed_index,
                             speed_index_quadrature, topic_metrics)
 
-from conftest import make_post
+from conftest import make_post, table_of
 
 
 class TestSpeedIndex:
@@ -84,19 +84,19 @@ class TestSpeedIndex:
 class TestLoveHate:
     def test_only_love(self):
         posts = [make_post(love=10, angry=0)]
-        assert love_hate(posts) == 1.0
+        assert love_hate(table_of(posts)) == 1.0
 
     def test_only_angry(self):
         posts = [make_post(love=0, angry=5)]
-        assert love_hate(posts) == -1.0
+        assert love_hate(table_of(posts)) == -1.0
 
     def test_pooled_and_mean_modes_diverge_correctly(self):
         posts = [make_post(love=3, angry=1, post_id="a"),
                  make_post(love=0, angry=0, post_id="b"),
                  make_post(love=1, angry=3, post_id="c")]
-        assert love_hate(posts, "pooled") == 0.0
+        assert love_hate(table_of(posts), "pooled") == 0.0
         # per-post scores +0.5 and -0.5; the zero-reaction post is excluded
-        assert love_hate(posts, "mean_of_posts") == 0.0
+        assert love_hate(table_of(posts), "mean_of_posts") == 0.0
 
     def test_mean_mode_matches_enumeration(self):
         posts = [make_post(love=l, angry=h, post_id=f"{l}-{h}")
@@ -105,22 +105,22 @@ class TestLoveHate:
         for p in posts:
             if p.love + p.angry > 0:
                 explicit.append((p.love - p.angry) / (p.love + p.angry))
-        assert love_hate(posts, "mean_of_posts") == pytest.approx(
+        assert love_hate(table_of(posts), "mean_of_posts") == pytest.approx(
             sum(explicit) / len(explicit))
 
     def test_undefined_when_no_reactions(self):
         posts = [make_post(love=0, angry=0)]
-        assert love_hate(posts, "pooled") is None
-        assert love_hate(posts, "mean_of_posts") is None
+        assert love_hate(table_of(posts), "pooled") is None
+        assert love_hate(table_of(posts), "mean_of_posts") is None
 
     def test_mixed_topics_rejected(self):
         posts = [make_post("a", love=1), make_post("b", love=1)]
         with pytest.raises(InvalidInput):
-            love_hate(posts)
+            love_hate(table_of(posts))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(InvalidInput):
-            love_hate([make_post(love=1)], "median")
+            love_hate(table_of([make_post(love=1)]), "median")
 
     @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)),
                     min_size=1, max_size=20),
@@ -131,11 +131,11 @@ class TestLoveHate:
                  for i, (l, h) in enumerate(pairs)]
         scaled = [make_post(love=k * l, angry=k * h, post_id=str(i))
                   for i, (l, h) in enumerate(pairs)]
-        base = love_hate(posts, "pooled")
+        base = love_hate(table_of(posts), "pooled")
         if base is None:
-            assert love_hate(scaled, "pooled") is None
+            assert love_hate(table_of(scaled), "pooled") is None
         else:
-            assert love_hate(scaled, "pooled") == pytest.approx(base, abs=1e-12)
+            assert love_hate(table_of(scaled), "pooled") == pytest.approx(base, abs=1e-12)
 
     @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
                     min_size=1, max_size=25),
@@ -144,7 +144,7 @@ class TestLoveHate:
     def test_score_bounded(self, pairs, mode):
         posts = [make_post(love=l, angry=h, post_id=str(i))
                  for i, (l, h) in enumerate(pairs)]
-        score = love_hate(posts, mode)
+        score = love_hate(table_of(posts), mode)
         if score is not None:
             assert -1.0 <= score <= 1.0
 
@@ -153,7 +153,7 @@ class TestTopicMetrics:
     def test_assembly(self):
         posts = [make_post(day=0, likes=5, love=4, angry=1, post_id="a"),
                  make_post(day=9, likes=5, love=0, angry=0, post_id="b")]
-        tm = topic_metrics("t", posts, alpha=0.1, beta=5.0, horizon=9.0)
+        tm = topic_metrics("t", table_of(posts), alpha=0.1, beta=5.0, horizon=9.0)
         assert tm.total_love == 4 and tm.total_angry == 1
         assert tm.lh_posts_used == 1
         assert tm.lh_score == pytest.approx(0.6)
@@ -162,4 +162,4 @@ class TestTopicMetrics:
     def test_reaction_totals(self):
         posts = [make_post(love=2, angry=3, post_id="a"),
                  make_post(love=0, angry=0, post_id="b")]
-        assert reaction_totals(posts) == (2, 3, 1)
+        assert reaction_totals(table_of(posts)) == (2, 3, 1)

@@ -1,3 +1,4 @@
+import calendar
 import json
 
 import numpy as np
@@ -7,10 +8,10 @@ from hypothesis import strategies as st
 
 from engdyn import curvefit, synth
 from engdyn.errors import InsufficientData, InvalidInput, ZeroEngagement
-from engdyn.model import (CATEGORIES, build_series, parse_posts,
+from engdyn.model import (CATEGORIES, MAX_COUNT, build_series, parse_posts,
                           read_categories)
 
-from conftest import make_post
+from conftest import make_post, table_of
 
 
 def post_line(**overrides):
@@ -54,7 +55,7 @@ class TestParsePosts:
 
     def test_empty_stream_is_not_an_error(self):
         result = parse_posts([])
-        assert result.records == ()
+        assert len(result.records) == 0
         assert result.rejects == ()
 
     def test_blank_lines_skipped(self):
@@ -66,28 +67,54 @@ class TestParsePosts:
         obj = json.loads(post_line())
         del obj["shares"]
         result = parse_posts([json.dumps(obj)])
-        assert result.records == ()
+        assert len(result.records) == 0
         assert "shares" in result.rejects[0][1]
 
     def test_naive_timestamp_rejected(self):
         result = parse_posts([post_line(timestamp="2018-01-05T12:00:00")])
-        assert result.records == ()
+        assert len(result.records) == 0
 
     def test_offset_timestamp_normalized_to_utc(self):
         result = parse_posts([post_line(timestamp="2018-01-05T14:00:00+02:00")])
-        rec = result.records[0]
-        assert rec.timestamp.hour == 12
-        assert rec.timestamp.utcoffset().total_seconds() == 0
+        # the same instant as 12:00 UTC, in microseconds since the epoch
+        assert result.records.stamps_us.tolist() == [
+            calendar.timegm((2018, 1, 5, 12, 0, 0)) * 10**6]
 
     def test_float_count_rejected(self):
         result = parse_posts([post_line(likes=1.5)])
-        assert result.records == ()
+        assert len(result.records) == 0
+
+    def test_repeated_post_id_rejected_after_other_checks(self):
+        lines = [post_line(post_id="a"), post_line(post_id="b", likes=5),
+                 post_line(post_id="a", likes=-1), post_line(post_id="a", likes=7)]
+        result = parse_posts(lines)
+        assert result.records.column("likes").tolist() == [3, 5]  # first kept
+        assert result.rejects == (
+            (3, "likes is negative"),
+            (4, "duplicate post_id 'a' (first seen on line 1)"))
+
+    def test_stream_repeated_whole_counts_once(self):
+        lines = [post_line(post_id=f"p{i}", topic_id=f"t{i % 4}") for i in range(50)]
+        once = parse_posts(lines).records
+        twice = parse_posts(lines + lines)
+        assert len(twice.records) == 50
+        assert twice.records.counts.tolist() == once.counts.tolist()
+        assert [ln for ln, _ in twice.rejects] == list(range(51, 101))
+        assert twice.rejects[0][1] == "duplicate post_id 'p0' (first seen on line 1)"
+
+    def test_count_above_limit_rejected(self):
+        result = parse_posts([post_line(likes=MAX_COUNT),
+                              post_line(post_id="p2", likes=MAX_COUNT + 1),
+                              post_line(post_id="p3", love=10**30)])
+        assert result.records.column("likes").tolist() == [MAX_COUNT]
+        assert result.rejects == ((2, "likes exceeds 4294967295"),
+                                  (3, "love exceeds 4294967295"))
 
 
 class TestBuildSeries:
     def test_two_post_arithmetic(self):
         posts = [make_post(day=0, likes=10), make_post(day=10, likes=30)]
-        series = build_series(posts, "t", bin_width=1.0)
+        series = build_series(table_of(posts), "t", bin_width=1.0)
         assert series.times == tuple(float(k) for k in range(11))
         assert series.fractions[:10] == (0.25,) * 10
         assert series.fractions[10] == 1.0
@@ -96,22 +123,22 @@ class TestBuildSeries:
 
     def test_single_post_insufficient(self):
         with pytest.raises(InsufficientData):
-            build_series([make_post(day=0)], "t")
+            build_series(table_of([make_post(day=0)]), "t")
 
     def test_zero_engagement(self):
         posts = [make_post(day=0, likes=0), make_post(day=5, likes=0)]
         with pytest.raises(ZeroEngagement):
-            build_series(posts, "t")
+            build_series(table_of(posts), "t")
 
     def test_all_posts_in_one_bin_insufficient(self):
         posts = [make_post(day=0.1, likes=1), make_post(day=0.4, likes=1)]
         with pytest.raises(InsufficientData):
-            build_series(posts, "t")
+            build_series(table_of(posts), "t")
 
     def test_terminal_fraction_exactly_one(self):
         posts = [make_post(day=d, likes=k + 1) for d, k in
                  zip([0, 3, 3, 7, 19], range(5))]
-        series = build_series(posts, "t")
+        series = build_series(table_of(posts), "t")
         assert series.fractions[-1] == 1.0
         series.validate()
 
@@ -120,7 +147,7 @@ class TestBuildSeries:
         spec = synth.SynthSpec("t", alpha_true=0.01, beta_true=500.0,
                                horizon_days=1500.0, n_posts=1000, noise_seed=3)
         posts = synth.generate_topic(spec)
-        series = build_series(posts, "t")
+        series = build_series(table_of(posts), "t")
         offset = (series.t0 - synth.CORPUS_EPOCH).total_seconds() / 86400.0
         t = np.asarray(series.times) + offset
         expected = curvefit.sigmoid(t, spec.alpha_true, spec.beta_true)
@@ -129,7 +156,7 @@ class TestBuildSeries:
 
     def test_wider_bins(self):
         posts = [make_post(day=0, likes=1), make_post(day=21, likes=1)]
-        series = build_series(posts, "t", bin_width=7.0)
+        series = build_series(table_of(posts), "t", bin_width=7.0)
         assert series.times == (0.0, 7.0, 14.0, 21.0)
         assert series.horizon_days == 21.0
 
@@ -144,18 +171,18 @@ class TestBuildSeries:
         assume(max(r[0] for r in raw) > min(r[0] for r in raw))
         shuffled = list(posts)
         rnd.shuffle(shuffled)
-        assert build_series(posts, "t") == build_series(shuffled, "t")
+        assert build_series(table_of(posts), "t") == build_series(table_of(shuffled), "t")
 
     def test_topic_isolation(self):
         mine = [make_post("a", day=0, likes=5), make_post("a", day=9, likes=5)]
         other = [make_post("b", day=d, likes=7) for d in (1, 2, 30)]
         merged = [other[0], mine[0], other[1], mine[1], other[2]]
-        assert build_series(mine, "a") == build_series(merged, "a")
-        assert build_series(other, "b") == build_series(merged, "b")
+        assert build_series(table_of(mine), "a") == build_series(table_of(merged), "a")
+        assert build_series(table_of(other), "b") == build_series(table_of(merged), "b")
 
     def test_monotone_fractions_invariant(self):
         spec = synth.SynthSpec("t", 0.004, 700.0, 1400.0, 200, noise_seed=9)
-        series = build_series(synth.generate_topic(spec), "t")
+        series = build_series(table_of(synth.generate_topic(spec)), "t")
         series.validate()
         y = np.asarray(series.fractions)
         assert np.all(np.diff(y) >= 0)

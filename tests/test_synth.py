@@ -11,6 +11,8 @@ from engdyn.synth import (CORPUS_EPOCH, SynthSpec, default_corpus_specs,
                           generate_corpus, generate_topic, sample_times,
                           sign_test_corpus_specs)
 
+from conftest import table_of
+
 
 def truncated_cdf(t, alpha, beta, horizon):
     f = lambda u: curvefit.sigmoid(u, alpha, beta)
@@ -56,12 +58,12 @@ class TestGenerateTopic:
                          noise_seed=5)
         posts = generate_topic(spec)
         assert all(p.angry == 0 for p in posts)
-        assert love_hate(posts, "pooled") == 1.0
+        assert love_hate(table_of(posts), "pooled") == 1.0
 
     def test_neutral_target_concentrates(self):
         spec = SynthSpec("t", 0.01, 500.0, 1400.0, 10_000, lh_target=0.0,
                          noise_seed=6)
-        pooled = love_hate(generate_topic(spec), "pooled")
+        pooled = love_hate(table_of(generate_topic(spec)), "pooled")
         assert abs(pooled) < 0.02
 
     def test_designed_target_within_binomial_ci(self):
@@ -69,7 +71,7 @@ class TestGenerateTopic:
                          reaction_rate=8.0, noise_seed=7)
         posts = generate_topic(spec)
         total = sum(p.love + p.angry for p in posts)
-        pooled = love_hate(posts, "pooled")
+        pooled = love_hate(table_of(posts), "pooled")
         half_width = 4.0 / math.sqrt(total)  # 2 binomial SDs on (l-h)/(l+h)
         assert abs(pooled - 0.4) < half_width
 
@@ -113,9 +115,8 @@ class TestGenerateCorpus:
                         posts_path, cats_path)
         result = parse_posts(posts_path.read_text().splitlines())
         assert result.rejects == ()
-        by_topic = {}
-        for rec in result.records:
-            by_topic[rec.topic_id] = by_topic.get(rec.topic_id, 0) + 1
+        by_topic = {tid: len(result.records.topic(tid))
+                    for tid in result.records.topic_ids}
         assert by_topic == {"s0": 10, "s1": 11, "s2": 12}
         assert "s0,Politics" in cats_path.read_text()
 
@@ -150,7 +151,7 @@ class TestCorpusDesigns:
         specs, _ = default_corpus_specs(30, seed=21, n_posts=(300, 600))
         fitted = []
         for spec in specs:
-            series = build_series(generate_topic(spec), spec.topic_id)
+            series = build_series(table_of(generate_topic(spec)), spec.topic_id)
             fitted.append(curvefit.fit(series).alpha_hat)
         assert float(np.median(fitted)) <= 0.0047
         assert max(fitted) < 0.01
