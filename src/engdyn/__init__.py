@@ -7,8 +7,8 @@ from term co-occurrence graphs, and compares categories with rank tests.
 
 from .curvefit import FitOptions, FitResult, fit, initial_guess, sigmoid
 from .errors import (DegenerateFit, DomainError, EmptyArticle, EngdynError,
-                     InsufficientData, InvalidInput, UndefinedCorrelation,
-                     ZeroEngagement)
+                     InsufficientData, InvalidInput, TooManyBins,
+                     UndefinedCorrelation, ZeroEngagement)
 from .metrics import (TopicMetrics, love_hate, speed_index,
                       speed_index_quadrature, topic_metrics)
 from .model import (CATEGORIES, CategoryAssignment, ParseResult, PostRecord,
@@ -28,8 +28,8 @@ __all__ = [
     "DegenerateFit", "DomainError", "EmptyArticle", "EngdynError",
     "FitOptions", "FitResult", "InsufficientData", "InvalidInput",
     "MannWhitneyResult", "PairwiseTestMatrix", "ParseResult", "PostRecord",
-    "PostTable", "SynthSpec", "TermGraph", "TopicMetrics", "TopicSeries",
-    "UndefinedCorrelation", "ZeroEngagement", "build_series",
+    "PostTable", "SynthSpec", "TermGraph", "TooManyBins", "TopicMetrics",
+    "TopicSeries", "UndefinedCorrelation", "ZeroEngagement", "build_series",
     "cluster_report", "extract_terms", "fit", "generate_corpus",
     "generate_topic", "initial_guess", "load_posts", "load_stopwords",
     "louvain", "love_hate", "mann_whitney_u", "modularity",

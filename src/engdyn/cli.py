@@ -22,8 +22,8 @@ import numpy as np
 
 from . import curvefit, metrics, model, stats, svgplot, synth, topicgraph
 from .errors import (DegenerateFit, EmptyArticle, EngdynError,
-                     InsufficientData, InvalidInput, UndefinedCorrelation,
-                     ZeroEngagement)
+                     InsufficientData, InvalidInput, TooManyBins,
+                     UndefinedCorrelation, ZeroEngagement)
 
 MATRIX_METRICS = ("alpha", "beta", "speed_index", "love_hate")
 ROUNDED_THRESHOLD = 0.001  # the conventional rounding of 0.05 / 45
@@ -90,7 +90,7 @@ def _process_topic(topic_id, posts, config):
         topic_metrics = metrics.topic_metrics(
             topic_id, posts, fit_result.alpha_hat, fit_result.beta_hat,
             series.horizon_days, config.lh_mode)
-    except (InsufficientData, ZeroEngagement, DegenerateFit) as exc:
+    except (InsufficientData, TooManyBins, ZeroEngagement, DegenerateFit) as exc:
         return None, type(exc).__name__
     return (series, fit_result, topic_metrics), None
 
@@ -356,34 +356,59 @@ def cmd_analyze(args) -> int:
 
 # ---------------------------------------------------------- extract-topics
 
-def cmd_extract_topics(args) -> int:
-    try:
-        stopwords = topicgraph.load_stopwords(args.stopwords)
-        raw = Path(args.input).read_text(encoding="utf-8")
-    except OSError as exc:
-        return _fail(str(exc))
+def _article_terms(line: str,
+                   stopwords: frozenset[str]) -> topicgraph.ArticleTerms:
+    """Top terms of one articles line; ValueError, KeyError or TypeError
+    when the line is malformed, EmptyArticle when no usable term is left."""
+    obj = json.loads(line)
+    article_id = obj["article_id"]
+    if "terms" in obj:
+        terms = obj["terms"]
+        if not (isinstance(terms, list) and all(isinstance(t, str) for t in terms)):
+            raise TypeError("terms must be a list of strings")
+        return topicgraph.count_terms(article_id, terms, stopwords)
+    text = obj["text"]
+    if not isinstance(text, str):
+        raise TypeError("text must be a string")
+    return topicgraph.extract_terms(article_id, text, stopwords)
 
+
+def _read_articles(lines, stopwords: frozenset[str]):
+    """(articles, malformed line count, count of articles without terms)."""
     articles = []
-    bad_lines = 0
-    for line in raw.splitlines():
+    bad_lines = empty_articles = 0
+    for line in lines:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-            article_id = obj["article_id"]
-            if "terms" in obj:
-                articles.append(topicgraph.count_terms(
-                    article_id, obj["terms"], stopwords))
-            else:
-                articles.append(topicgraph.extract_terms(
-                    article_id, obj["text"], stopwords))
-        except (json.JSONDecodeError, KeyError, TypeError):
+            articles.append(_article_terms(line, stopwords))
+        # ValueError covers invalid JSON and integers past the digit limit;
+        # RecursionError, JSON nested too deeply to decode
+        except (ValueError, KeyError, TypeError, RecursionError):
             bad_lines += 1
         except EmptyArticle:
-            continue
+            empty_articles += 1
+    return articles, bad_lines, empty_articles
+
+
+def cmd_extract_topics(args) -> int:
+    # the file is read line by line, so the whole text is never held at
+    # once; universal newlines split only at \n, \r and \r\n, never at
+    # U+2028 and the like, which JSON strings may hold raw
+    try:
+        stopwords = topicgraph.load_stopwords(args.stopwords)
+        with open(args.input, encoding="utf-8-sig") as fh:
+            articles, bad_lines, empty_articles = _read_articles(fh, stopwords)
+    except OSError as exc:
+        return _fail(str(exc))
+    except UnicodeDecodeError as exc:
+        return _fail(f"not UTF-8 text: {exc}")
     if bad_lines:
         print(f"warning: {bad_lines} malformed article line(s) skipped",
               file=sys.stderr)
+    if empty_articles:
+        print(f"warning: {empty_articles} article(s) without usable terms "
+              "skipped", file=sys.stderr)
     if not articles:
         return _fail("empty corpus")
 

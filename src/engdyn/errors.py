@@ -9,6 +9,10 @@ class InsufficientData(EngdynError):
     """Too few posts or bins to build or fit a series."""
 
 
+class TooManyBins(EngdynError):
+    """A topic's span needs more bins than ``model.MAX_BINS``."""
+
+
 class ZeroEngagement(EngdynError):
     """A topic's posts carry no likes, shares or comments at all."""
 

@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidInput, ZeroEngagement
+from .errors import InsufficientData, InvalidInput, TooManyBins, ZeroEngagement
 
 SECONDS_PER_DAY = 86400.0
 
@@ -28,6 +28,10 @@ POST_FIELDS = ("post_id", "topic_id", "timestamp") + COUNT_FIELDS
 # counts above this are rejected, so int64 sums over any table that fits in
 # memory cannot overflow
 MAX_COUNT = 2**32 - 1
+# bins per topic series; a topic whose span needs more (a stray far-future
+# stamp, or a tiny bin width) is skipped instead of allocating them. A million
+# daily bins cover 2,700 years, a million hourly bins 114 years.
+MAX_BINS = 1_000_000
 
 UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _ONE_US = timedelta(microseconds=1)
@@ -221,7 +225,10 @@ def _parse_timestamp(raw) -> datetime:
     ts = datetime.fromisoformat(text)
     if ts.tzinfo is None:
         raise ValueError("timestamp lacks a UTC offset")
-    return ts.astimezone(timezone.utc)
+    try:
+        return ts.astimezone(timezone.utc)
+    except OverflowError:  # the UTC instant falls outside years 1-9999
+        raise ValueError("timestamp out of range") from None
 
 
 def _stamp_us(ts: datetime) -> int:
@@ -316,6 +323,7 @@ def build_series(posts: PostTable, topic_id: str,
     :class:`TopicSeries` for converting fitted times to another frame).
     Day offsets are ``microseconds / 1e6 / 86400``, which rounds exactly as
     ``timedelta.total_seconds() / 86400`` for spans below 2**53 us (285 years).
+    A span that needs more than :data:`MAX_BINS` bins raises ``TooManyBins``.
     """
     if not (math.isfinite(bin_width) and bin_width > 0):
         raise InvalidInput("bin_width must be positive and finite")
@@ -332,6 +340,11 @@ def build_series(posts: PostTable, topic_id: str,
     stamps = posts.stamps_us[rows]
     us0 = int(stamps.min())
     offsets = ((stamps - us0) / 1e6) / SECONDS_PER_DAY
+    # with x the last post's offset in bins, floor(x) + 1 > MAX_BINS exactly
+    # when x >= MAX_BINS; checked before any bin array is allocated
+    if offsets.max() / bin_width >= MAX_BINS:
+        raise TooManyBins(
+            f"topic {topic_id!r} needs more than {MAX_BINS} {bin_width}-day bins")
     bins = np.floor(offsets / bin_width).astype(int)
     n_bins = int(bins.max()) + 1
     if n_bins < 2:

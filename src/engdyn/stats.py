@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import ndtr, stdtr
 
 from .errors import InvalidInput, UndefinedCorrelation
 from .model import CategoryAssignment
@@ -86,6 +85,10 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     if abs(rho) == 1.0:
         p = 0.0
     else:
+        # imported here, not at module level, so commands that run no
+        # statistics never load scipy.special (the package's slowest import)
+        from scipy.special import stdtr
+
         t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
         p = 2.0 * float(stdtr(n - 2, -abs(t)))
     return CorrelationResult(rho=rho, p_value=p, n=n)
@@ -131,6 +134,8 @@ def _normal_p(u: float, n1: int, n2: int, tie_term: float, alternative: str) -> 
     variance = n1 * n2 * (n + 1) / 12.0 * (1.0 - tie_term)
     if variance <= 0.0:
         return 1.0  # every observation tied; U is pinned at its mean
+    from scipy.special import ndtr  # imported on first use, as in spearman
+
     sd = math.sqrt(variance)
     p_le = float(ndtr((u - mu + 0.5) / sd))
     p_ge = float(ndtr(-(u - mu - 0.5) / sd))

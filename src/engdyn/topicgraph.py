@@ -8,15 +8,18 @@ two terms share. Communities come from a seeded, weighted Louvain pass.
 from __future__ import annotations
 
 import random
-import re
+from collections import Counter
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .errors import EmptyArticle, InvalidInput
 
-_TOKEN = re.compile(r"[a-z]+")
+# bytes.translate table: a-z map to themselves, every other byte to a space
+_LETTERS = bytes(b if 0x61 <= b <= 0x7A else 0x20 for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -71,29 +74,38 @@ def extract_terms(article_id: str, text: str, stopwords: frozenset[str],
     and punctuation never survive; stopwords are dropped. Ties at the
     frequency cutoff break lexicographically.
     """
-    counts: dict[str, int] = {}
-    for token in _TOKEN.findall(text.lower()):
-        if token in stopwords:
-            continue
-        counts[token] = counts.get(token, 0) + 1
-    if not counts:
-        raise EmptyArticle(f"article {article_id!r} has no usable tokens")
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return ArticleTerms(article_id=article_id, top_terms=tuple(ranked[:k]))
+    # every code point outside a-z becomes one separator byte ("?" for
+    # non-ASCII, lone surrogates included, then a space), so the words of
+    # the split are exactly the [a-z]+ runs of text.lower()
+    words = text.lower().encode("ascii", "replace").translate(_LETTERS) \
+        .decode("ascii").split()
+    return _top_terms(article_id, Counter(words), stopwords, k)
 
 
 def count_terms(article_id: str, tokens: Sequence[str],
                 stopwords: frozenset[str], k: int = 10) -> ArticleTerms:
     """Same selection as :func:`extract_terms` for pre-tokenized input."""
-    counts: dict[str, int] = {}
-    for token in tokens:
-        token = token.lower()
-        if token in stopwords or not token:
-            continue
-        counts[token] = counts.get(token, 0) + 1
+    counts = Counter(token.lower() for token in tokens)
+    counts.pop("", None)
+    return _top_terms(article_id, counts, stopwords, k)
+
+
+def _top_terms(article_id: str, counts: Counter, stopwords: frozenset[str],
+               k: int) -> ArticleTerms:
+    """Drop stopwords from ``counts`` and keep the k largest, ranked by
+    (-count, term); ``k <= 0`` slices the full ranking as ``ranked[:k]``."""
+    for word in counts.keys() & stopwords:
+        counts.pop(word)  # dict.pop; Counter's own __delitem__ runs in Python
     if not counts:
         raise EmptyArticle(f"article {article_id!r} has no usable tokens")
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    items = counts.items()
+    if len(counts) > k > 0:
+        # every term of the top k counts at least the k-th largest count, so
+        # only the terms at or above it need the keyed sort; sorting the bare
+        # counts runs in C and beats heapq.nlargest's Python loop
+        cutoff = sorted(counts.values(), reverse=True)[k - 1]
+        items = [item for item in items if item[1] >= cutoff]
+    ranked = sorted(items, key=lambda item: (-item[1], item[0]))
     return ArticleTerms(article_id=article_id, top_terms=tuple(ranked[:k]))
 
 
@@ -105,17 +117,34 @@ def project(articles: Sequence[ArticleTerms]) -> TermGraph:
     """
     if not articles:
         raise InvalidInput("need at least one article")
-    nodes: set[str] = set()
-    edges: dict[tuple[str, str], int] = {}
-    for article in articles:
-        terms = sorted(set(article.terms))
-        nodes.update(terms)
-        for i in range(len(terms)):
-            for j in range(i + 1, len(terms)):
-                pair = (terms[i], terms[j])
-                edges[pair] = edges.get(pair, 0) + 1
-    ordered = tuple(sorted(nodes))
-    return TermGraph(nodes=ordered, edges={pair: edges[pair] for pair in sorted(edges)})
+    term_sets = [sorted(set(article.terms)) for article in articles]
+    nodes = sorted(set().union(*term_sets))
+    index = {term: i for i, term in enumerate(nodes)}
+    n = len(nodes)
+    # articles grouped by term count, as rows of term ids; ids follow the
+    # sorted term order, so each row is ascending
+    by_size: dict[int, list[list[int]]] = {}
+    for terms in term_sets:
+        if len(terms) > 1:
+            by_size.setdefault(len(terms), []).append([index[t] for t in terms])
+    # pair key a * n + b with a < b sorts as the pair (nodes[a], nodes[b]);
+    # every group writes its keys into one preallocated array, so no list of
+    # per-group arrays and no concatenated copy of them is ever held
+    keys = np.empty(sum(len(rows) * size * (size - 1) // 2
+                        for size, rows in by_size.items()), dtype=np.int64)
+    at = 0
+    for size, rows in by_size.items():
+        ids = np.array(rows, dtype=np.int64)
+        i, j = np.triu_indices(size, 1)
+        block = keys[at:at + len(rows) * len(i)].reshape(len(rows), len(i))
+        np.multiply(ids[:, i], n, out=block)
+        block += ids[:, j]
+        at += block.size
+    pairs, weights = np.unique(keys, return_counts=True)
+    first, second = np.divmod(pairs, n)
+    edges = {(nodes[a], nodes[b]): w for a, b, w
+             in zip(first.tolist(), second.tolist(), weights.tolist())}
+    return TermGraph(nodes=tuple(nodes), edges=edges)
 
 
 def modularity(graph: TermGraph, partition: dict[str, int],

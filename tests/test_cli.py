@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+import engdyn
 from engdyn import cli
 from engdyn.svgplot import fit_overlay_svg, scatter_svg
 
@@ -236,6 +240,30 @@ class TestAnalyze:
         assert "bin-width-days" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_tiny_bin_width_skips_topics_instead_of_allocating(self, tmp_path,
+                                                              capsys):
+        corpus = simulate(tmp_path)
+        out = tmp_path / "run"
+        assert cli.main(["analyze", "--input", str(corpus / "posts.jsonl"),
+                         "--out", str(out), "--bin-width-days", "1e-9"]) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["skipped"] == {tid: "TooManyBins"
+                                      for tid in ("fast", "mid", "slow")}
+        assert "skipped topic fast: TooManyBins" in capsys.readouterr().err
+
+    def test_far_future_stamp_skips_its_topic(self, tmp_path):
+        corpus = simulate(tmp_path)
+        posts = corpus / "posts.jsonl"
+        stray = json.loads(posts.read_text().splitlines()[0])
+        stray.update(post_id="stray", timestamp="9999-12-31T00:00:00Z")
+        posts.write_text(posts.read_text() + json.dumps(stray) + "\n")
+        out = tmp_path / "run"
+        assert cli.main(["analyze", "--input", str(posts),
+                         "--out", str(out)]) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["skipped"] == {stray["topic_id"]: "TooManyBins"}
+        assert summary["n_fitted"] == 2
+
     def test_byte_order_marks_accepted(self, tmp_path):
         corpus = simulate(tmp_path)
         plain = tmp_path / "plain"
@@ -344,6 +372,76 @@ class TestExtractTopics:
         assert cli.main(["extract-topics", "--input", str(tmp_path / "x"),
                          "--out", str(tmp_path / "o")]) == 2
 
+    def run_lines(self, tmp_path, name, extra_lines):
+        """Exit code and output tree of a run over ARTICLES plus raw lines."""
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in ARTICLES)
+                        + "".join(line + "\n" for line in extra_lines))
+        out = tmp_path / name
+        code = cli.main(["extract-topics", "--input", str(path),
+                         "--out", str(out), "--seed", "1"])
+        return code, read_tree(out)
+
+    def test_malformed_lines_counted_without_traceback(self, tmp_path, capsys):
+        clean = self.run_lines(tmp_path, "clean", [])
+        assert clean[0] == 0
+        capsys.readouterr()
+        bad = ['{"article_id": "b", "text": 5}',
+               '{"article_id": "b", "text": null}',
+               '{"article_id": "b", "text": ["market"]}',
+               '{"article_id": "b", "terms": [null]}',
+               '{"article_id": "b", "terms": ["market", 3]}',
+               '{"article_id": "b", "terms": "market"}',
+               '{"article_id": "b", "terms": {"market": 1}}',
+               '{"text": "market goal"}',
+               '["article_id", "text"]',
+               "not json",
+               '{"article_id": "b", "text": ' + "1" * 5000 + "}",
+               "[" * 100_000]
+        assert self.run_lines(tmp_path, "dirty", bad) == clean
+        assert f"warning: {len(bad)} malformed article line(s) skipped" \
+            in capsys.readouterr().err
+
+    def test_articles_without_usable_terms_counted(self, tmp_path, capsys):
+        clean = self.run_lines(tmp_path, "clean", [])
+        assert "usable terms" not in capsys.readouterr().err
+        empty = ['{"article_id": "e1", "text": "the and of 123"}',
+                 '{"article_id": "e2", "terms": ["", "The"]}',
+                 '{"article_id": "e3", "text": "\u00e9t\u00e9 42"}']
+        assert self.run_lines(tmp_path, "empty", empty) == clean
+        err = capsys.readouterr().err
+        assert "warning: 3 article(s) without usable terms skipped" in err
+        assert "malformed" not in err
+
+    def test_line_separators_inside_strings_kept(self, tmp_path, capsys):
+        rows = [{"article_id": "a", "text": "market\u2028trade\x85economy"},
+                {"article_id": "b", "text": "market\u2029trade\x1eeconomy"}]
+        path = tmp_path / "raw.jsonl"
+        path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\r\n"
+                                for r in rows), encoding="utf-8")
+        out = tmp_path / "o"
+        assert cli.main(["extract-topics", "--input", str(path),
+                         "--out", str(out)]) == 0
+        assert "warning" not in capsys.readouterr().err
+        assert (out / "edges.csv").read_text().splitlines()[1:] == [
+            "economy,market,2", "economy,trade,2", "market,trade,2"]
+
+    def test_undecodable_input_exits_two(self, tmp_path, capsys):
+        path = self.write_articles(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        assert cli.main(["extract-topics", "--input", str(path),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        plain = self.run_lines(tmp_path, "plain", [])
+        path = tmp_path / "plain.jsonl"
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        out = tmp_path / "marked"
+        assert cli.main(["extract-topics", "--input", str(path),
+                         "--out", str(out), "--seed", "1"]) == 0
+        assert read_tree(out) == plain[1]
+
 
 class TestSvg:
     def test_fit_overlay_well_formed(self):
@@ -356,3 +454,15 @@ class TestSvg:
         svg = scatter_svg([0.1, 0.5, 0.9], [-0.5, 0.0, 0.7],
                           "x", "y", "demo")
         ET.fromstring(svg)
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # scipy.special is the package's slowest import; only the statistics
+    # that analyze runs need it, so importing the CLI must not load it
+    src = str(Path(engdyn.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import engdyn.cli, sys; print('scipy.special' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        check=True, timeout=120)
+    assert child.stdout.strip() == "False"

@@ -7,9 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from engdyn import curvefit, synth
-from engdyn.errors import InsufficientData, InvalidInput, ZeroEngagement
-from engdyn.model import (CATEGORIES, MAX_COUNT, build_series, parse_posts,
-                          read_categories)
+from engdyn.errors import (InsufficientData, InvalidInput, TooManyBins,
+                           ZeroEngagement)
+from engdyn.model import (CATEGORIES, MAX_BINS, MAX_COUNT, build_series,
+                          parse_posts, read_categories)
 
 from conftest import make_post, table_of
 
@@ -111,6 +112,20 @@ class TestParsePosts:
                                   (3, "love exceeds 4294967295"))
 
 
+    def test_timestamp_outside_utc_range_rejected(self):
+        lines = [post_line(post_id="early", timestamp="0001-01-01T00:30:00+01:00"),
+                 post_line(post_id="late", timestamp="9999-12-31T23:30:00-01:00"),
+                 # timestamps are checked before counts, as for other errors
+                 post_line(post_id="both", timestamp="0001-01-01T00:00:00+00:01",
+                           likes=-1),
+                 post_line(post_id="edge", timestamp="0001-01-01T00:30:00+00:30")]
+        result = parse_posts(lines)
+        assert result.rejects == ((1, "timestamp out of range"),
+                                  (2, "timestamp out of range"),
+                                  (3, "timestamp out of range"))
+        assert len(result.records) == 1
+
+
 class TestBuildSeries:
     def test_two_post_arithmetic(self):
         posts = [make_post(day=0, likes=10), make_post(day=10, likes=30)]
@@ -134,6 +149,24 @@ class TestBuildSeries:
         posts = [make_post(day=0.1, likes=1), make_post(day=0.4, likes=1)]
         with pytest.raises(InsufficientData):
             build_series(table_of(posts), "t")
+
+    def test_bins_capped(self):
+        at_cap = [make_post(day=0), make_post(day=MAX_BINS - 1)]
+        assert len(build_series(table_of(at_cap), "t").times) == MAX_BINS
+        over = [make_post(day=0), make_post(day=MAX_BINS)]
+        with pytest.raises(TooManyBins):
+            build_series(table_of(over), "t")
+
+    def test_tiny_bin_width_raises_before_allocating(self):
+        posts = [make_post(day=d) for d in range(3000)]
+        with pytest.raises(TooManyBins):
+            build_series(table_of(posts), "t", bin_width=1e-9)
+
+    def test_year_9999_stamp_raises(self):
+        lines = [post_line(post_id="a"),
+                 post_line(post_id="b", timestamp="9999-12-31T23:59:59Z")]
+        with pytest.raises(TooManyBins):
+            build_series(parse_posts(lines).records, "t1")
 
     def test_terminal_fraction_exactly_one(self):
         posts = [make_post(day=d, likes=k + 1) for d, k in

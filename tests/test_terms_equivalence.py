@@ -1,0 +1,158 @@
+"""Term extraction and projection against the code they replaced.
+
+The oracles below are that code, kept as it was: a regex tokenizer with a
+dict count and a full ``sorted`` of every term, the same selection for
+pre-tokenized input, and a pair loop over each article's sorted terms. The
+library's results must equal theirs exactly, including the order of the
+ranked terms and of the edges, or both must raise the same exception type.
+"""
+
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from engdyn.errors import EmptyArticle, InvalidInput
+from engdyn.topicgraph import (ArticleTerms, TermGraph, count_terms,
+                               extract_terms, project)
+
+# ----------------------------------------------------------------- oracles
+
+_TOKEN = re.compile(r"[a-z]+")
+
+
+def oracle_extract_terms(article_id, text, stopwords, k=10):
+    counts = {}
+    for token in _TOKEN.findall(text.lower()):
+        if token in stopwords:
+            continue
+        counts[token] = counts.get(token, 0) + 1
+    if not counts:
+        raise EmptyArticle(f"article {article_id!r} has no usable tokens")
+    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    return ArticleTerms(article_id=article_id, top_terms=tuple(ranked[:k]))
+
+
+def oracle_count_terms(article_id, tokens, stopwords, k=10):
+    counts = {}
+    for token in tokens:
+        token = token.lower()
+        if token in stopwords or not token:
+            continue
+        counts[token] = counts.get(token, 0) + 1
+    if not counts:
+        raise EmptyArticle(f"article {article_id!r} has no usable tokens")
+    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    return ArticleTerms(article_id=article_id, top_terms=tuple(ranked[:k]))
+
+
+def oracle_project(articles):
+    if not articles:
+        raise InvalidInput("need at least one article")
+    nodes = set()
+    edges = {}
+    for article in articles:
+        terms = sorted(set(article.terms))
+        nodes.update(terms)
+        for i in range(len(terms)):
+            for j in range(i + 1, len(terms)):
+                pair = (terms[i], terms[j])
+                edges[pair] = edges.get(pair, 0) + 1
+    ordered = tuple(sorted(nodes))
+    return TermGraph(nodes=ordered, edges={pair: edges[pair] for pair in sorted(edges)})
+
+
+def outcome(fn, *args):
+    """The call's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, never swallowed: see the asserts
+        return type(exc), str(exc)
+
+
+# -------------------------------------------------------------- strategies
+
+# characters whose lowercase is (or holds) ASCII letters, letters that stay
+# non-ASCII, lone surrogates, digits, punctuation, NUL and line breaks
+TRICKY = ["İ", "K", "ß", "ﬀ", "é", "\ud800", "\udfff",
+          "\x00", "\x85", " ", "\t", "\n", " ", "-", "'", ".", "7", "0"]
+WORDS = ["the", "The", "THE", "cat", "Cat", "mat", "a", "ab", "abc", "zeta",
+         "vote", "news", "x", "covid19", "co-op", "don't"]
+
+texts = st.one_of(
+    st.lists(st.sampled_from(WORDS + TRICKY), max_size=60).map("".join),
+    st.lists(st.sampled_from(WORDS + TRICKY), max_size=40).map(" ".join),
+    st.text(alphabet=st.sampled_from(TRICKY + list("abcXYZ")), max_size=40),
+    st.text(max_size=40),
+)
+stopword_sets = st.frozensets(
+    st.sampled_from(["the", "a", "ab", "cat", "x", "i", "k", "", "The"]),
+    max_size=5)
+ks = st.integers(-3, 12)
+tokens = st.lists(st.one_of(st.sampled_from(["", "News", "news", "NEWS", "the",
+                                             "The", "vote", "İ", "K"]),
+                            st.text(max_size=4)), max_size=30)
+
+
+class TestExtractTerms:
+    @given(texts, stopword_sets, ks)
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_regex_tokenizer(self, text, stopwords, k):
+        assert outcome(extract_terms, "a", text, stopwords, k) == \
+            outcome(oracle_extract_terms, "a", text, stopwords, k)
+
+    @pytest.mark.parametrize("text", [
+        "İstanbul", "Kelvin", "straße", "ﬀort",
+        "café café", "a\ud800b a\udfffb", "x\x00y", "covid19 co-op",
+    ])
+    def test_non_ascii_boundaries(self, text):
+        assert extract_terms("a", text, frozenset(), 10) == \
+            oracle_extract_terms("a", text, frozenset(), 10)
+
+    def test_non_string_text_raises_like_before(self):
+        assert outcome(extract_terms, "a", 5, frozenset())[0] is AttributeError
+        assert outcome(oracle_extract_terms, "a", 5, frozenset())[0] is AttributeError
+
+
+class TestCountTerms:
+    @given(tokens, stopword_sets, ks)
+    @settings(max_examples=600, deadline=None)
+    def test_matches_dict_count(self, toks, stopwords, k):
+        assert outcome(count_terms, "a", toks, stopwords, k) == \
+            outcome(oracle_count_terms, "a", toks, stopwords, k)
+
+    def test_non_string_token_raises_like_before(self):
+        assert outcome(count_terms, "a", ["ok", None], frozenset())[0] is AttributeError
+        assert outcome(oracle_count_terms, "a", ["ok", None], frozenset())[0] \
+            is AttributeError
+
+
+VOCAB = ["alpha", "beta", "delta", "eta", "gamma", "iota", "kappa", "mu",
+         "nu", "pi", "rho", "tau"]
+
+article_lists = st.lists(
+    st.lists(st.sampled_from(VOCAB), max_size=14),  # 0, 1 or many, repeats
+    max_size=25,
+).map(lambda rows: [ArticleTerms(f"a{i}", tuple((t, 1) for t in row))
+                    for i, row in enumerate(rows)])
+
+
+class TestProject:
+    @given(article_lists)
+    @settings(max_examples=600, deadline=None)
+    def test_matches_pair_loop(self, articles):
+        got = outcome(project, articles)
+        want = outcome(oracle_project, articles)
+        assert got == want
+        if isinstance(got, TermGraph):
+            assert list(got.edges) == list(want.edges)  # sorted-pair order
+            assert all(type(w) is int for w in got.edges.values())
+
+    def test_articles_of_very_different_sizes(self):
+        big = ArticleTerms("big", tuple((f"t{i:03d}", 1) for i in range(300)))
+        small = ArticleTerms("small", (("t000", 1), ("t001", 1)))
+        graph = project([big, small])
+        assert graph == oracle_project([big, small])
+        assert len(graph.edges) == 300 * 299 // 2
+        assert graph.edges[("t000", "t001")] == 2
