@@ -9,8 +9,7 @@ from .curvefit import FitOptions, FitResult, fit, initial_guess, sigmoid
 from .errors import (DegenerateFit, DomainError, EmptyArticle, EngdynError,
                      InsufficientData, InvalidInput, TooManyBins,
                      UndefinedCorrelation, ZeroEngagement)
-from .metrics import (TopicMetrics, love_hate, speed_index,
-                      speed_index_quadrature, topic_metrics)
+from .metrics import TopicMetrics, love_hate, speed_index, topic_metrics
 from .model import (CATEGORIES, CategoryAssignment, ParseResult, PostRecord,
                     PostTable, TopicSeries, build_series, load_posts,
                     parse_posts, read_categories)
@@ -34,6 +33,5 @@ __all__ = [
     "generate_topic", "initial_guess", "load_posts", "load_stopwords",
     "louvain", "love_hate", "mann_whitney_u", "modularity",
     "pairwise_category_tests", "parse_posts", "project", "read_categories",
-    "sample_times", "sigmoid", "spearman", "speed_index",
-    "speed_index_quadrature", "topic_metrics",
+    "sample_times", "sigmoid", "spearman", "speed_index", "topic_metrics",
 ]

@@ -1,15 +1,13 @@
 """Command-line surface: extract-topics, analyze, simulate.
 
 All outputs are UTF-8, CSVs carry a header row, JSON is pretty-printed,
-and every command is byte-identical across reruns (and across --jobs
-values) for a fixed seed. Exit codes: 0 success, 1 partial (some topics
-skipped), 2 input error.
+and every command is byte-identical across reruns for a fixed seed. Exit
+codes: 0 success, 1 partial (some topics skipped), 2 input error.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import math
@@ -38,17 +36,13 @@ class RunConfig:
     lh_mode: str = "pooled"
     alpha_level: float = 0.05
     seed: int = 0
-    jobs: int = 1
     plots: bool = False
-    fit_options: curvefit.FitOptions = curvefit.FitOptions()
 
     def __post_init__(self):
         if not (0.0 < self.alpha_level < 1.0):
             raise InvalidInput("alpha-level must lie in (0, 1)")
         if not (math.isfinite(self.bin_width) and self.bin_width > 0):
             raise InvalidInput("bin-width-days must be positive and finite")
-        if self.jobs < 1:
-            raise InvalidInput("jobs must be at least 1")
 
 
 def _fail(message: str) -> int:
@@ -86,7 +80,7 @@ def _process_topic(topic_id, posts, config):
     """Series + fit + metrics for one topic; returns (result, skip_reason)."""
     try:
         series = model.build_series(posts, topic_id, config.bin_width)
-        fit_result = curvefit.fit(series, config.fit_options)
+        fit_result = curvefit.fit(series)
         topic_metrics = metrics.topic_metrics(
             topic_id, posts, fit_result.alpha_hat, fit_result.beta_hat,
             series.horizon_days, config.lh_mode)
@@ -113,16 +107,8 @@ def run_analysis(config: RunConfig) -> dict:
 
     results: dict[str, tuple] = {}
     skipped: dict[str, str] = {}
-    if config.jobs == 1:
-        outcomes = {tid: _process_topic(tid, grouped[tid], config)
-                    for tid in topic_ids}
-    else:
-        with concurrent.futures.ThreadPoolExecutor(config.jobs) as pool:
-            futures = {tid: pool.submit(_process_topic, tid, grouped[tid], config)
-                       for tid in topic_ids}
-            outcomes = {tid: fut.result() for tid, fut in futures.items()}
     for tid in topic_ids:
-        result, reason = outcomes[tid]
+        result, reason = _process_topic(tid, grouped[tid], config)
         if reason is not None:
             skipped[tid] = reason
         else:
@@ -177,8 +163,6 @@ def run_analysis(config: RunConfig) -> dict:
     if config.plots:
         _write_plots(out / "plots", results)
 
-    # jobs is an execution detail, deliberately not echoed: outputs must be
-    # byte-identical across worker counts
     summary = {
         "config": {
             "bin_width_days": config.bin_width,
@@ -338,7 +322,6 @@ def cmd_analyze(args) -> int:
             lh_mode=args.lh_mode,
             alpha_level=args.alpha_level,
             seed=args.seed,
-            jobs=args.jobs,
             plots=args.plots,
         )
         summary = run_analysis(config)
@@ -401,8 +384,6 @@ def cmd_extract_topics(args) -> int:
             articles, bad_lines, empty_articles = _read_articles(fh, stopwords)
     except OSError as exc:
         return _fail(str(exc))
-    except UnicodeDecodeError as exc:
-        return _fail(f"not UTF-8 text: {exc}")
     if bad_lines:
         print(f"warning: {bad_lines} malformed article line(s) skipped",
               file=sys.stderr)
@@ -478,7 +459,8 @@ def cmd_simulate(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         synth.generate_corpus(specs, category_map,
                               out / "posts.jsonl", out / "categories.csv")
-    except (OSError, EngdynError, json.JSONDecodeError) as exc:
+    # RecursionError: spec JSON nested too deeply to decode
+    except (OSError, EngdynError, json.JSONDecodeError, RecursionError) as exc:
         return _fail(str(exc))
     print(f"wrote {sum(s.n_posts for s in specs)} posts across "
           f"{len(specs)} topics to {args.out}")
@@ -514,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lh-mode", choices=["pooled", "mean"], default="pooled")
     p.add_argument("--alpha-level", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--plots", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
@@ -531,7 +512,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "lh_mode", None) == "mean":
         args.lh_mode = "mean_of_posts"
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UnicodeDecodeError as exc:
+        # every command reads all of its input before it writes anything
+        return _fail(f"not UTF-8 text: {exc}")
 
 
 def console_main() -> None:

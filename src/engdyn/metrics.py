@@ -14,7 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-from .curvefit import sigmoid
 from .errors import DomainError, InvalidInput
 from .model import PostTable
 
@@ -52,64 +51,6 @@ def speed_index(alpha: float, beta: float, horizon: float) -> float:
     lower = _softplus(-alpha * beta)
     value = (upper - lower) / (alpha * horizon)
     return min(max(value, 0.0), 1.0)  # trim float fuzz at the saturated ends
-
-
-def speed_index_quadrature(alpha: float, beta: float, horizon: float,
-                           tol: float = 1e-10) -> float:
-    """Adaptive Simpson evaluation of the same mean value.
-
-    Kept as an independent cross-check of the closed form; ``tol`` bounds the
-    error of the returned (already T-normalized) value.
-    """
-    if alpha <= 0 or horizon <= 0:
-        raise DomainError("speed_index requires alpha > 0 and horizon > 0")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-
-    def f(t: float) -> float:
-        return sigmoid(t, alpha, beta)
-
-    # Seed panels around the transition so a coarse first parabola cannot
-    # miss a near-step rise.
-    knots = {0.0, horizon}
-    for k in (-16.0, -8.0, -4.0, 0.0, 4.0, 8.0, 16.0):
-        c = beta + k / alpha
-        if 0.0 < c < horizon:
-            knots.add(c)
-    points = sorted(knots)
-
-    total = 0.0
-    budget = tol * horizon  # tolerance for the raw integral
-    for a, b in zip(points[:-1], points[1:]):
-        share = budget * (b - a) / horizon
-        total += _adaptive_simpson(f, a, b, share)
-    return min(max(total / horizon, 0.0), 1.0)
-
-
-def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
-    return width * (fa + 4.0 * fm + fb) / 6.0
-
-
-def _adaptive_simpson(f, a: float, b: float, eps: float) -> float:
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    whole = _simpson(fa, fm, fb, b - a)
-    return _adaptive_step(f, a, b, fa, fm, fb, whole, eps, depth=50)
-
-
-def _adaptive_step(f, a, b, fa, fm, fb, whole, eps, depth) -> float:
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    delta = left + right - whole
-    if depth <= 0 or abs(delta) <= 15.0 * eps:
-        return left + right + delta / 15.0
-    half = 0.5 * eps
-    return (_adaptive_step(f, a, m, fa, flm, fm, left, half, depth - 1)
-            + _adaptive_step(f, m, b, fm, frm, fb, right, half, depth - 1))
 
 
 def reaction_totals(posts: PostTable) -> tuple[int, int, int]:

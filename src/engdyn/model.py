@@ -293,7 +293,7 @@ def parse_posts(stream: Iterable[str]) -> ParseResult:
             continue
         try:
             post_id, topic_id, stamp, counts = _parse_line(line)
-        except ValueError as exc:  # json.JSONDecodeError included
+        except (ValueError, RecursionError) as exc:  # incl. too-deep JSON
             rejects.append((lineno, str(exc)))
             continue
         seen = first_line.setdefault(post_id, lineno)

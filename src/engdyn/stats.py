@@ -42,15 +42,12 @@ def rank_average(values: Sequence[float]) -> np.ndarray:
     """1-based ranks with tied values sharing the mean of their positions."""
     a = np.asarray(values, dtype=float)
     order = np.argsort(a, kind="mergesort")
-    ranks = np.empty(len(a), dtype=float)
-    i = 0
     sorted_a = a[order]
-    while i < len(a):
-        j = i
-        while j + 1 < len(a) and sorted_a[j + 1] == sorted_a[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # runs of equal values in sorted order; NaN != NaN, so each NaN is its own
+    first = np.flatnonzero(np.r_[True, sorted_a[1:] != sorted_a[:-1]])
+    last = np.r_[first[1:], len(a)] - 1
+    ranks = np.empty(len(a), dtype=float)
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     return ranks
 
 

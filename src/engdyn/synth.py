@@ -8,7 +8,7 @@ the curve's shape. Love/Angry reactions are generated so the pooled
 Love-Hate score has a designed expectation.
 
 Every topic owns an independent RNG stream derived from (noise_seed,
-topic_id), so output never depends on worker count or generation order.
+topic_id), so a topic's posts never depend on the other topics or their order.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .curvefit import sigmoid
 from .errors import InvalidInput
 from .metrics import speed_index
 from .model import CATEGORIES, PostRecord
@@ -72,19 +73,8 @@ def rng_for(spec: SynthSpec) -> np.random.Generator:
         np.random.SeedSequence([spec.noise_seed & 0xFFFFFFFFFFFFFFFF, topic_word]))
 
 
-def _logistic(z):
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _sample_times(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
-    lo = float(_logistic(np.array(-spec.alpha_true * spec.beta_true)))
-    hi = float(_logistic(np.array(
-        spec.alpha_true * (spec.horizon_days - spec.beta_true))))
+    lo, hi = sigmoid([0.0, spec.horizon_days], spec.alpha_true, spec.beta_true)
     u = rng.uniform(lo, hi, spec.n_posts)
     t = spec.beta_true + np.log(u / (1.0 - u)) / spec.alpha_true
     t = np.clip(t, 0.0, spec.horizon_days)

@@ -155,22 +155,9 @@ def modularity(graph: TermGraph, partition: dict[str, int],
     the doubled weight of edges inside community c and deg_c its total
     weighted degree. An edgeless graph has Q = 0.
     """
-    degree: dict[str, float] = {node: 0.0 for node in graph.nodes}
-    for (a, b), w in graph.edges.items():
-        degree[a] += w
-        degree[b] += w
-    two_m = sum(degree.values())
-    if two_m == 0:
-        return 0.0
-    intra2 = 0.0
-    for (a, b), w in graph.edges.items():
-        if partition[a] == partition[b]:
-            intra2 += 2.0 * w
-    tot: dict[int, float] = {}
-    for node, deg in degree.items():
-        c = partition[node]
-        tot[c] = tot.get(c, 0.0) + deg
-    return intra2 / two_m - resolution * sum((d / two_m) ** 2 for d in tot.values())
+    return _modularity_indexed(_adjacency(graph),
+                               [partition[node] for node in graph.nodes],
+                               resolution)
 
 
 def louvain(graph: TermGraph, seed: int, resolution: float = 1.0,
@@ -199,15 +186,8 @@ def _run_louvain(graph: TermGraph, seed: int, resolution: float,
     if not graph.nodes:
         raise InvalidInput("graph has no nodes")
     nodes = graph.nodes
-    index = {node: i for i, node in enumerate(nodes)}
     n = len(nodes)
-    adj: list[dict[int, float]] = [dict() for _ in range(n)]
-    for (a, b), w in graph.edges.items():
-        ia, ib = index[a], index[b]
-        if ia == ib:
-            raise InvalidInput(f"self-loop on {a!r}")
-        adj[ia][ib] = adj[ia].get(ib, 0.0) + float(w)
-        adj[ib][ia] = adj[ib].get(ia, 0.0) + float(w)
+    adj = _adjacency(graph)
 
     rng = random.Random(seed)
     level_adj = adj
@@ -239,6 +219,19 @@ def _run_louvain(graph: TermGraph, seed: int, resolution: float,
     partition = {nodes[v]: renumber[labels[v]] for v in range(n)}
     q_final = _modularity_indexed(adj, labels, resolution)
     return partition, q_final, tuple(history)
+
+
+def _adjacency(graph: TermGraph) -> list[dict[int, float]]:
+    """Neighbour weights by node index, in ``graph.nodes`` order."""
+    index = {node: i for i, node in enumerate(graph.nodes)}
+    adj: list[dict[int, float]] = [dict() for _ in graph.nodes]
+    for (a, b), w in graph.edges.items():
+        ia, ib = index[a], index[b]
+        if ia == ib:
+            raise InvalidInput(f"self-loop on {a!r}")
+        adj[ia][ib] = adj[ia].get(ib, 0.0) + float(w)
+        adj[ib][ia] = adj[ib].get(ia, 0.0) + float(w)
+    return adj
 
 
 def _degrees(adj: list[dict[int, float]]) -> list[float]:

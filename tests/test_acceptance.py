@@ -21,12 +21,13 @@ import numpy as np
 import pytest
 
 from engdyn import cli, curvefit, synth
-from engdyn.metrics import speed_index, speed_index_quadrature, topic_metrics
+from engdyn.metrics import speed_index, topic_metrics
 from engdyn.model import CATEGORIES, CategoryAssignment, build_series
 from engdyn.stats import mann_whitney_u, pairwise_category_tests, spearman
 from engdyn.topicgraph import TermGraph, louvain, louvain_trace
 
 from conftest import table_of
+from test_metrics import speed_index_quadrature
 from test_stats import oracle_ranks, oracle_spearman_rho
 from test_topicgraph import brute_force_best, clique_ring
 
@@ -353,12 +354,11 @@ def test_command_determinism(tmp_path):
 
     corpus = tmp_path / "corpus_a"
     runs = []
-    for name, jobs in (("r1", "1"), ("r2", "1"), ("r4", "4")):
+    for name in ("r1", "r2", "r3"):
         out = tmp_path / name
         assert cli.main(["analyze", "--input", str(corpus / "posts.jsonl"),
                          "--categories", str(corpus / "categories.csv"),
-                         "--out", str(out), "--plots", "--seed", "8",
-                         "--jobs", jobs]) == 0
+                         "--out", str(out), "--plots", "--seed", "8"]) == 0
         runs.append(read_tree(out))
     analyze_ok = runs[0] == runs[1] == runs[2]
 
@@ -378,5 +378,5 @@ def test_command_determinism(tmp_path):
 
     _report("command determinism",
             simulate_ok and analyze_ok and extract_ok,
-            f"simulate: {simulate_ok}, analyze (incl. --jobs): {analyze_ok}, "
+            f"simulate: {simulate_ok}, analyze: {analyze_ok}, "
             f"extract-topics: {extract_ok}")

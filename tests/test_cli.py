@@ -88,6 +88,18 @@ class TestSimulate:
         assert cli.main(["simulate", "--input", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("raw,message", [
+        (b'{"topics": []}\xff', "not UTF-8 text"),
+        (b"[" * 200_000, "maximum recursion depth exceeded")])
+    def test_unreadable_spec_exits_two(self, tmp_path, capsys, raw, message):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(raw)
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--input", str(spec),
+                         "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_full_run_outputs(self, tmp_path):
@@ -230,6 +242,29 @@ class TestAnalyze:
                          "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_rejected_lines"] == 1
+
+    def test_too_deep_line_rejected(self, tmp_path):
+        corpus = simulate(tmp_path)
+        posts = corpus / "posts.jsonl"
+        posts.write_text(posts.read_text() + "[" * 200_000 + "\n")
+        out = tmp_path / "run"
+        assert cli.main(["analyze", "--input", str(posts),
+                         "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["n_rejected_lines"] == 1
+        assert summary["n_fitted"] == 3
+
+    @pytest.mark.parametrize("name", ["posts.jsonl", "categories.csv"])
+    def test_undecodable_input_exits_two(self, tmp_path, capsys, name):
+        corpus = simulate(tmp_path)
+        path = corpus / name
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        out = tmp_path / "run"
+        assert cli.main(["analyze", "--input", str(corpus / "posts.jsonl"),
+                         "--categories", str(corpus / "categories.csv"),
+                         "--out", str(out)]) == 2
+        assert "not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("width", ["nan", "inf"])
     def test_non_finite_bin_width_exits_two(self, tmp_path, capsys, width):
@@ -458,11 +493,13 @@ class TestSvg:
 
 def test_cli_import_leaves_scipy_special_unloaded():
     # scipy.special is the package's slowest import; only the statistics
-    # that analyze runs need it, so importing the CLI must not load it
+    # that analyze runs need it, so importing the CLI must not load it.
+    # scipy.stats costs more still and nothing needs it
     src = str(Path(engdyn.__file__).resolve().parents[1])
     child = subprocess.run(
         [sys.executable, "-c",
-         "import engdyn.cli, sys; print('scipy.special' in sys.modules)"],
+         "import engdyn.cli, sys; print('scipy.special' in sys.modules, "
+         "'scipy.stats' in sys.modules)"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         check=True, timeout=120)
-    assert child.stdout.strip() == "False"
+    assert child.stdout.strip() == "False False"

@@ -112,6 +112,17 @@ class TestParsePosts:
                                   (3, "love exceeds 4294967295"))
 
 
+    def test_too_deep_json_rejected(self):
+        # the decoder raises RecursionError, not ValueError, on these
+        lines = [post_line(), "[" * 200_000,
+                 '{"post_id": ' + "{\"a\": " * 200_000,
+                 post_line(post_id="p4")]
+        result = parse_posts(lines)
+        assert len(result.records) == 2
+        assert [ln for ln, _ in result.rejects] == [2, 3]
+        assert all(reason.startswith("maximum recursion depth exceeded")
+                   for _, reason in result.rejects)
+
     def test_timestamp_outside_utc_range_rejected(self):
         lines = [post_line(post_id="early", timestamp="0001-01-01T00:30:00+01:00"),
                  post_line(post_id="late", timestamp="9999-12-31T23:30:00-01:00"),

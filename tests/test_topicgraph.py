@@ -216,6 +216,22 @@ class TestLouvain:
             result = louvain(graph, seed=7)
             assert result.modularity == pytest.approx(
                 modularity(graph, result.partition), abs=1e-12)
+        # modularity of random partitions of random weighted graphs, some
+        # with isolated nodes, against the adjacency formula
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            n = int(rng.integers(1, 12))
+            nodes = tuple(f"n{i:02d}" for i in range(n))
+            edges = {(a, b): float(rng.uniform(0.1, 5.0))
+                     for a, b in itertools.combinations(nodes, 2)
+                     if rng.random() < 0.4}
+            graph = TermGraph(nodes=nodes, edges=edges)
+            labels = rng.integers(0, int(rng.integers(1, n + 1)), n).tolist()
+            partition = dict(zip(nodes, labels))
+            blocks = [[v for v in nodes if partition[v] == c]
+                      for c in set(labels)]
+            assert modularity(graph, partition) == pytest.approx(
+                oracle_modularity(graph, blocks), abs=1e-12)
 
     def test_small_graphs_near_bruteforce_optimum(self):
         rng = np.random.default_rng(99)
