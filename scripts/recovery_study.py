@@ -50,7 +50,7 @@ import time
 import numpy as np
 
 from engdyn import curvefit, synth
-from engdyn.model import PostTable, build_series
+from engdyn.model import build_series
 
 BIN_WIDTH = 1.0
 
@@ -78,8 +78,8 @@ def run_cell(alpha, beta, horizon, n_posts, replicates):
     for rep in range(replicates):
         spec = synth.SynthSpec("g", alpha, beta, horizon, n_posts,
                                noise_seed=rep)
-        series = build_series(PostTable.from_records(synth.generate_topic(spec)),
-                              "g", bin_width=BIN_WIDTH)
+        series = build_series(synth.generate_topic(spec), "g",
+                              bin_width=BIN_WIDTH)
         shift = ((series.t0 - synth.CORPUS_EPOCH).total_seconds() / 86400.0
                  + BIN_WIDTH)
         options = {

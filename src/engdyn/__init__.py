@@ -10,9 +10,9 @@ from .errors import (DegenerateFit, DomainError, EmptyArticle, EngdynError,
                      InsufficientData, InvalidInput, TooManyBins,
                      UndefinedCorrelation, ZeroEngagement)
 from .metrics import TopicMetrics, love_hate, speed_index, topic_metrics
-from .model import (CATEGORIES, CategoryAssignment, ParseResult, PostRecord,
-                    PostTable, TopicSeries, build_series, load_posts,
-                    parse_posts, read_categories)
+from .model import (CATEGORIES, CategoryAssignment, ParseResult, PostTable,
+                    TopicSeries, build_series, load_posts, parse_posts,
+                    read_categories)
 from .stats import (CorrelationResult, MannWhitneyResult, PairwiseTestMatrix,
                     mann_whitney_u, pairwise_category_tests, spearman)
 from .synth import SynthSpec, generate_corpus, generate_topic, sample_times
@@ -26,12 +26,12 @@ __all__ = [
     "ArticleTerms", "CATEGORIES", "CategoryAssignment", "CorrelationResult",
     "DegenerateFit", "DomainError", "EmptyArticle", "EngdynError",
     "FitOptions", "FitResult", "InsufficientData", "InvalidInput",
-    "MannWhitneyResult", "PairwiseTestMatrix", "ParseResult", "PostRecord",
-    "PostTable", "SynthSpec", "TermGraph", "TooManyBins", "TopicMetrics",
-    "TopicSeries", "UndefinedCorrelation", "ZeroEngagement", "build_series",
-    "cluster_report", "extract_terms", "fit", "generate_corpus",
-    "generate_topic", "initial_guess", "load_posts", "load_stopwords",
-    "louvain", "love_hate", "mann_whitney_u", "modularity",
-    "pairwise_category_tests", "parse_posts", "project", "read_categories",
-    "sample_times", "sigmoid", "spearman", "speed_index", "topic_metrics",
+    "MannWhitneyResult", "PairwiseTestMatrix", "ParseResult", "PostTable",
+    "SynthSpec", "TermGraph", "TooManyBins", "TopicMetrics", "TopicSeries",
+    "UndefinedCorrelation", "ZeroEngagement", "build_series", "cluster_report",
+    "extract_terms", "fit", "generate_corpus", "generate_topic",
+    "initial_guess", "load_posts", "load_stopwords", "louvain", "love_hate",
+    "mann_whitney_u", "modularity", "pairwise_category_tests", "parse_posts",
+    "project", "read_categories", "sample_times", "sigmoid", "spearman",
+    "speed_index", "topic_metrics",
 ]

@@ -438,6 +438,9 @@ def _specs_from_json(obj, cli_seed: int | None):
             raise InvalidInput("each topic spec must be a JSON object")
         fields = dict(entry)
         categories = fields.pop("categories", [])
+        if not (isinstance(categories, list)
+                and all(isinstance(c, str) for c in categories)):
+            raise InvalidInput("categories must be a list of strings")
         unknown = set(categories) - set(model.CATEGORIES)
         if unknown:
             raise InvalidInput(f"unknown categories {sorted(unknown)}")
@@ -453,7 +456,7 @@ def _specs_from_json(obj, cli_seed: int | None):
 
 def cmd_simulate(args) -> int:
     try:
-        obj = json.loads(Path(args.input).read_text(encoding="utf-8"))
+        obj = json.loads(Path(args.input).read_text(encoding="utf-8-sig"))
         specs, category_map = _specs_from_json(obj, args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

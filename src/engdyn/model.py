@@ -52,25 +52,6 @@ CATEGORIES = (
 
 
 @dataclass(frozen=True)
-class PostRecord:
-    """One social post with its interaction and reaction counts."""
-
-    post_id: str
-    topic_id: str
-    timestamp: datetime
-    likes: int
-    shares: int
-    comments: int
-    love: int
-    angry: int
-
-    @property
-    def engagement(self) -> int:
-        """Likes + shares + comments; the quantity the curves accumulate."""
-        return self.likes + self.shares + self.comments
-
-
-@dataclass(frozen=True)
 class TopicSeries:
     """A topic's time-binned, normalized cumulative engagement curve.
 
@@ -133,7 +114,7 @@ class PostTable:
     microseconds since the Unix epoch; ``counts`` is an (n, 5) int64 array
     whose columns follow :data:`COUNT_FIELDS`. Arrays are read-only, so the
     per-topic views that :meth:`topic` hands out cannot alter the table.
-    Build one with :func:`parse_posts` or, from records, :meth:`from_records`.
+    Built by :func:`parse_posts` or :func:`engdyn.synth.generate_topic`.
     """
 
     topic_ids: tuple[str, ...]
@@ -147,14 +128,6 @@ class PostTable:
             column.flags.writeable = False
         object.__setattr__(self, "_index",
                            {tid: i for i, tid in enumerate(self.topic_ids)})
-
-    @classmethod
-    def from_records(cls, records: Iterable[PostRecord]) -> PostTable:
-        builder = _TableBuilder()
-        for p in records:
-            builder.add(p.topic_id, _stamp_us(p.timestamp),
-                        (p.likes, p.shares, p.comments, p.love, p.angry))
-        return builder.table()
 
     def __len__(self) -> int:
         return len(self.stamps_us)
@@ -296,6 +269,12 @@ def parse_posts(stream: Iterable[str]) -> ParseResult:
         except (ValueError, RecursionError) as exc:  # incl. too-deep JSON
             rejects.append((lineno, str(exc)))
             continue
+        if topic_id not in builder.codes:  # checked once per topic id
+            try:
+                topic_id.encode("utf-8")  # outputs name the topic in UTF-8
+            except UnicodeEncodeError:
+                rejects.append((lineno, "topic_id holds a lone surrogate"))
+                continue
         seen = first_line.setdefault(post_id, lineno)
         if seen != lineno:
             rejects.append(
@@ -379,13 +358,20 @@ def read_categories(path: str | Path) -> dict[str, CategoryAssignment]:
     """Read the ``topic_id,category`` CSV (one row per pair)."""
     pairs: dict[str, set[str]] = {}
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or \
-                [f.strip() for f in reader.fieldnames] != ["topic_id", "category"]:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [f.strip() for f in header] != ["topic_id", "category"]:
             raise InvalidInput(
-                f"{path}: expected header 'topic_id,category', got {reader.fieldnames}")
+                f"{path}: expected header 'topic_id,category', got {header}")
         for row in reader:
-            pairs.setdefault(row["topic_id"], set()).add(row["category"])
+            if not row:  # a blank line
+                continue
+            if len(row) != 2:
+                raise InvalidInput(
+                    f"{path}: line {reader.line_num}: expected 2 fields, got {len(row)}")
+            if not row[0]:
+                raise InvalidInput(f"{path}: line {reader.line_num}: empty topic_id")
+            pairs.setdefault(row[0], set()).add(row[1])
     return {
         topic: CategoryAssignment(topic, frozenset(cats))
         for topic, cats in pairs.items()

@@ -13,11 +13,13 @@ topic_id), so a topic's posts never depend on the other topics or their order.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
-import math
+import sys
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -26,12 +28,18 @@ import numpy as np
 from .curvefit import sigmoid
 from .errors import InvalidInput
 from .metrics import speed_index
-from .model import CATEGORIES, PostRecord
+from .model import CATEGORIES, MAX_COUNT, SECONDS_PER_DAY, PostTable
 
 CORPUS_EPOCH = datetime(2018, 1, 1, tzinfo=timezone.utc)
+_EPOCH_S = int(CORPUS_EPOCH.timestamp())
+# the last stamp the post format (and ``analyze``) can hold
+_LAST_S = int(datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp())
 
 DEFAULT_ENGAGEMENT_MEAN = 140.0  # interactions per post
 DEFAULT_REACTION_RATE = 8.0      # love + angry reactions per post
+# Poisson draws with a mean up to half of MAX_COUNT stay below MAX_COUNT:
+# the margin is ~46,000 standard deviations
+_MAX_RATE = MAX_COUNT // 2
 
 
 @dataclass(frozen=True)
@@ -49,28 +57,47 @@ class SynthSpec:
     noise_seed: int = 0
 
     def __post_init__(self):
-        if not self.topic_id:
-            raise InvalidInput("topic_id must be non-empty")
+        if not isinstance(self.topic_id, str) or not self.topic_id:
+            raise InvalidInput("topic_id must be a non-empty string")
+        try:
+            self.topic_id.encode("utf-8")
+        except UnicodeEncodeError:
+            raise InvalidInput(
+                f"topic_id {self.topic_id!r} holds a lone surrogate") from None
+        for name in ("alpha_true", "beta_true", "horizon_days",
+                     "engagement_mean", "lh_target", "reaction_rate"):
+            value = getattr(self, name)
+            # exact for ints beyond the float range, false for NaN
+            if (isinstance(value, bool) or not isinstance(value, Real)
+                    or not -sys.float_info.max <= value <= sys.float_info.max):
+                raise InvalidInput(f"{name} must be a finite number")
+        for name in ("n_posts", "noise_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise InvalidInput(f"{name} must be an integer")
         if self.alpha_true <= 0:
             raise InvalidInput("alpha_true must be positive")
         if self.horizon_days <= 0:
             raise InvalidInput("horizon_days must be positive")
+        # the last post is stamped floor(horizon_days * 86400) s after the epoch
+        if self.horizon_days * SECONDS_PER_DAY >= _LAST_S - _EPOCH_S + 1:
+            raise InvalidInput("horizon_days must end by 9999-12-31T23:59:59Z")
         if self.n_posts < 2:
             raise InvalidInput("n_posts must be at least 2")
-        if self.engagement_mean <= 0:
-            raise InvalidInput("engagement_mean must be positive")
+        if not 0 < self.engagement_mean <= _MAX_RATE:
+            raise InvalidInput(f"engagement_mean must lie in (0, {_MAX_RATE}]")
         if not -1.0 <= self.lh_target <= 1.0:
             raise InvalidInput("lh_target must lie in [-1, 1]")
-        if self.reaction_rate < 0:
-            raise InvalidInput("reaction_rate must be non-negative")
+        if not 0 <= self.reaction_rate <= _MAX_RATE:
+            raise InvalidInput(f"reaction_rate must lie in [0, {_MAX_RATE}]")
 
 
 def rng_for(spec: SynthSpec) -> np.random.Generator:
     """The topic's private RNG stream, a pure function of (seed, topic id)."""
     digest = hashlib.sha256(spec.topic_id.encode("utf-8")).digest()
     topic_word = int.from_bytes(digest[:8], "big")
-    return np.random.default_rng(
-        np.random.SeedSequence([spec.noise_seed & 0xFFFFFFFFFFFFFFFF, topic_word]))
+    seed = int(spec.noise_seed) & 0xFFFFFFFFFFFFFFFF
+    return np.random.default_rng(np.random.SeedSequence([seed, topic_word]))
 
 
 def _sample_times(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
@@ -88,13 +115,15 @@ def sample_times(spec: SynthSpec) -> np.ndarray:
     return _sample_times(spec, rng_for(spec))
 
 
-def generate_topic(spec: SynthSpec) -> list[PostRecord]:
-    """Generate one topic's posts.
+def generate_topic(spec: SynthSpec) -> PostTable:
+    """Generate one topic's posts as a one-topic table, rows in time order.
 
     Interactions per post are Poisson(engagement_mean) split uniformly
     among likes, shares and comments. Reactions per post are
     Poisson(reaction_rate), each Love with probability (1 + lh_target) / 2,
     so the pooled Love-Hate score targets ``lh_target`` in expectation.
+    A post at day t is stamped ``CORPUS_EPOCH`` plus floor(t * 86400)
+    seconds.
     """
     rng = rng_for(spec)
     times = _sample_times(spec, rng)
@@ -103,36 +132,9 @@ def generate_topic(spec: SynthSpec) -> list[PostRecord]:
     split = rng.multinomial(interactions, [1.0 / 3.0] * 3)
     reactions = rng.poisson(spec.reaction_rate, n)
     love = rng.binomial(reactions, (1.0 + spec.lh_target) / 2.0)
-    angry = reactions - love
-
-    width = len(str(n - 1)) if n > 1 else 1
-    posts = []
-    for i in range(n):
-        stamp = CORPUS_EPOCH + timedelta(seconds=math.floor(times[i] * 86400.0))
-        posts.append(PostRecord(
-            post_id=f"{spec.topic_id}-{i:0{width}d}",
-            topic_id=spec.topic_id,
-            timestamp=stamp,
-            likes=int(split[i, 0]),
-            shares=int(split[i, 1]),
-            comments=int(split[i, 2]),
-            love=int(love[i]),
-            angry=int(angry[i]),
-        ))
-    return posts
-
-
-def post_to_json(post: PostRecord) -> str:
-    return json.dumps({
-        "post_id": post.post_id,
-        "topic_id": post.topic_id,
-        "timestamp": post.timestamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "likes": post.likes,
-        "shares": post.shares,
-        "comments": post.comments,
-        "love": post.love,
-        "angry": post.angry,
-    })
+    seconds = _EPOCH_S + np.floor(times * SECONDS_PER_DAY).astype(np.int64)
+    return PostTable((spec.topic_id,), np.array([0, n]), seconds * 1_000_000,
+                     np.column_stack([split, love, reactions - love]))
 
 
 def generate_corpus(specs: Sequence[SynthSpec],
@@ -150,17 +152,27 @@ def generate_corpus(specs: Sequence[SynthSpec],
             raise InvalidInput(f"duplicate topic_id {spec.topic_id!r}")
         seen.add(spec.topic_id)
 
+    # one %-format per line; keys and spacing as json.dumps of a dict, ids
+    # escaped by json.dumps itself
     with open(posts_path, "w", encoding="utf-8", newline="\n") as fh:
         for spec in specs:
-            for post in generate_topic(spec):
-                fh.write(post_to_json(post))
-                fh.write("\n")
+            table = generate_topic(spec)
+            quoted = json.dumps(spec.topic_id).replace("%", "%%")
+            width = len(str(len(table) - 1))
+            line = ('{"post_id": ' + quoted[:-1] + f'-%0{width}d", "topic_id": '
+                    + quoted + ', "timestamp": "%sZ", "likes": %d, "shares": %d, '
+                    '"comments": %d, "love": %d, "angry": %d}\n')
+            stamps = np.datetime_as_string(
+                table.stamps_us.astype("datetime64[us]"), unit="s")
+            fh.writelines(line % row for row in zip(
+                range(len(table)), stamps.tolist(), *table.counts.T.tolist()))
 
-    with open(categories_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("topic_id,category\n")
+    with open(categories_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["topic_id", "category"])
         for spec in specs:
-            for cat in sorted(category_map.get(spec.topic_id, ())):
-                fh.write(f"{spec.topic_id},{cat}\n")
+            writer.writerows([spec.topic_id, cat]
+                             for cat in sorted(category_map.get(spec.topic_id, ())))
 
 
 def default_corpus_specs(n_topics: int, seed: int = 0,

@@ -2,7 +2,9 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from engdyn.model import PostRecord, PostTable, TopicSeries
+from engdyn.model import TopicSeries
+
+from record_oracle import PostRecord, table_of  # tests take table_of from here
 
 EPOCH = datetime(2018, 1, 1, tzinfo=timezone.utc)
 
@@ -17,11 +19,6 @@ def make_post(topic_id="t", day=0.0, likes=1, shares=0, comments=0, love=0,
         likes=likes, shares=shares, comments=comments,
         love=love, angry=angry,
     )
-
-
-def table_of(posts) -> PostTable:
-    """A list of records as the library's post table."""
-    return PostTable.from_records(posts)
 
 
 def series_from_curve(times, fractions, topic_id="s", n_posts=100,

@@ -26,7 +26,6 @@ from engdyn.model import CATEGORIES, CategoryAssignment, build_series
 from engdyn.stats import mann_whitney_u, pairwise_category_tests, spearman
 from engdyn.topicgraph import TermGraph, louvain, louvain_trace
 
-from conftest import table_of
 from test_metrics import speed_index_quadrature
 from test_stats import oracle_ranks, oracle_spearman_rho
 from test_topicgraph import brute_force_best, clique_ring
@@ -59,7 +58,7 @@ def test_parameter_recovery_roundtrip_grid():
             for rep in range(100):
                 spec = synth.SynthSpec(
                     "g", alpha, beta, 1400.0, 1000, noise_seed=rep)
-                series = build_series(table_of(synth.generate_topic(spec)), "g",
+                series = build_series(synth.generate_topic(spec), "g",
                                       bin_width=bin_width)
                 shift = ((series.t0 - synth.CORPUS_EPOCH).total_seconds()
                          / 86400.0 + bin_width)
@@ -242,9 +241,9 @@ def test_pipeline_sign():
     si_values, lh_values = [], []
     for spec in specs:
         posts = synth.generate_topic(spec)
-        series = build_series(table_of(posts), spec.topic_id)
+        series = build_series(posts, spec.topic_id)
         fit_result = curvefit.fit(series)
-        tm = topic_metrics(spec.topic_id, table_of(posts), fit_result.alpha_hat,
+        tm = topic_metrics(spec.topic_id, posts, fit_result.alpha_hat,
                            fit_result.beta_hat, series.horizon_days)
         if tm.lh_score is not None:
             si_values.append(tm.speed_index)

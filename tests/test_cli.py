@@ -88,6 +88,13 @@ class TestSimulate:
         assert cli.main(["simulate", "--input", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "o")]) == 2
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(b"\xef\xbb\xbf" + json.dumps(SPEC_OBJ).encode())
+        assert cli.main(["simulate", "--input", str(spec),
+                         "--out", str(tmp_path / "bom")]) == 0
+        assert read_tree(tmp_path / "bom") == read_tree(simulate(tmp_path))
+
     @pytest.mark.parametrize("raw,message", [
         (b'{"topics": []}\xff', "not UTF-8 text"),
         (b"[" * 200_000, "maximum recursion depth exceeded")])
@@ -99,6 +106,61 @@ class TestSimulate:
                          "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+GOOD_TOPIC = {"topic_id": "t", "alpha_true": 0.01, "beta_true": 500.0,
+              "horizon_days": 1400.0, "n_posts": 50}
+
+
+def bad_spec_args(tmp_path, override):
+    spec = write_spec(tmp_path, {"topics": [dict(GOOD_TOPIC, **override)]})
+    return ["simulate", "--input", str(spec)]
+
+
+def bad_categories_args(tmp_path, row):
+    corpus = simulate(tmp_path)
+    cats = tmp_path / "cats.csv"
+    cats.write_text(f"topic_id,category\n{row}\n")
+    return ["analyze", "--input", str(corpus / "posts.jsonl"),
+            "--categories", str(cats)]
+
+
+def surrogate_posts_args(tmp_path, topic_id):
+    posts = tmp_path / "posts.jsonl"
+    posts.write_text("".join(json.dumps(dict(
+        json.loads(LONELY_POST), post_id=f"p{day}", topic_id=topic_id,
+        timestamp=f"2018-06-{day:02d}T00:00:00Z")) + "\n" for day in (1, 9)))
+    return ["analyze", "--input", str(posts)]
+
+
+@pytest.mark.parametrize("make_args,value,message", [
+    (bad_spec_args, {"alpha_true": float("nan")}, "alpha_true must be a finite number"),
+    (bad_spec_args, {"beta_true": "x"}, "beta_true must be a finite number"),
+    (bad_spec_args, {"beta_true": 10**400}, "beta_true must be a finite number"),
+    (bad_spec_args, {"noise_seed": "x"}, "noise_seed must be an integer"),
+    (bad_spec_args, {"n_posts": 5.5}, "n_posts must be an integer"),
+    (bad_spec_args, {"topic_id": 5}, "topic_id must be a non-empty string"),
+    (bad_spec_args, {"engagement_mean": 1e300}, "engagement_mean must lie in"),
+    (bad_spec_args, {"engagement_mean": 1.5e10}, "engagement_mean must lie in"),
+    (bad_spec_args, {"reaction_rate": float("inf")}, "reaction_rate must be a finite"),
+    (bad_spec_args, {"beta_true": 3e6, "horizon_days": 3e6},
+     "horizon_days must end by 9999-12-31T23:59:59Z"),
+    (bad_spec_args, {"categories": [["Politics"]]}, "categories must be a list"),
+    (bad_spec_args, {"topic_id": "t\ud800"}, "holds a lone surrogate"),
+    (bad_categories_args, "fast,Politics,Health", "line 2: expected 2 fields, got 3"),
+    (bad_categories_args, "fast", "line 2: expected 2 fields, got 1"),
+    (bad_categories_args, ",Politics", "line 2: empty topic_id"),
+    (surrogate_posts_args, "t\ud800", "no valid post records"),
+])
+def test_bad_input_exits_two_and_writes_nothing(tmp_path, capsys, make_args,
+                                               value, message):
+    out = tmp_path / "out"
+    args = make_args(tmp_path, value) + ["--out", str(out)]
+    capsys.readouterr()
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
 
 
 class TestAnalyze:

@@ -13,7 +13,7 @@ from engdyn.errors import DegenerateFit, InsufficientData, InvalidInput
 from engdyn.model import build_series
 from engdyn.stats import spearman
 
-from conftest import series_from_curve, table_of
+from conftest import series_from_curve
 
 
 class TestSigmoid:
@@ -107,7 +107,7 @@ class TestFit:
         for seed in range(1000):
             spec = synth.SynthSpec("t", 0.01, 500.0, 1400.0, 400,
                                    noise_seed=seed)
-            series = build_series(table_of(synth.generate_topic(spec)), "t")
+            series = build_series(synth.generate_topic(spec), "t")
             r = fit(series)
             if r.converged and r.iterations <= 200:
                 converged += 1
@@ -115,7 +115,7 @@ class TestFit:
 
     def test_converged_implies_stationary(self):
         spec = synth.SynthSpec("t", 0.008, 600.0, 1400.0, 500, noise_seed=5)
-        series = build_series(table_of(synth.generate_topic(spec)), "t")
+        series = build_series(synth.generate_topic(spec), "t")
         r = fit(series)
         assert r.converged
         t = np.asarray(series.times)
@@ -146,7 +146,7 @@ class TestFit:
             for rep in range(4):
                 spec = synth.SynthSpec("t", 0.01, 500.0, 1400.0, n,
                                        noise_seed=100 * i + rep)
-                r = fit(build_series(table_of(synth.generate_topic(spec)), "t"))
+                r = fit(build_series(synth.generate_topic(spec), "t"))
                 counts.append(n)
                 se_a.append(r.se_alpha)
                 se_b.append(r.se_beta)

@@ -112,6 +112,16 @@ class TestParsePosts:
                                   (3, "love exceeds 4294967295"))
 
 
+    def test_lone_surrogate_topic_rejected(self):
+        # such an id cannot be written to the UTF-8 outputs; the rejected
+        # line's post_id is not taken, so line 4 is no duplicate
+        lines = [post_line(post_id="a"), post_line(post_id="b", topic_id="t\ud800"),
+                 post_line(post_id="c", topic_id="t\ud800"), post_line(post_id="b")]
+        result = parse_posts(lines)
+        assert result.rejects == ((2, "topic_id holds a lone surrogate"),
+                                  (3, "topic_id holds a lone surrogate"))
+        assert result.records.topic_ids == ("t1",) and len(result.records) == 2
+
     def test_too_deep_json_rejected(self):
         # the decoder raises RecursionError, not ValueError, on these
         lines = [post_line(), "[" * 200_000,
@@ -190,8 +200,7 @@ class TestBuildSeries:
         # draw a known law whose mass sits almost entirely inside the window
         spec = synth.SynthSpec("t", alpha_true=0.01, beta_true=500.0,
                                horizon_days=1500.0, n_posts=1000, noise_seed=3)
-        posts = synth.generate_topic(spec)
-        series = build_series(table_of(posts), "t")
+        series = build_series(synth.generate_topic(spec), "t")
         offset = (series.t0 - synth.CORPUS_EPOCH).total_seconds() / 86400.0
         t = np.asarray(series.times) + offset
         expected = curvefit.sigmoid(t, spec.alpha_true, spec.beta_true)
@@ -226,7 +235,7 @@ class TestBuildSeries:
 
     def test_monotone_fractions_invariant(self):
         spec = synth.SynthSpec("t", 0.004, 700.0, 1400.0, 200, noise_seed=9)
-        series = build_series(table_of(synth.generate_topic(spec)), "t")
+        series = build_series(synth.generate_topic(spec), "t")
         series.validate()
         y = np.asarray(series.fractions)
         assert np.all(np.diff(y) >= 0)
@@ -236,7 +245,7 @@ class TestBuildSeries:
 class TestCategories:
     def test_read_categories(self, tmp_path):
         path = tmp_path / "cats.csv"
-        path.write_text("topic_id,category\nt1,Politics\nt1,Social\nt2,Health\n")
+        path.write_text("topic_id,category\nt1,Politics\n\nt1,Social\nt2,Health\n")
         table = read_categories(path)
         assert table["t1"].categories == frozenset({"Politics", "Social"})
         assert table["t2"].categories == frozenset({"Health"})

@@ -1,17 +1,22 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import record_oracle
 from engdyn import curvefit
 from engdyn.errors import InvalidInput
 from engdyn.metrics import love_hate
-from engdyn.model import build_series, parse_posts
+from engdyn.model import build_series, parse_posts, read_categories
 from engdyn.synth import (CORPUS_EPOCH, SynthSpec, default_corpus_specs,
                           generate_corpus, generate_topic, sample_times,
                           sign_test_corpus_specs)
 
-from conftest import table_of
+EPOCH_US = int(CORPUS_EPOCH.timestamp()) * 10**6
 
 
 def truncated_cdf(t, alpha, beta, horizon):
@@ -56,39 +61,37 @@ class TestGenerateTopic:
     def test_pure_love_target(self):
         spec = SynthSpec("t", 0.01, 500.0, 1400.0, 500, lh_target=1.0,
                          noise_seed=5)
-        posts = generate_topic(spec)
-        assert all(p.angry == 0 for p in posts)
-        assert love_hate(table_of(posts), "pooled") == 1.0
+        table = generate_topic(spec)
+        assert not table.column("angry").any()
+        assert love_hate(table, "pooled") == 1.0
 
     def test_neutral_target_concentrates(self):
         spec = SynthSpec("t", 0.01, 500.0, 1400.0, 10_000, lh_target=0.0,
                          noise_seed=6)
-        pooled = love_hate(table_of(generate_topic(spec)), "pooled")
+        pooled = love_hate(generate_topic(spec), "pooled")
         assert abs(pooled) < 0.02
 
     def test_designed_target_within_binomial_ci(self):
         spec = SynthSpec("t", 0.01, 500.0, 1400.0, 10_000, lh_target=0.4,
                          reaction_rate=8.0, noise_seed=7)
-        posts = generate_topic(spec)
-        total = sum(p.love + p.angry for p in posts)
-        pooled = love_hate(table_of(posts), "pooled")
+        table = generate_topic(spec)
+        total = int(table.column("love").sum() + table.column("angry").sum())
+        pooled = love_hate(table, "pooled")
         half_width = 4.0 / math.sqrt(total)  # 2 binomial SDs on (l-h)/(l+h)
         assert abs(pooled - 0.4) < half_width
 
     def test_timestamps_sorted_within_window(self):
         spec = SynthSpec("t", 0.01, 400.0, 900.0, 300, noise_seed=8)
-        posts = generate_topic(spec)
-        stamps = [p.timestamp for p in posts]
-        assert stamps == sorted(stamps)
-        assert stamps[0] >= CORPUS_EPOCH
-        assert (stamps[-1] - CORPUS_EPOCH).total_seconds() <= 900.0 * 86400.0
+        stamps = generate_topic(spec).stamps_us
+        assert np.all(np.diff(stamps) >= 0)
+        assert stamps[0] >= EPOCH_US
+        assert (stamps[-1] - EPOCH_US) / 1e6 <= 900.0 * 86400.0
 
     def test_engagement_split_covers_all_channels(self):
         spec = SynthSpec("t", 0.01, 500.0, 1400.0, 2000, noise_seed=9)
-        posts = generate_topic(spec)
-        likes = sum(p.likes for p in posts)
-        shares = sum(p.shares for p in posts)
-        comments = sum(p.comments for p in posts)
+        table = generate_topic(spec)
+        likes, shares, comments = (int(table.column(name).sum())
+                                   for name in ("likes", "shares", "comments"))
         total = likes + shares + comments
         assert total > 0
         for part in (likes, shares, comments):
@@ -104,8 +107,70 @@ class TestGenerateTopic:
         with pytest.raises(InvalidInput):
             SynthSpec("", 0.01, 500.0, 1400.0, 100)
 
+    def test_last_writable_second_bounds_the_horizon(self, tmp_path):
+        last_us = 253402300799 * 10**6  # 9999-12-31T23:59:59Z
+        horizon = (last_us - EPOCH_US) / 1e6 / 86400.0
+        with pytest.raises(InvalidInput, match="9999-12-31"):
+            SynthSpec("t", 0.01, horizon, horizon + 1 / 86400.0, 100)
+        spec = SynthSpec("t", 0.01, horizon, horizon, 100, noise_seed=2)
+        assert generate_topic(spec).stamps_us.max() <= last_us
+        posts = tmp_path / "p.jsonl"
+        generate_corpus([spec], {}, posts, tmp_path / "c.csv")
+        assert parse_posts(posts.read_text().splitlines()).rejects == ()
+
+
+def assert_same_table(table, expected):
+    assert table.topic_ids == expected.topic_ids
+    for name in ("bounds", "stamps_us", "counts"):
+        got, want = getattr(table, name), getattr(expected, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+# ids the JSON writer must escape (quotes, backslashes, control characters,
+# non-ASCII), that %-formatting must not read as directives, or that the
+# CSV writer must quote
+ODD_IDS = st.sampled_from(['é"\\ x ', "日本", "a/b", "a,b", "50%", "%d%s%%",
+                           "tab\there", "nul\x00", "\u2028", "\U0001F600"])
+TOPIC_IDS = ODD_IDS | st.text(st.characters(exclude_categories=("Cs",)),
+                              min_size=1, max_size=8)
+# 10/11 and 100/101 posts: the id counter's width steps from 1 to 2 and 2 to 3
+SPECS = st.builds(
+    SynthSpec, topic_id=TOPIC_IDS, alpha_true=st.floats(0.001, 0.1),
+    beta_true=st.floats(0.0, 1500.0), horizon_days=st.floats(1.0, 1600.0),
+    n_posts=st.sampled_from([2, 10, 11, 100, 101]) | st.integers(2, 2000),
+    lh_target=st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0),
+    noise_seed=st.integers(-2**63, 2**64 - 1))
+
+
+class TestRecordOracle:
+    @given(SPECS)
+    @settings(max_examples=60, deadline=None)
+    def test_table_equals_converted_records(self, spec):
+        assert_same_table(generate_topic(spec),
+                          record_oracle.table_of(record_oracle.generate_topic(spec)))
+
+    @given(st.lists(SPECS, min_size=1, max_size=3, unique_by=lambda s: s.topic_id))
+    @settings(max_examples=40, deadline=None)
+    def test_posts_bytes_equal_record_writer(self, specs):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            generate_corpus(specs, {}, tmp / "posts.jsonl", tmp / "c.csv")
+            record_oracle.write_posts(specs, tmp / "oracle.jsonl")
+            assert ((tmp / "posts.jsonl").read_bytes()
+                    == (tmp / "oracle.jsonl").read_bytes())
+
 
 class TestGenerateCorpus:
+    def test_categories_round_trip(self, tmp_path):
+        ids = ["plain", "a,b", 'say "hi"', "line\nbreak", " padded "]
+        cats = {tid: ["Health", "Politics"][: 1 + i % 2] for i, tid in enumerate(ids)}
+        specs = [SynthSpec(tid, 0.01, 400.0, 1000.0, 5) for tid in ids]
+        path = tmp_path / "c.csv"
+        generate_corpus(specs, cats, tmp_path / "p.jsonl", path)
+        assert path.read_text().startswith("topic_id,category\nplain,Health\n")
+        assert {tid: sorted(a.categories)
+                for tid, a in read_categories(path).items()} == cats
+
     def test_counts_preserved(self, tmp_path):
         specs = [SynthSpec(f"s{i}", 0.01, 400.0, 1000.0, 10 + i, noise_seed=1)
                  for i in range(3)]
@@ -151,7 +216,7 @@ class TestCorpusDesigns:
         specs, _ = default_corpus_specs(30, seed=21, n_posts=(300, 600))
         fitted = []
         for spec in specs:
-            series = build_series(table_of(generate_topic(spec)), spec.topic_id)
+            series = build_series(generate_topic(spec), spec.topic_id)
             fitted.append(curvefit.fit(series).alpha_hat)
         assert float(np.median(fitted)) <= 0.0047
         assert max(fitted) < 0.01

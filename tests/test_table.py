@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 
 from engdyn.errors import InsufficientData, ZeroEngagement
 from engdyn.metrics import love_hate, reaction_totals
-from engdyn.model import (POST_FIELDS, PostRecord, TopicSeries, _loads,
-                          _parse_count, _parse_timestamp, build_series,
-                          parse_posts)
+from engdyn.model import (POST_FIELDS, TopicSeries, _loads, _parse_count,
+                          _parse_timestamp, build_series, parse_posts)
 
 from conftest import EPOCH, make_post, table_of
+from record_oracle import PostRecord
 
 
 # ----------------------------------------------------------------- oracles
