@@ -40,6 +40,9 @@ DEFAULT_REACTION_RATE = 8.0      # love + angry reactions per post
 # Poisson draws with a mean up to half of MAX_COUNT stay below MAX_COUNT:
 # the margin is ~46,000 standard deviations
 _MAX_RATE = MAX_COUNT // 2
+# posts per topic; a topic is drawn and written whole, at about 320 bytes a
+# post at the peak, so one topic stays near 320 MB
+MAX_TOPIC_POSTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -82,14 +85,19 @@ class SynthSpec:
         # the last post is stamped floor(horizon_days * 86400) s after the epoch
         if self.horizon_days * SECONDS_PER_DAY >= _LAST_S - _EPOCH_S + 1:
             raise InvalidInput("horizon_days must end by 9999-12-31T23:59:59Z")
-        if self.n_posts < 2:
-            raise InvalidInput("n_posts must be at least 2")
+        if not 2 <= self.n_posts <= MAX_TOPIC_POSTS:
+            raise InvalidInput(f"n_posts must lie in [2, {MAX_TOPIC_POSTS}]")
         if not 0 < self.engagement_mean <= _MAX_RATE:
             raise InvalidInput(f"engagement_mean must lie in (0, {_MAX_RATE}]")
         if not -1.0 <= self.lh_target <= 1.0:
             raise InvalidInput("lh_target must lie in [-1, 1]")
         if not 0 <= self.reaction_rate <= _MAX_RATE:
             raise InvalidInput(f"reaction_rate must lie in [0, {_MAX_RATE}]")
+        # post times are inverse-CDF draws between these two values
+        lo, hi = sigmoid([0.0, self.horizon_days], self.alpha_true, self.beta_true)
+        if not lo < hi:
+            raise InvalidInput("alpha_true and beta_true put no mass of the "
+                               "logistic law in [0, horizon_days]")
 
 
 def rng_for(spec: SynthSpec) -> np.random.Generator:

@@ -4,14 +4,20 @@ as it was for tests to compare against and to build small tables by hand.
 ``generate_topic`` and ``post_to_json`` are the generator and the JSON-lines
 writer that built one ``PostRecord`` and one ``datetime`` per post;
 ``table_of`` is the converter from records to a :class:`PostTable`.
+``parse_posts`` is the parser that sent every line through ``model._loads``
+and ``model._check_record`` and appended rows one method call at a time.
 """
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
-from engdyn.model import PostTable, _stamp_us, _TableBuilder
+import numpy as np
+
+from engdyn.model import (COUNT_FIELDS, ParseResult, PostTable, _check_record,
+                          _loads, _stamp_us)
 from engdyn.synth import CORPUS_EPOCH, SynthSpec, _sample_times, rng_for
 
 
@@ -34,9 +40,65 @@ class PostRecord:
         return self.likes + self.shares + self.comments
 
 
+class TableBuilder:
+    """Appends rows in input order; :meth:`table` groups them by topic."""
+
+    def __init__(self):
+        self.codes: dict[str, int] = {}  # topic id -> first-seen code
+        self.row_codes = array("q")
+        self.stamps = array("q")
+        self.counts = array("q")
+
+    def add(self, topic_id: str, stamp_us: int, counts) -> None:
+        self.row_codes.append(self.codes.setdefault(topic_id, len(self.codes)))
+        self.stamps.append(stamp_us)
+        self.counts.extend(counts)
+
+    def table(self) -> PostTable:
+        names = sorted(self.codes)
+        rank = np.empty(len(names), dtype=np.int64)
+        rank[[self.codes[name] for name in names]] = np.arange(len(names))
+        keys = rank[np.frombuffer(self.row_codes, dtype=np.int64)]
+        order = np.argsort(keys, kind="stable")  # keeps input order in a topic
+        bounds = np.zeros(len(names) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys, minlength=len(names)), out=bounds[1:])
+        counts = np.frombuffer(self.counts, dtype=np.int64).reshape(-1, len(COUNT_FIELDS))
+        return PostTable(tuple(names), bounds,
+                         np.frombuffer(self.stamps, dtype=np.int64)[order],
+                         counts[order])
+
+
+def parse_posts(stream) -> ParseResult:
+    """The per-line post parser: every line through ``_check_record``."""
+    builder = TableBuilder()
+    first_line: dict[str, int] = {}  # accepted post_id -> its line
+    rejects: list[tuple[int, str]] = []
+    for lineno, line in enumerate(stream, start=1):
+        if not line.strip():
+            continue
+        try:
+            post_id, topic_id, stamp, counts = _check_record(_loads(line))
+        except (ValueError, RecursionError) as exc:  # incl. too-deep JSON
+            rejects.append((lineno, str(exc)))
+            continue
+        if topic_id not in builder.codes:  # checked once per topic id
+            try:
+                topic_id.encode("utf-8")  # outputs name the topic in UTF-8
+            except UnicodeEncodeError:
+                rejects.append((lineno, "topic_id holds a lone surrogate"))
+                continue
+        seen = first_line.setdefault(post_id, lineno)
+        if seen != lineno:
+            rejects.append(
+                (lineno, f"duplicate post_id {post_id!r} (first seen on line {seen})"))
+            continue
+        builder.add(topic_id, stamp, counts)
+    return ParseResult(builder.table(), tuple(rejects))
+
+
 def table_of(records) -> PostTable:
     """A list of records as the library's post table."""
-    builder = _TableBuilder()
+    builder = TableBuilder()
     for p in records:
         builder.add(p.topic_id, _stamp_us(p.timestamp),
                     (p.likes, p.shares, p.comments, p.love, p.angry))

@@ -151,6 +151,8 @@ def surrogate_posts_args(tmp_path, topic_id):
     (bad_categories_args, "fast", "line 2: expected 2 fields, got 1"),
     (bad_categories_args, ",Politics", "line 2: empty topic_id"),
     (surrogate_posts_args, "t\ud800", "no valid post records"),
+    (bad_spec_args, {"n_posts": 10**20}, "n_posts must lie in [2, 1000000]"),
+    (bad_spec_args, {"alpha_true": 0.01, "beta_true": 1e6}, "no mass of the logistic law"),
 ])
 def test_bad_input_exits_two_and_writes_nothing(tmp_path, capsys, make_args,
                                                value, message):

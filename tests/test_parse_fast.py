@@ -1,0 +1,197 @@
+"""``parse_posts``'s fast path against the per-line parser it replaced.
+
+The oracle, ``record_oracle.parse_posts``, sends every line through
+``model._check_record`` and appends rows one at a time. On every stream the
+fast path must build an equal table and report the same rejects, in the
+same order with the same reasons, whatever the chunk size.
+"""
+
+import json
+from datetime import datetime, timezone
+from unittest import mock
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import record_oracle
+from engdyn import model
+from engdyn.model import (COUNT_FIELDS, MAX_COUNT, _parse_timestamp, _stamp_us,
+                          _stamps_us, parse_posts)
+
+
+def post(post_id="p", topic_id="t", timestamp="2018-01-05T12:00:00Z", **counts):
+    obj = {"post_id": post_id, "topic_id": topic_id, "timestamp": timestamp,
+           "likes": 3, "shares": 1, "comments": 2, "love": 1, "angry": 0}
+    obj.update(counts)
+    return obj
+
+
+def line(obj, end="\n"):
+    return json.dumps(obj) + end
+
+
+def assert_same_parse(lines, chunk_lines):
+    want = record_oracle.parse_posts(lines)
+    with mock.patch.object(model, "_CHUNK_LINES", chunk_lines):
+        got = parse_posts(lines)
+    assert got.rejects == want.rejects
+    assert got.records.topic_ids == want.records.topic_ids
+    for name in ("bounds", "stamps_us", "counts"):
+        mine, theirs = getattr(got.records, name), getattr(want.records, name)
+        assert mine.dtype == theirs.dtype == np.int64
+        assert mine.shape == theirs.shape
+        assert mine.tolist() == theirs.tolist()
+    return got
+
+
+# ----------------------------------------------------------------- streams
+
+COUNTS = [0, 1, 7, MAX_COUNT, 2**32, -1, True, False, 1.5, 2.0, "3", None, 10**30]
+
+# read by the bulk conversion
+READABLE_STAMPS = [
+    "2018-01-05T12:00:00Z", "2020-02-29T23:59:59Z", "2000-02-29T00:00:00Z",
+    "2400-02-29T00:00:00Z", "0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z",
+    "1969-12-31T23:59:59Z", "1970-01-01T00:00:00Z", "0004-02-29T12:00:00Z",
+    "2020-01-01 00:00:00Z", "2020-01-01t00:00:00z", "2020-01-01T00:00:00z",
+]
+STAMPS = READABLE_STAMPS + [
+    # 20 characters, not read by it
+    "0000-01-01T00:00:00Z", "+020-01-01T00:00:00Z", "2020-01-01_00:00:00Z",
+    "2020-02-30T00:00:00Z", "2100-02-29T00:00:00Z", "1900-02-29T00:00:00Z",
+    "2020-04-31T00:00:00Z", "2020-13-01T00:00:00Z", "2020-00-10T00:00:00Z",
+    "2020-01-00T00:00:00Z", "2020-01-01T24:00:00Z", "2020-01-01T23:60:00Z",
+    "2020-01-01T23:59:60Z", "2020-01-01\u00e900:00:00Z", "\uff12020-01-01T00:00:00Z",
+    "2020-01-01T00:00:0\u0665Z", "2020-01-01T00:00:0\ud800Z", "2020/01/01T00:00:00Z",
+    " 020-01-01T00:00:00Z", "2020-01-01T00:00:00 ",
+    # other lengths
+    "+2020-01-01T00:00:00Z", "2020-01-01T00:00:00+02:00", "2020-01-01T00:00:00.5Z",
+    "0001-01-01T00:30:00+01:00", "2020-01-01", "", 1577836800, None,
+]
+
+# fields drawn a little beyond their ranges, joined by the letters the bulk
+# conversion reads ("T", "t", " " and "Z", "z") and others the per-line
+# path reads or rejects
+template_stamps = st.builds(
+    "{:04d}-{:02d}-{:02d}{}{:02d}:{:02d}:{:02d}{}".format,
+    st.integers(0, 9999) | st.sampled_from([0, 1, 4, 1900, 2000, 2100, 9999]),
+    st.integers(0, 13), st.integers(0, 32),
+    st.sampled_from("TTt _x\u00e9\ud800"), st.integers(0, 24), st.integers(0, 60),
+    st.integers(0, 60), st.sampled_from("ZZz_"))
+
+
+def reordered(obj):
+    return json.dumps(dict(reversed(list(obj.items())))) + "\n"
+
+
+# each takes a post object and returns the line that carries it
+SHAPES = {
+    "plain": line,
+    "no newline": lambda obj: line(obj, end=""),
+    "reordered keys": reordered,
+    "extra key": lambda obj: line(dict(obj, text="x")),
+    "duplicate key, last kept": lambda obj: line(obj)[:-2] + ', "likes": 5}\n',
+    "duplicate key, first dropped": lambda obj: '{"likes": -1, ' + line(obj)[1:],
+    "missing field": lambda obj: line({k: v for k, v in obj.items() if k != "love"}),
+    "extra data": lambda obj: line(obj, end=" {}\n"),
+    "trailing spaces": lambda obj: line(obj, end="  \n"),
+    "carriage return": lambda obj: line(obj, end="\r\n"),
+    "byte order mark": lambda obj: "\ufeff" + line(obj),
+    "two newlines": lambda obj: line(obj, end="\n\n"),
+    "not an object": lambda obj: json.dumps(list(obj.values())) + "\n",
+    "blank": lambda obj: "  \n",
+    "not JSON": lambda obj: line(obj)[:-3] + "\n",
+    "too deep": lambda obj: "[" * 100_000 + "\n",
+}
+
+
+@st.composite
+def post_lines(draw):
+    shape = draw(st.sampled_from(["plain"] * 12 + sorted(SHAPES)))
+    # a few ids that repeat, and fresh ones
+    post_id = draw(st.sampled_from(["p0", "p1", "p2", "", 7])
+                   | st.integers(0, 10**6).map("q{}".format))
+    obj = post(post_id=post_id,
+               topic_id=draw(st.sampled_from(["a", "b", "c", "t\ud800", "", None])),
+               timestamp=draw(st.one_of(st.sampled_from(READABLE_STAMPS),
+                                        st.sampled_from(STAMPS), template_stamps)))
+    for name in COUNT_FIELDS:
+        if draw(st.integers(0, 9)) == 0:
+            obj[name] = draw(st.sampled_from(COUNTS))
+    return SHAPES[shape](obj)
+
+
+class TestSameAsPerLineParser:
+    @given(st.lists(post_lines(), max_size=40), st.sampled_from([1, 2, 3, 5, 8, 4096]))
+    @settings(max_examples=400, deadline=None)
+    def test_random_streams(self, lines, chunk_lines):
+        assert_same_parse(lines, chunk_lines)
+
+    def test_rollback_of_a_new_topic_and_a_reused_post_id(self):
+        # chunks of four lines: in the first, the only line of topic "new"
+        # has a stamp the bulk conversion cannot read, and its post_id comes
+        # back two lines later; the chunk is parsed again line by line
+        lines = [line(post(post_id="p1", topic_id="a")),
+                 line(post(post_id="p9", topic_id="new",
+                           timestamp="2020-02-30T00:00:00Z")),
+                 line(post(post_id="p2", topic_id="a", timestamp="2019-03-01T00:00:00Z")),
+                 line(post(post_id="p9", topic_id="a", likes=8)),
+                 line(post(post_id="p3", topic_id="b")),
+                 line(post(post_id="p9", topic_id="b"))]
+        got = assert_same_parse(lines, chunk_lines=4)
+        assert got.rejects == (
+            (2, "day is out of range for month"),
+            (6, "duplicate post_id 'p9' (first seen on line 4)"))
+        assert got.records.topic_ids == ("a", "b")
+        assert got.records.column("likes").tolist() == [3, 3, 8, 3]
+
+    def test_one_pass_iterator(self):
+        lines = [line(post(post_id=f"p{i}", timestamp=stamp))
+                 for i, stamp in enumerate(STAMPS)]
+        want = record_oracle.parse_posts(lines)
+        with mock.patch.object(model, "_CHUNK_LINES", 4):
+            got = parse_posts(iter(lines))
+        assert got.rejects == want.rejects
+        assert got.records.stamps_us.tolist() == want.records.stamps_us.tolist()
+
+
+class TestFastPath:
+    def test_common_shape_never_takes_the_per_line_path(self):
+        lines = [line(post(post_id=f"p{i}", topic_id="ab"[i % 2], timestamp=stamp,
+                           **{name: count}))
+                 for i, (stamp, name, count) in enumerate(
+                     (stamp, name, count) for stamp in READABLE_STAMPS
+                     for name in COUNT_FIELDS for count in (0, MAX_COUNT))]
+        with mock.patch.object(model, "_check_record", side_effect=AssertionError):
+            got = assert_same_parse(lines, chunk_lines=16)
+        assert len(got.records) == len(lines)
+
+    @given(template_stamps)
+    @example("0000-12-31T23:59:59Z")
+    @example("1900-02-29T00:00:00Z")
+    @example("2000-02-29T00:00:00Z")
+    @settings(max_examples=500, deadline=None)
+    def test_templated_stamp_read_as_the_per_line_path_reads_it(self, text):
+        try:
+            want = _stamp_us(_parse_timestamp(text))
+        except ValueError:
+            want = None
+        got = _stamps_us([text])
+        if text[10] in "Tt " and text[19] in "Zz":
+            assert (got is None) == (want is None)
+        if got is not None:
+            assert got.tolist() == [want]
+
+    @given(st.lists(st.datetimes(min_value=datetime(1, 1, 1),
+                                 max_value=datetime(9999, 12, 31, 23, 59, 59)),
+                    max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_every_second_of_years_1_to_9999(self, stamps):
+        texts = [ts.isoformat(timespec="seconds") + "Z" for ts in stamps]
+        want = [_stamp_us(ts.replace(microsecond=0, tzinfo=timezone.utc))
+                for ts in stamps]
+        got = _stamps_us(texts)
+        assert got.dtype == np.int64 and got.tolist() == want
+        # one stamp that cannot be read fails the whole chunk
+        assert _stamps_us(texts + ["2020-02-30T00:00:00Z"]) is None

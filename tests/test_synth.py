@@ -12,9 +12,9 @@ from engdyn import curvefit
 from engdyn.errors import InvalidInput
 from engdyn.metrics import love_hate
 from engdyn.model import build_series, parse_posts, read_categories
-from engdyn.synth import (CORPUS_EPOCH, SynthSpec, default_corpus_specs,
-                          generate_corpus, generate_topic, sample_times,
-                          sign_test_corpus_specs)
+from engdyn.synth import (CORPUS_EPOCH, MAX_TOPIC_POSTS, SynthSpec,
+                          default_corpus_specs, generate_corpus, generate_topic,
+                          sample_times, sign_test_corpus_specs)
 
 EPOCH_US = int(CORPUS_EPOCH.timestamp()) * 10**6
 
@@ -106,6 +106,24 @@ class TestGenerateTopic:
             SynthSpec("t", 0.01, 500.0, 1400.0, 100, lh_target=1.5)
         with pytest.raises(InvalidInput):
             SynthSpec("", 0.01, 500.0, 1400.0, 100)
+
+    def test_posts_per_topic_capped(self):
+        SynthSpec("t", 0.01, 500.0, 1400.0, MAX_TOPIC_POSTS)
+        with pytest.raises(InvalidInput, match="n_posts must lie in"):
+            SynthSpec("t", 0.01, 500.0, 1400.0, MAX_TOPIC_POSTS + 1)
+        with pytest.raises(InvalidInput, match="n_posts must lie in"):
+            SynthSpec("t", 0.01, 500.0, 1400.0, 10**20)
+
+    def test_law_without_mass_in_the_window_rejected(self):
+        # sigmoid is 0.0 at both ends, then 1.0 at both: every draw would land
+        # on one window edge
+        for beta in (1e6, -1e6):
+            with pytest.raises(InvalidInput, match="no mass"):
+                SynthSpec("t", 0.01, beta, 1400.0, 100)
+        # sigmoid(0) underflows to 0.0 but sigmoid(1400) does not: the draws
+        # stay inside the window
+        times = sample_times(SynthSpec("t", 0.5, 1600.0, 1400.0, 50))
+        assert np.all((times > 0.0) & (times <= 1400.0))
 
     def test_last_writable_second_bounds_the_horizon(self, tmp_path):
         last_us = 253402300799 * 10**6  # 9999-12-31T23:59:59Z

@@ -1,0 +1,61 @@
+"""The benchmark's trace hooks still find the layers they time.
+
+``perfbench/traced.py`` replaces the module attributes listed in its
+``WRAPPED`` table with timing wrappers, so ``cli`` must keep reaching each
+layer through those attributes: a layer renamed, or called some other way,
+would read zero time and zero counts in the benchmark without any error.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import engdyn
+from engdyn import cli
+
+TRACED = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
+SPEC = {"seed": 5, "topics": [
+    {"topic_id": f"t{i}", "alpha_true": 0.01, "beta_true": 500.0,
+     "horizon_days": 1400.0, "n_posts": 40 + i, "categories": ["Politics"]}
+    for i in range(3)]}
+
+
+def load_traced():
+    spec = importlib.util.spec_from_file_location("traced", TRACED)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_wrapped_attribute_resolves():
+    traced = load_traced()
+    assert traced.WRAPPED
+    for module_name, attribute, _, _ in traced.WRAPPED:
+        assert callable(getattr(getattr(engdyn, module_name), attribute))
+
+
+def test_analyze_reaches_load_posts_through_the_module(tmp_path, monkeypatch):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPEC))
+    corpus = tmp_path / "corpus"
+    assert cli.main(["simulate", "--input", str(spec), "--out", str(corpus)]) == 0
+
+    traced = load_traced()
+    recorder = traced.Recorder()
+    for module_name, attribute, name, count in traced.WRAPPED:
+        module = getattr(engdyn, module_name)
+        # registers the original, which monkeypatch puts back after the test
+        monkeypatch.setattr(module, attribute, getattr(module, attribute))
+        recorder.wrap(module, attribute, name, count)
+    root = recorder.open("process")
+    code = cli.main(["analyze", "--input", str(corpus / "posts.jsonl"),
+                     "--categories", str(corpus / "categories.csv"),
+                     "--out", str(tmp_path / "out")])
+    recorder.close(root)
+    assert code == 0
+
+    layers = traced.layer_metrics(recorder.spans, root[4] - root[3])
+    assert sum(1 for span in recorder.spans if span[2] == "model.load_posts") == 1
+    assert layers["model.load_posts.posts"] == 40 + 41 + 42
+    assert layers["model.load_posts.s"] > 0
+    assert layers["model.build_series.calls"] == layers["curvefit.fit.calls"] == 3
