@@ -12,10 +12,11 @@ import csv
 import json
 import math
 import operator
+import re
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from itertools import islice
+from itertools import chain, compress, islice, takewhile
 from pathlib import Path
 from typing import Iterable
 
@@ -41,14 +42,29 @@ _raw_decode = json.JSONDecoder().raw_decode
 _post_fields = operator.itemgetter(*POST_FIELDS)
 # lines per chunk; the stamps of a chunk's fast-path rows are converted at
 # once. Larger chunks are no faster and raise the peak RSS of a parse
-# (+2 MiB at 4096 lines on 190k posts)
+# (+2 MiB at 4096 lines on 190k posts); at 256 lines the fixed cost of each
+# conversion slows decoded corpora by about 6%
 _CHUNK_LINES = 1024
 # the stamps converted in bulk: the RFC 3339 spellings of a whole second in
-# UTC, with "T", "t" or a space between date and time and "Z" or "z" last
+# UTC, with "T", "t" or a space between date and time and "Z", "z", "+00:00"
+# or "-00:00" last
 _STAMP_SHAPE = np.frombuffer(b"0000-00-00T00:00:00Z", dtype=np.uint8)
 _STAMP_DIGITS = _STAMP_SHAPE == ord("0")
 _STAMP_PUNCTUATION = (_STAMP_SHAPE == ord("-")) | (_STAMP_SHAPE == ord(":"))
+_UTC_OFFSETS = ("+00:00", "-00:00")
+_ZERO_OFFSET = np.frombuffer(b"00:00", dtype=np.uint8)
 _STAMP_PLACEHOLDER = "1970-01-01T00:00:00Z"  # overwritten after conversion
+# the line json.dumps writes for a record with its keys in POST_FIELDS order
+# and the default separators, as simulate writes it. Strings hold no escape
+# and no control character, so each group is the text json.loads returns;
+# counts have no sign, no leading zero and at most 10 digits
+_CHAR = r'[^"\\\x00-\x1f]'
+_CANONICAL = re.compile(
+    rf'\{{"post_id": "({_CHAR}+)", "topic_id": "({_CHAR}+)", '
+    # 20 characters, or 25 that end in a zero UTC offset
+    rf'"timestamp": "({_CHAR}{{19}}(?:{_CHAR}|[+-]00:00))", '
+    + ", ".join(f'"{name}": (0|[1-9][0-9]{{0,9}})' for name in COUNT_FIELDS)
+    + r"\}\n?")
 _DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 CATEGORIES = (
@@ -232,6 +248,125 @@ class _Rows:
         self.counts.extend(counts)
         return stamp
 
+    def add_canonical(self, start: int, lines: list[str]) -> int:
+        """Add the lines at the head of ``lines`` (the first is line
+        ``start``) that match :data:`_CANONICAL`, and return how many; 0,
+        adding none, when a stamp among them is one :func:`_stamps_us` does
+        not read. Their rows are checked a column at a time. A line the
+        per-line path rejects (a count above :data:`MAX_COUNT`, a
+        ``post_id`` already accepted, a new topic id that is not UTF-8)
+        changes nothing but the rejects, so it goes to :meth:`add_line`
+        after the other rows are kept."""
+        matches = list(takewhile(bool, map(_CANONICAL.fullmatch, lines)))
+        if not matches:
+            return 0
+        n = len(matches)
+        post_ids, topic_ids, texts, *columns = zip(*map(re.Match.groups, matches))
+        stamps = _stamps_us(texts)
+        if stamps is None:
+            return 0
+        # ten digits at most, so int64 holds every count
+        counts = np.fromstring(" ".join(chain.from_iterable(columns)),
+                               dtype=np.int64, sep=" ").reshape(len(COUNT_FIELDS), n)
+        high = (counts > MAX_COUNT).any(axis=0).tolist()
+        bad_topics = set()
+        for topic_id in dict.fromkeys(topic_ids):
+            if topic_id not in self.codes:
+                try:
+                    topic_id.encode("utf-8")  # outputs name the topic in UTF-8
+                except UnicodeEncodeError:
+                    bad_topics.add(topic_id)
+        ids = dict(zip(post_ids, range(start, start + n)))
+        rejected = []
+        if (bad_topics or any(high) or len(ids) < n
+                or not self.first_line.keys().isdisjoint(ids)):
+            seen = set()  # post ids kept so far
+            for i, (post_id, topic_id, over) in enumerate(zip(post_ids, topic_ids, high)):
+                if (over or topic_id in bad_topics or post_id in seen
+                        or post_id in self.first_line):
+                    rejected.append(i)
+                else:
+                    seen.add(post_id)
+            keep = np.ones(n, dtype=bool)
+            keep[rejected] = False
+            post_ids, topic_ids = compress(post_ids, keep), list(compress(topic_ids, keep))
+            ids = dict(zip(post_ids, compress(range(start, start + n), keep)))
+            counts, stamps = counts[:, keep], stamps[keep]
+        for topic_id in dict.fromkeys(topic_ids):
+            self.codes.setdefault(topic_id, len(self.codes))
+        self.first_line.update(ids)
+        self.row_codes.extend(map(self.codes.__getitem__, topic_ids))
+        self.counts.frombytes(counts.T.tobytes())
+        self.stamps.frombytes(stamps.tobytes())
+        for i in rejected:
+            self.add_line(start + i, lines[i])
+        return n
+
+    def add_chunk(self, start: int, lines: list[str]) -> None:
+        """Add ``lines``, the first of which is line ``start``, decoding each.
+
+        A line of the common shape (one JSON object and at most a newline,
+        non-empty string ids, five integer counts in range and a stamp of 20
+        characters, or 25 ending in a zero UTC offset) is checked here with
+        a few C-level tests, and its stamp is converted with the rest of the
+        chunk's. Every other line goes through :meth:`add_record` or
+        :meth:`add_line`. When the chunk holds a stamp that
+        :func:`_stamps_us` does not read, it is undone and added again line
+        by line."""
+        mark = self.mark()
+        codes, first_line = self.codes, self.first_line
+        row_codes, counts = self.row_codes, self.counts
+        top = MAX_COUNT  # a local: read five times a line
+        texts = []  # the chunk's stamps, as text
+        kept = []  # (index in texts, stamp) of rows the per-line path kept
+        for lineno, line in enumerate(lines, start):
+            decoded = False  # whether obj is what _loads(line) returns
+            try:
+                obj, end = _raw_decode(line)
+                decoded = line[end:] == "\n" or end == len(line)
+                post_id, topic_id, stamp, a, b, c, d, e = _post_fields(obj)
+            except (ValueError, KeyError, TypeError, RecursionError):
+                fast = False
+            else:
+                fast = (decoded and type(post_id) is str and type(topic_id) is str
+                        and post_id and topic_id
+                        and int is type(a) is type(b) is type(c) is type(d) is type(e)
+                        and 0 <= a <= top and 0 <= b <= top and 0 <= c <= top
+                        and 0 <= d <= top and 0 <= e <= top
+                        and type(stamp) is str
+                        and (len(stamp) == 20 or stamp[19:] in _UTC_OFFSETS))
+            if not fast:
+                stamp = (self.add_record(lineno, obj) if decoded
+                         else self.add_line(lineno, line))
+                if stamp is not None:
+                    kept.append((len(texts), stamp))
+                    texts.append(_STAMP_PLACEHOLDER)
+                continue
+            # a line rejected for its topic id or as a repeat goes through
+            # the per-line checks, which name its stamp instead when that is bad
+            if topic_id not in codes:  # checked once per topic id
+                try:
+                    topic_id.encode("utf-8")  # outputs name the topic in UTF-8
+                except UnicodeEncodeError:
+                    self.add_record(lineno, obj)
+                    continue
+            if first_line.setdefault(post_id, lineno) != lineno:
+                self.add_record(lineno, obj)
+                continue
+            row_codes.append(codes.setdefault(topic_id, len(codes)))
+            counts.extend((a, b, c, d, e))
+            texts.append(stamp)
+        stamps = _stamps_us(texts)
+        if stamps is None:  # undo the chunk and add it line by line
+            self.rollback(mark)
+            stamps = [self.add_line(lineno, line)
+                      for lineno, line in enumerate(lines, start)]
+            self.stamps.extend(s for s in stamps if s is not None)
+        else:
+            for i, stamp in kept:
+                stamps[i] = stamp
+            self.stamps.frombytes(stamps.tobytes())
+
     def table(self) -> PostTable:
         names = sorted(self.codes)
         rank = np.empty(len(names), dtype=np.int64)
@@ -316,19 +451,33 @@ def _check_record(obj) -> tuple[str, str, int, list[int]]:
             [_parse_count(obj, name) for name in COUNT_FIELDS])
 
 
-def _stamps_us(texts: list[str]) -> np.ndarray | None:
-    """int64 microseconds since the Unix epoch of 20-character stamps that
-    all have the shape ``YYYY-MM-DDTHH:MM:SSZ`` (in ASCII digits, "T" also
-    "t" or a space, "Z" also "z") and name a real second of years 1-9999;
-    None when any does not. These are stamps that :func:`_parse_timestamp`
-    accepts, read to the same instant."""
+def _stamps_us(texts) -> np.ndarray | None:
+    """int64 microseconds since the Unix epoch of stamps that all have the
+    shape ``YYYY-MM-DDTHH:MM:SSZ`` (20 characters in ASCII digits, "T" also
+    "t" or a space, "Z" also "z") or ``YYYY-MM-DDTHH:MM:SS+00:00`` (25, "+"
+    also "-") and name a real second of years 1-9999; None when any does
+    not. These are stamps that :func:`_parse_timestamp` accepts, read to the
+    same instant."""
+    widths = set(map(len, texts))
+    if len(widths) > 1:  # both forms: write the zero offsets as "Z"
+        texts = [t[:19] + "Z" if t[19:] in _UTC_OFFSETS else t for t in texts]
+        widths = set(map(len, texts))
+    width = widths.pop() if widths else 20
+    if widths or width not in (20, 25):
+        return None
     chars = np.frombuffer("".join(texts).encode("ascii", "replace"),
-                          dtype=np.uint8).reshape(-1, len(_STAMP_SHAPE))
-    # OR-ing 0x20 lowercases an ASCII letter; only "T" and "t" give "t"
-    between, last = chars[:, 10], chars[:, 19] | 0x20
-    if not ((chars[:, _STAMP_PUNCTUATION] == _STAMP_SHAPE[_STAMP_PUNCTUATION]).all()
-            and ((between | 0x20 == ord("t")) | (between == ord(" "))).all()
-            and (last == ord("z")).all()):
+                          dtype=np.uint8).reshape(-1, width)
+    if width == 20:
+        # OR-ing 0x20 lowercases an ASCII letter; only "Z" and "z" give "z"
+        zone = chars[:, 19] | 0x20 == ord("z")
+    else:  # "+00:00" or "-00:00"
+        zone = (((chars[:, 19] == ord("+")) | (chars[:, 19] == ord("-")))
+                & (chars[:, 20:] == _ZERO_OFFSET).all(axis=1))
+        chars = chars[:, :20]
+    between = chars[:, 10]
+    if not (zone.all()
+            and (chars[:, _STAMP_PUNCTUATION] == _STAMP_SHAPE[_STAMP_PUNCTUATION]).all()
+            and ((between | 0x20 == ord("t")) | (between == ord(" "))).all()):
         return None
     digits = chars[:, _STAMP_DIGITS].astype(np.int64) - ord("0")
     if not ((digits >= 0) & (digits <= 9)).all():
@@ -360,72 +509,25 @@ def parse_posts(stream: Iterable[str]) -> ParseResult:
     whose ``post_id`` was already accepted is rejected, so a repeated line
     cannot count its engagement twice; the first one is kept.
 
-    A line of the common shape (one JSON object and at most a newline,
-    non-empty string ids, five integer counts in range and a 20-character
-    timestamp) is checked here with a few C-level tests, and its stamp is
-    converted with the rest of its chunk of lines. Every other line goes
-    through the per-line checks, :func:`_check_record`. A chunk holding a stamp
-    that the bulk conversion does not read is undone and parsed again by
-    the per-line path, so what is accepted, the rejects, their order and
-    their reasons are those of the per-line path on every input.
+    The stream is read in chunks of lines. The lines at the head of a chunk
+    that have the layout ``simulate`` writes are read by one regular
+    expression, :data:`_CANONICAL`, and checked a column at a time
+    (:meth:`_Rows.add_canonical`). The rest of the chunk, and all of it when
+    any of those checks fails, goes through :meth:`_Rows.add_chunk`, which
+    decodes each line; every line it cannot check with a few type tests goes
+    through the per-line checks, :func:`_check_record`. What is accepted,
+    the rejects, their order and their reasons are therefore those of the
+    per-line path on every input.
     """
     rows = _Rows()
-    codes, first_line = rows.codes, rows.first_line
-    row_codes, counts = rows.row_codes, rows.counts
-    top = MAX_COUNT  # a local: read five times a line
     stream = iter(stream)
     start = 1  # the line number of the chunk's first line
     while lines := list(islice(stream, _CHUNK_LINES)):
-        mark = rows.mark()
-        texts = []  # the chunk's stamps, as text
-        kept = []  # (index in texts, stamp) of rows the per-line path kept
-        for lineno, line in enumerate(lines, start):
-            decoded = False  # whether obj is what _loads(line) returns
-            try:
-                obj, end = _raw_decode(line)
-                decoded = line[end:] == "\n" or end == len(line)
-                post_id, topic_id, stamp, a, b, c, d, e = _post_fields(obj)
-            except (ValueError, KeyError, TypeError, RecursionError):
-                fast = False
-            else:
-                fast = (decoded and type(post_id) is str and type(topic_id) is str
-                        and post_id and topic_id
-                        and int is type(a) is type(b) is type(c) is type(d) is type(e)
-                        and 0 <= a <= top and 0 <= b <= top and 0 <= c <= top
-                        and 0 <= d <= top and 0 <= e <= top
-                        and type(stamp) is str and len(stamp) == 20)
-            if not fast:
-                stamp = (rows.add_record(lineno, obj) if decoded
-                         else rows.add_line(lineno, line))
-                if stamp is not None:
-                    kept.append((len(texts), stamp))
-                    texts.append(_STAMP_PLACEHOLDER)
-                continue
-            # a line rejected for its topic id or as a repeat goes through
-            # the per-line checks, which name its stamp instead when that is bad
-            if topic_id not in codes:  # checked once per topic id
-                try:
-                    topic_id.encode("utf-8")  # outputs name the topic in UTF-8
-                except UnicodeEncodeError:
-                    rows.add_record(lineno, obj)
-                    continue
-            if first_line.setdefault(post_id, lineno) != lineno:
-                rows.add_record(lineno, obj)
-                continue
-            row_codes.append(codes.setdefault(topic_id, len(codes)))
-            counts.extend((a, b, c, d, e))
-            texts.append(stamp)
-        stamps = _stamps_us(texts)
-        if stamps is None:  # undo the chunk and parse it line by line
-            rows.rollback(mark)
-            stamps = [rows.add_line(lineno, line)
-                      for lineno, line in enumerate(lines, start)]
-            rows.stamps.extend(s for s in stamps if s is not None)
-        else:
-            for i, stamp in kept:
-                stamps[i] = stamp
-            rows.stamps.frombytes(stamps.tobytes())
+        done = rows.add_canonical(start, lines)
+        if done < len(lines):
+            rows.add_chunk(start + done, lines[done:])
         start += len(lines)
+    rows.first_line.clear()  # the largest part of the parse; freed before table()
     return ParseResult(rows.table(), tuple(rows.rejects))
 
 

@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import EmptyArticle, InvalidInput
 
+# pair keys lie below n * n for n terms; int32 holds them below this
+_INT32_KEYS = 2**31
 # bytes.translate table: a-z map to themselves, every other byte to a space
 _LETTERS = bytes(b if 0x61 <= b <= 0x7A else 0x20 for b in range(256))
 
@@ -129,12 +131,14 @@ def project(articles: Sequence[ArticleTerms]) -> TermGraph:
             by_size.setdefault(len(terms), []).append([index[t] for t in terms])
     # pair key a * n + b with a < b sorts as the pair (nodes[a], nodes[b]);
     # every group writes its keys into one preallocated array, so no list of
-    # per-group arrays and no concatenated copy of them is ever held
+    # per-group arrays and no concatenated copy of them is ever held. The
+    # keys are the memory peak of extract-topics: int32 when they fit
+    dtype = np.int32 if n * n < _INT32_KEYS else np.int64
     keys = np.empty(sum(len(rows) * size * (size - 1) // 2
-                        for size, rows in by_size.items()), dtype=np.int64)
+                        for size, rows in by_size.items()), dtype=dtype)
     at = 0
     for size, rows in by_size.items():
-        ids = np.array(rows, dtype=np.int64)
+        ids = np.array(rows, dtype=dtype)
         i, j = np.triu_indices(size, 1)
         block = keys[at:at + len(rows) * len(i)].reshape(len(rows), len(i))
         np.multiply(ids[:, i], n, out=block)

@@ -31,9 +31,11 @@ def line(obj, end="\n"):
     return json.dumps(obj) + end
 
 
-def assert_same_parse(lines, chunk_lines):
+def assert_same_parse(lines, chunk_lines, **patched):
+    """Parse ``lines`` with chunks of ``chunk_lines`` and the other ``model``
+    names in ``patched`` replaced, and compare with the oracle."""
     want = record_oracle.parse_posts(lines)
-    with mock.patch.object(model, "_CHUNK_LINES", chunk_lines):
+    with mock.patch.multiple(model, _CHUNK_LINES=chunk_lines, **patched):
         got = parse_posts(lines)
     assert got.rejects == want.rejects
     assert got.records.topic_ids == want.records.topic_ids
@@ -55,30 +57,33 @@ READABLE_STAMPS = [
     "2400-02-29T00:00:00Z", "0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z",
     "1969-12-31T23:59:59Z", "1970-01-01T00:00:00Z", "0004-02-29T12:00:00Z",
     "2020-01-01 00:00:00Z", "2020-01-01t00:00:00z", "2020-01-01T00:00:00z",
+    "2020-01-01T00:00:00+00:00", "0001-01-01T00:00:00-00:00",
+    "9999-12-31t23:59:59+00:00",
 ]
 STAMPS = READABLE_STAMPS + [
-    # 20 characters, not read by it
+    # 20 or 25 characters, not read by it
     "0000-01-01T00:00:00Z", "+020-01-01T00:00:00Z", "2020-01-01_00:00:00Z",
     "2020-02-30T00:00:00Z", "2100-02-29T00:00:00Z", "1900-02-29T00:00:00Z",
     "2020-04-31T00:00:00Z", "2020-13-01T00:00:00Z", "2020-00-10T00:00:00Z",
     "2020-01-00T00:00:00Z", "2020-01-01T24:00:00Z", "2020-01-01T23:60:00Z",
     "2020-01-01T23:59:60Z", "2020-01-01\u00e900:00:00Z", "\uff12020-01-01T00:00:00Z",
     "2020-01-01T00:00:0\u0665Z", "2020-01-01T00:00:0\ud800Z", "2020/01/01T00:00:00Z",
-    " 020-01-01T00:00:00Z", "2020-01-01T00:00:00 ",
+    " 020-01-01T00:00:00Z", "2020-01-01T00:00:00 ", "2020-01-01T00:00:00+00:01",
+    "2020-01-01T00:00:00+02:00", "2020-02-30T00:00:00+00:00", "2020-01-01T00:00:00Z+0:00",
     # other lengths
-    "+2020-01-01T00:00:00Z", "2020-01-01T00:00:00+02:00", "2020-01-01T00:00:00.5Z",
+    "+2020-01-01T00:00:00Z", "2020-01-01T00:00:00+00:00 ", "2020-01-01T00:00:00.5Z",
     "0001-01-01T00:30:00+01:00", "2020-01-01", "", 1577836800, None,
 ]
 
-# fields drawn a little beyond their ranges, joined by the letters the bulk
-# conversion reads ("T", "t", " " and "Z", "z") and others the per-line
-# path reads or rejects
+# fields drawn a little beyond their ranges, joined by the letters and zones
+# the bulk conversion reads ("T", "t", " " and "Z", "z", "+00:00", "-00:00")
+# and others the per-line path reads or rejects
 template_stamps = st.builds(
     "{:04d}-{:02d}-{:02d}{}{:02d}:{:02d}:{:02d}{}".format,
     st.integers(0, 9999) | st.sampled_from([0, 1, 4, 1900, 2000, 2100, 9999]),
     st.integers(0, 13), st.integers(0, 32),
     st.sampled_from("TTt _x\u00e9\ud800"), st.integers(0, 24), st.integers(0, 60),
-    st.integers(0, 60), st.sampled_from("ZZz_"))
+    st.integers(0, 60), st.sampled_from(["Z", "Z", "z", "_", "+00:00", "-00:00", "+00:01"]))
 
 
 def reordered(obj):
@@ -103,6 +108,14 @@ SHAPES = {
     "blank": lambda obj: "  \n",
     "not JSON": lambda obj: line(obj)[:-3] + "\n",
     "too deep": lambda obj: "[" * 100_000 + "\n",
+    # near misses of the layout simulate writes
+    "unescaped non-ASCII": lambda obj: json.dumps(obj, ensure_ascii=False) + "\n",
+    "control character in an id":
+        lambda obj: line(obj).replace('"post_id": "', '"post_id": "\x01', 1),
+    "leading zero": lambda obj: line(obj).replace('"likes": ', '"likes": 0', 1),
+    "minus zero": lambda obj: line(dict(obj, likes=0)).replace('"likes": 0', '"likes": -0'),
+    "eleven digits": lambda obj: line(dict(obj, likes=10**10)),
+    "compact separators": lambda obj: json.dumps(obj, separators=(",", ":")) + "\n",
 }
 
 
@@ -110,10 +123,11 @@ SHAPES = {
 def post_lines(draw):
     shape = draw(st.sampled_from(["plain"] * 12 + sorted(SHAPES)))
     # a few ids that repeat, and fresh ones
-    post_id = draw(st.sampled_from(["p0", "p1", "p2", "", 7])
+    post_id = draw(st.sampled_from(["p0", "p1", "p2", "", 7, "p\u00e9", "p\ud800"])
                    | st.integers(0, 10**6).map("q{}".format))
     obj = post(post_id=post_id,
-               topic_id=draw(st.sampled_from(["a", "b", "c", "t\ud800", "", None])),
+               topic_id=draw(st.sampled_from(["a", "b", "c", "\u00e9", "t\ud800", "",
+                                              None])),
                timestamp=draw(st.one_of(st.sampled_from(READABLE_STAMPS),
                                         st.sampled_from(STAMPS), template_stamps)))
     for name in COUNT_FIELDS:
@@ -124,6 +138,12 @@ def post_lines(draw):
 
 class TestSameAsPerLineParser:
     @given(st.lists(post_lines(), max_size=40), st.sampled_from([1, 2, 3, 5, 8, 4096]))
+    # near misses of the layout simulate writes, each at the head of a chunk:
+    # a count with a leading zero, an escaped id, and a post_id that comes
+    # back in the next chunk
+    @example([SHAPES["leading zero"](post())], 1)
+    @example([line(post(topic_id="\u00e9"))], 1)
+    @example([line(post()), line(post(likes=5))], 1)
     @settings(max_examples=400, deadline=None)
     def test_random_streams(self, lines, chunk_lines):
         assert_same_parse(lines, chunk_lines)
@@ -146,6 +166,24 @@ class TestSameAsPerLineParser:
         assert got.records.topic_ids == ("a", "b")
         assert got.records.column("likes").tolist() == [3, 3, 8, 3]
 
+    def test_repeat_of_a_post_id_from_the_previous_chunk_tail(self):
+        # chunks of four lines: the second chunk has the layout simulate
+        # writes and repeats p4, which came in the first chunk's reordered tail
+        lines = [line(post(post_id="p1")), line(post(post_id="p2")),
+                 reordered(post(post_id="p3")), reordered(post(post_id="p4")),
+                 line(post(post_id="p5")), line(post(post_id="p4", likes=8)),
+                 line(post(post_id="p6")), line(post(post_id="p7"))]
+        got = assert_same_parse(lines, chunk_lines=4)
+        assert got.rejects == ((6, "duplicate post_id 'p4' (first seen on line 4)"),)
+        assert got.records.column("likes").tolist() == [3] * 7
+
+    def test_repeat_of_a_post_id_inside_one_chunk(self):
+        lines = [line(post(post_id=p, likes=k))
+                 for k, p in enumerate(["p1", "p2", "p1", "p3"])]
+        got = assert_same_parse(lines, chunk_lines=4)
+        assert got.rejects == ((3, "duplicate post_id 'p1' (first seen on line 1)"),)
+        assert got.records.column("likes").tolist() == [0, 1, 3]
+
     def test_one_pass_iterator(self):
         lines = [line(post(post_id=f"p{i}", timestamp=stamp))
                  for i, stamp in enumerate(STAMPS)]
@@ -156,16 +194,46 @@ class TestSameAsPerLineParser:
         assert got.records.stamps_us.tolist() == want.records.stamps_us.tolist()
 
 
+def common_shape_lines(shape):
+    """Lines of ``shape`` with every readable stamp and 0 and MAX_COUNT in
+    each count."""
+    return [shape(post(post_id=f"p{i}", topic_id="ab"[i % 2], timestamp=stamp,
+                       **{name: count}))
+            for i, (stamp, name, count) in enumerate(
+                (stamp, name, count) for stamp in READABLE_STAMPS
+                for name in COUNT_FIELDS for count in (0, MAX_COUNT))]
+
+
 class TestFastPath:
     def test_common_shape_never_takes_the_per_line_path(self):
-        lines = [line(post(post_id=f"p{i}", topic_id="ab"[i % 2], timestamp=stamp,
-                           **{name: count}))
-                 for i, (stamp, name, count) in enumerate(
-                     (stamp, name, count) for stamp in READABLE_STAMPS
-                     for name in COUNT_FIELDS for count in (0, MAX_COUNT))]
-        with mock.patch.object(model, "_check_record", side_effect=AssertionError):
-            got = assert_same_parse(lines, chunk_lines=16)
+        for shape in (line, reordered):  # read by the pattern, and decoded
+            lines = common_shape_lines(shape)
+            got = assert_same_parse(lines, chunk_lines=16,
+                                    _check_record=mock.Mock(side_effect=AssertionError))
+            assert len(got.records) == len(lines)
+
+    def test_simulate_layout_is_never_decoded(self):
+        lines = common_shape_lines(line)
+        got = assert_same_parse(lines, chunk_lines=16,
+                                _raw_decode=mock.Mock(side_effect=AssertionError),
+                                _check_record=mock.Mock(side_effect=AssertionError))
         assert len(got.records) == len(lines)
+
+    def test_rejected_lines_alone_are_decoded(self):
+        lines = common_shape_lines(line)
+        lines[3] = line(post(post_id="p1"))  # line 2's post_id
+        lines[20] = line(post(post_id="x", likes=MAX_COUNT + 1))
+        lines[40] = SHAPES["unescaped non-ASCII"](post(post_id="y", topic_id="t\ud800"))
+        decode = mock.Mock(wraps=model._raw_decode)
+        got = assert_same_parse(lines, chunk_lines=64, _raw_decode=decode)
+        assert [lineno for lineno, _ in got.rejects] == [4, 21, 41]
+        assert decode.call_count == 3
+
+    def test_other_layouts_try_the_pattern_once_a_chunk(self):
+        lines = common_shape_lines(reordered)
+        pattern = mock.Mock(wraps=model._CANONICAL)
+        assert_same_parse(lines, chunk_lines=16, _CANONICAL=pattern)
+        assert pattern.fullmatch.call_count == -(-len(lines) // 16)
 
     @given(template_stamps)
     @example("0000-12-31T23:59:59Z")
@@ -178,19 +246,20 @@ class TestFastPath:
         except ValueError:
             want = None
         got = _stamps_us([text])
-        if text[10] in "Tt " and text[19] in "Zz":
+        if text[10] in "Tt " and text[19:] in ("Z", "z", "+00:00", "-00:00"):
             assert (got is None) == (want is None)
         if got is not None:
             assert got.tolist() == [want]
 
-    @given(st.lists(st.datetimes(min_value=datetime(1, 1, 1),
-                                 max_value=datetime(9999, 12, 31, 23, 59, 59)),
+    @given(st.lists(st.tuples(st.datetimes(min_value=datetime(1, 1, 1),
+                                           max_value=datetime(9999, 12, 31, 23, 59, 59)),
+                              st.sampled_from(["Z", "z", "+00:00", "-00:00"])),
                     max_size=20))
     @settings(max_examples=200, deadline=None)
     def test_every_second_of_years_1_to_9999(self, stamps):
-        texts = [ts.isoformat(timespec="seconds") + "Z" for ts in stamps]
+        texts = [ts.isoformat(timespec="seconds") + zone for ts, zone in stamps]
         want = [_stamp_us(ts.replace(microsecond=0, tzinfo=timezone.utc))
-                for ts in stamps]
+                for ts, _ in stamps]
         got = _stamps_us(texts)
         assert got.dtype == np.int64 and got.tolist() == want
         # one stamp that cannot be read fails the whole chunk

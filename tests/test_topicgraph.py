@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from engdyn import topicgraph
 from engdyn.errors import EmptyArticle, InvalidInput
 from engdyn.topicgraph import (ArticleTerms, TermGraph, cluster_report,
                                count_terms, extract_terms, load_stopwords,
@@ -149,6 +150,17 @@ class TestProject:
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidInput):
             project([])
+
+    def test_int32_and_int64_keys_give_the_same_graph(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        vocab = [f"w{i}" for i in range(300)]
+        arts = [ArticleTerms(f"a{i}", tuple((w, 1) for w in sorted(
+                    rng.choice(vocab, size=rng.integers(1, 11), replace=False))))
+                for i in range(200)]
+        narrow = project(arts)
+        monkeypatch.setattr(topicgraph, "_INT32_KEYS", 0)
+        wide = project(arts)
+        assert narrow == wide and len(narrow.edges) > 1000
 
 
 class TestLouvain:
