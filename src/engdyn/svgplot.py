@@ -24,9 +24,10 @@ def _scale(values, lo, hi, out_lo, out_hi):
 
 
 def _polyline(xs, ys, color: str, width: float = 1.5, dash: str = "") -> str:
-    # format Python floats: numpy scalars format about half as fast
-    pts = " ".join(["%.2f,%.2f" % p for p in zip(np.asarray(xs).tolist(),
-                                                  np.asarray(ys).tolist())])
+    # one %-format over all the points, on Python floats (numpy scalars
+    # format about half as fast)
+    xy = np.column_stack([xs, ys]).ravel().tolist()
+    pts = ("%.2f,%.2f " * (len(xy) // 2) % tuple(xy))[:-1]
     extra = f' stroke-dasharray="{dash}"' if dash else ""
     return (f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{width}"{extra}/>')

@@ -197,7 +197,7 @@ def _run_louvain(graph: TermGraph, seed: int, resolution: float,
     level_adj = adj
     assign = list(range(n))  # original node -> current level node
     labels = list(range(n))
-    q_prev = _modularity_indexed(adj, labels, resolution)
+    q_prev = q_labels = _modularity_indexed(adj, labels, resolution)
     history: list[float] = []
 
     while True:
@@ -206,7 +206,7 @@ def _run_louvain(graph: TermGraph, seed: int, resolution: float,
         q = _modularity_indexed(adj, projected, resolution)
         history.append(q)
         if q >= q_prev:
-            labels = projected
+            labels, q_labels = projected, q
         if q - q_prev < min_gain:
             break
         q_prev = q
@@ -221,8 +221,7 @@ def _run_louvain(graph: TermGraph, seed: int, resolution: float,
     order = sorted(members, key=members.get)
     renumber = {c: i for i, c in enumerate(order)}
     partition = {nodes[v]: renumber[labels[v]] for v in range(n)}
-    q_final = _modularity_indexed(adj, labels, resolution)
-    return partition, q_final, tuple(history)
+    return partition, q_labels, tuple(history)
 
 
 def _adjacency(graph: TermGraph) -> list[dict[int, float]]:
@@ -266,16 +265,12 @@ def _one_level(adj: list[dict[int, float]], rng: random.Random,
                     cu = comm[u]
                     links[cu] = links.get(cu, 0.0) + w
             tot[cv] -= kv
-
-            def score(c: int) -> float:
-                return links.get(c, 0.0) - resolution * tot[c] * kv / two_m
-
-            stay = score(cv)
+            stay = links.get(cv, 0.0) - resolution * tot[cv] * kv / two_m
             best_c, best_s = cv, stay
             for c in sorted(links):
                 if c == cv:
                     continue
-                s = score(c)
+                s = links[c] - resolution * tot[c] * kv / two_m
                 if s > best_s:
                     best_c, best_s = c, s
             tot[best_c] = tot.get(best_c, 0.0) + kv

@@ -556,9 +556,8 @@ class TestSvg:
 
 
 def test_cli_import_leaves_scipy_special_unloaded():
-    # scipy.special is the package's slowest import; only the statistics
-    # that analyze runs need it, so importing the CLI must not load it.
-    # scipy.stats costs more still and nothing needs it
+    # scipy is a test dependency only; importing the CLI must load neither
+    # scipy.special (about 0.3 s) nor scipy.stats (more still)
     src = str(Path(engdyn.__file__).resolve().parents[1])
     child = subprocess.run(
         [sys.executable, "-c",
@@ -567,3 +566,55 @@ def test_cli_import_leaves_scipy_special_unloaded():
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         check=True, timeout=120)
     assert child.stdout.strip() == "False False"
+
+
+NO_SCIPY_CHILD = """
+import json, sys
+from pathlib import Path
+from engdyn import cli, stats
+
+calls = {"t_two_sided_p": 0, "normal_cdf": 0}
+for name in calls:
+    def counted(*args, _f=getattr(stats, name), _name=name):
+        calls[_name] += 1
+        return _f(*args)
+    setattr(stats, name, counted)
+
+tmp = Path(sys.argv[1])
+spec = {"seed": 4, "topics": [
+    {"topic_id": f"t{i:02d}", "alpha_true": 0.004 + 0.002 * (i % 5),
+     "beta_true": 300.0 + 25.0 * i, "horizon_days": 1400.0, "n_posts": 80,
+     "lh_target": 0.6 - 0.06 * i, "categories": [("Politics", "Health")[i % 2]]}
+    for i in range(20)]}
+(tmp / "spec.json").write_text(json.dumps(spec))
+articles = [{"article_id": f"a{i}", "text": " ".join(
+    [("river", "ballot")[i % 2] + c for c in "abcdef"] * 3)} for i in range(30)]
+(tmp / "articles.jsonl").write_text("\\n".join(map(json.dumps, articles)) + "\\n")
+codes = [
+    cli.main(["simulate", "--input", str(tmp / "spec.json"), "--out", str(tmp / "c")]),
+    cli.main(["analyze", "--input", str(tmp / "c" / "posts.jsonl"),
+              "--categories", str(tmp / "c" / "categories.csv"), "--plots",
+              "--out", str(tmp / "a")]),
+    cli.main(["extract-topics", "--input", str(tmp / "articles.jsonl"),
+              "--out", str(tmp / "x")]),
+]
+print(json.dumps({"codes": codes, "calls": calls,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # the p-values are computed with the stdlib; scipy is a test dependency
+    # only. The child counts calls to both p-value functions, so the test
+    # fails if analyze stops reaching the Spearman or the normal
+    # Mann-Whitney path (10 topics a category) instead of passing vacuously
+    src = str(Path(engdyn.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_CHILD, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        check=True, timeout=300)
+    report = json.loads(child.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0, 0]
+    assert report["calls"]["t_two_sided_p"] > 0
+    assert report["calls"]["normal_cdf"] > 0
+    assert report["scipy"] == []

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from engdyn.errors import InvalidInput, UndefinedCorrelation
 from engdyn.model import CategoryAssignment
-from engdyn.stats import (mann_whitney_u, pairwise_category_tests,
-                          rank_average, spearman)
+from engdyn.stats import (mann_whitney_u, normal_cdf, pairwise_category_tests,
+                          rank_average, spearman, t_two_sided_p)
 
 
 # ------------------------------------------------------------- oracles
@@ -245,6 +245,66 @@ class TestMannWhitney:
                                method="asymptotic", use_continuity=True)
             assert u == pytest.approx(ref.statistic, abs=1e-9)
             assert p == pytest.approx(ref.pvalue, abs=1e-12)
+
+
+# ------------------------------------------------- p-value distributions
+
+# grid and bound fixed before the implementation was first run against them
+T_DFS = (1, 2, 3, 5, 10, 30, 100, 198, 1000, 10000)
+T_VALUES = (1e-3, 0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0)
+REL_BOUND = 1e-12
+SMALLEST_CHECKED = 1e-300  # below it a double has lost relative precision
+
+
+def mp_t_two_sided(t, df):
+    """P(|T| >= t) = I_x(df/2, 1/2), x = df / (df + t^2), at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        t, df = mpmath.mpf(t), mpmath.mpf(df)
+        return mpmath.betainc(df / 2, mpmath.mpf(1) / 2, 0, df / (df + t * t),
+                              regularized=True)
+
+
+def assert_relative(value, ref):
+    assert 0.0 <= value <= 1.0
+    if ref >= SMALLEST_CHECKED:
+        assert abs(value - ref) <= REL_BOUND * ref, (value, ref)
+
+
+class TestPValueDistributions:
+    @pytest.mark.parametrize("df", T_DFS)
+    def test_t_tail_matches_mpmath(self, df):
+        for t in T_VALUES:
+            ref = mp_t_two_sided(t, df)
+            assert_relative(t_two_sided_p(t, df), ref)
+            assert t_two_sided_p(-t, df) == t_two_sided_p(t, df)
+
+    def test_normal_cdf_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for z in np.linspace(-37.0, 8.0, 901).tolist():
+                assert_relative(normal_cdf(z), mpmath.ncdf(z))
+        assert normal_cdf(-40.0) == 0.0 and normal_cdf(40.0) == 1.0
+
+    def test_agree_with_scipy_on_random_draws(self):
+        special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(2026)
+        dfs = rng.integers(1, 10_001, 10_000)
+        ts = 10.0 ** rng.uniform(-3.0, 2.0, 10_000)
+        zs = rng.uniform(-37.0, 8.0, 10_000)
+        t_ref = 2.0 * special.stdtr(dfs, -ts)
+        z_ref = special.ndtr(zs)
+        for df, t, ref in zip(dfs.tolist(), ts.tolist(), t_ref.tolist()):
+            assert_relative(t_two_sided_p(t, df), ref)
+        for z, ref in zip(zs.tolist(), z_ref.tolist()):
+            assert_relative(normal_cdf(z), ref)
+
+    @pytest.mark.parametrize("df", (1, 7, 29, 30, 31, 10**6, 10**9))
+    def test_t_tail_edges_stay_in_unit_interval(self, df):
+        assert t_two_sided_p(0.0, df) == 1.0
+        assert t_two_sided_p(1e200, df) == 0.0
+        for t in (1e-8, 1.0, 1e4, 1e8):
+            assert 0.0 <= t_two_sided_p(t, df) <= 1.0
 
 
 # -------------------------------------------------- pairwise category tests
