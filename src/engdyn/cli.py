@@ -339,10 +339,11 @@ def cmd_analyze(args) -> int:
 
 # ---------------------------------------------------------- extract-topics
 
-def _article_terms(line: str,
-                   stopwords: frozenset[str]) -> topicgraph.ArticleTerms:
-    """Top terms of one articles line; ValueError, KeyError or TypeError
-    when the line is malformed, EmptyArticle when no usable term is left."""
+def _decode_article(line: str, stopwords: frozenset[str]
+                    ) -> topicgraph.ArticleTerms | tuple[str, str]:
+    """Top terms of a pre-tokenized articles line, or (article_id, text) of
+    a text line; ValueError, KeyError or TypeError when the line is
+    malformed, EmptyArticle when no usable term is left."""
     obj = json.loads(line)
     article_id = obj["article_id"]
     if "terms" in obj:
@@ -353,25 +354,52 @@ def _article_terms(line: str,
     text = obj["text"]
     if not isinstance(text, str):
         raise TypeError("text must be a string")
-    return topicgraph.extract_terms(article_id, text, stopwords)
+    return article_id, text
 
 
 def _read_articles(lines, stopwords: frozenset[str]):
-    """(articles, malformed line count, count of articles without terms)."""
-    articles = []
+    """(articles, malformed line count, count of articles without terms).
+
+    Text articles go through the term kernel a chunk at a time and keep
+    their place among the pre-tokenized ones.
+    """
+    articles: list = []
+    pending: list[tuple[int, str, str]] = []  # (place, article_id, text)
     bad_lines = empty_articles = 0
     for line in lines:
         if not line.strip():
             continue
         try:
-            articles.append(_article_terms(line, stopwords))
+            article = _decode_article(line, stopwords)
         # ValueError covers invalid JSON and integers past the digit limit;
         # RecursionError, JSON nested too deeply to decode
         except (ValueError, KeyError, TypeError, RecursionError):
             bad_lines += 1
+            continue
         except EmptyArticle:
             empty_articles += 1
-    return articles, bad_lines, empty_articles
+            continue
+        if isinstance(article, tuple):
+            pending.append((len(articles), *article))
+        articles.append(article)
+        if len(pending) == topicgraph.CHUNK_ARTICLES:
+            _count_texts(articles, pending, stopwords)
+    if pending:
+        _count_texts(articles, pending, stopwords)
+    usable = [article for article in articles if article is not None]
+    return usable, bad_lines, empty_articles + len(articles) - len(usable)
+
+
+def _count_texts(articles: list, pending: list[tuple[int, str, str]],
+                 stopwords: frozenset[str]) -> None:
+    """Put the top terms of each pending text article, or None when it has
+    none, in its place in ``articles``, and empty ``pending``."""
+    found = topicgraph.extract_terms_chunk(
+        [article_id for _, article_id, _ in pending],
+        [text for _, _, text in pending], stopwords)
+    for (place, _, _), terms in zip(pending, found):
+        articles[place] = terms
+    pending.clear()
 
 
 def cmd_extract_topics(args) -> int:

@@ -7,10 +7,12 @@ two terms share. Communities come from a seeded, weighted Louvain pass.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -22,6 +24,25 @@ from .errors import EmptyArticle, InvalidInput
 _INT32_KEYS = 2**31
 # bytes.translate table: a-z map to themselves, every other byte to a space
 _LETTERS = bytes(b if 0x61 <= b <= 0x7A else 0x20 for b in range(256))
+# text articles per extract_terms_chunk call from the CLI. Larger chunks
+# spread numpy's per-call cost wider but leave more freed heap behind: on
+# articles of 200 tokens, extract-topics peaks 0.8 MiB above counting one
+# article at a time with 32, 1.1 MiB with 64, 1.6 MiB with 128 and 16 MiB
+# with 1,024, while 32 is within a few percent of 128's speed
+CHUNK_ARTICLES = 32
+# a word of up to _KEY_LETTERS letters has an exact key of 5 bits a letter,
+# first letter highest, so keys sort as the words do; the low 5 bits of a
+# letter's ASCII code are 1-26
+_KEY_LETTERS = 10
+_KEY_BITS = 5 * _KEY_LETTERS
+_KEY_MASK = (1 << _KEY_BITS) - 1
+_SHIFTS = np.arange(_KEY_BITS - 5, -1, -5, dtype=np.uint64)
+_ASCII = np.frombuffer(b" abcdefghijklmnopqrstuvwxyz     ", dtype=np.uint8)
+# by word length: the letter codes among a word's first 8 and next 2 bytes
+_FIRST8_MASKS = np.array([((1 << 8 * min(n, 8)) - 1) & 0x1F1F1F1F1F1F1F1F
+                          for n in range(_KEY_LETTERS + 1)], dtype=np.uint64)
+_LAST2_MASKS = np.array([((1 << 8 * max(n - 8, 0)) - 1) & 0x1F1F
+                         for n in range(_KEY_LETTERS + 1)], dtype=np.uint16)
 
 
 @dataclass(frozen=True)
@@ -76,12 +97,174 @@ def extract_terms(article_id: str, text: str, stopwords: frozenset[str],
     and punctuation never survive; stopwords are dropped. Ties at the
     frequency cutoff break lexicographically.
     """
+    terms, = extract_terms_chunk([article_id], [text], stopwords, k)
+    if terms is None:
+        raise EmptyArticle(f"article {article_id!r} has no usable tokens")
+    return terms
+
+
+def extract_terms_chunk(article_ids: Sequence[str], texts: Sequence[str],
+                        stopwords: frozenset[str], k: int = 10
+                        ) -> list[ArticleTerms | None]:
+    """:func:`extract_terms` of many articles at once, ``None`` for each
+    article without usable tokens.
+
+    Words of up to ``_KEY_LETTERS`` letters are counted and ranked as packed
+    integer keys, with one sort each over the whole chunk; longer words,
+    found in most real news articles, are counted in a dict and merged into
+    their article's ranking.
+    """
+    n = len(texts)
     # every code point outside a-z becomes one separator byte ("?" for
-    # non-ASCII, lone surrogates included, then a space), so the words of
-    # the split are exactly the [a-z]+ runs of text.lower()
-    words = text.lower().encode("ascii", "replace").translate(_LETTERS) \
-        .decode("ascii").split()
-    return _top_terms(article_id, Counter(words), stopwords, k)
+    # non-ASCII, lone surrogates included, then a space), so the words are
+    # exactly the [a-z]+ runs of text.lower()
+    parts = [text.lower().encode("ascii", "replace").translate(_LETTERS)
+             for text in texts]
+    # the counting key holds the article index and a word key, the ranking
+    # key the article index, a count and a run index; counts and run
+    # indices stay below the chunk's letter count, so a single article
+    # would need 2**32 letters to overflow either
+    if n > 1 and (n - 1).bit_length() + max(
+            _KEY_BITS, 2 * sum(map(len, parts)).bit_length()) > 64:
+        half = n // 2
+        return (extract_terms_chunk(article_ids[:half], texts[:half], stopwords, k)
+                + extract_terms_chunk(article_ids[half:], texts[half:], stopwords, k))
+    runs, counts, long_counts = _count_words(parts, stopwords)
+
+    # rank by (article, -count, word) with one sort: runs are in (article,
+    # word) order, so a run's own index stands for its word
+    m = len(runs)
+    run_article = (runs >> np.uint64(_KEY_BITS)).astype(np.intp)
+    top = int(counts.max(initial=0))
+    count_bits, index_bits = top.bit_length(), m.bit_length()
+    rank = run_article.astype(np.uint64) << np.uint64(count_bits + index_bits)
+    rank |= (top - counts).astype(np.uint64) << np.uint64(index_bits)
+    rank |= np.arange(m, dtype=np.uint64)
+    rank.sort()
+    order = (rank & np.uint64((1 << index_bits) - 1)).astype(np.intp)
+    # keep ranked[:k] of each article, except that one with long words
+    # keeps all of its short words when k <= 0: the merge slices the union
+    per_article = np.bincount(run_article, minlength=n)
+    place = np.arange(m) - (np.cumsum(per_article) - per_article)[run_article]
+    if k > 0:
+        kept = order[place < k]
+    else:
+        limit = per_article + k if k else np.zeros(n, dtype=np.intp)
+        merged_articles = list(long_counts)
+        limit[merged_articles] = per_article[merged_articles]
+        kept = order[place < limit[run_article]]
+    kept_per_article = np.bincount(run_article[kept], minlength=n).tolist()
+    ranked = iter(zip(_decode_keys(runs[kept]), counts[kept].tolist()))
+
+    results: list[ArticleTerms | None] = []
+    for a, (article_id, size, short) in enumerate(
+            zip(article_ids, kept_per_article, per_article.tolist())):
+        top_terms = tuple(islice(ranked, size))
+        if a in long_counts:
+            merged = sorted(top_terms + tuple(long_counts[a].items()),
+                            key=lambda item: (-item[1], item[0]))
+            results.append(ArticleTerms(article_id, tuple(merged[:k])))
+        else:
+            results.append(ArticleTerms(article_id, top_terms) if short else None)
+    return results
+
+
+def _count_words(parts: list[bytes], stopwords: frozenset[str]
+                 ) -> tuple[np.ndarray, np.ndarray, dict[int, dict[str, int]]]:
+    """Word counts of each article, stopwords left out: the sorted
+    (article, word) keys of the words of up to ``_KEY_LETTERS`` letters with
+    the count of each, and the counts of the longer words by article."""
+    keys, long_counts = _article_word_keys(parts, stopwords)
+    keys.sort()
+    new_run = np.empty(len(keys), dtype=bool)
+    new_run[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new_run[1:])
+    first = np.flatnonzero(new_run)
+    runs, counts = keys[first], np.diff(first, append=len(keys))
+    # hashable for the cache; frozenset() returns a frozenset itself
+    stop = _stopword_keys(frozenset(stopwords))
+    if len(stop) and len(runs):
+        words = runs & np.uint64(_KEY_MASK)
+        at = np.minimum(np.searchsorted(stop, words), len(stop) - 1)
+        usable = stop[at] != words
+        runs, counts = runs[usable], counts[usable]
+    return runs, counts, long_counts
+
+
+def _article_word_keys(parts: list[bytes], stopwords: frozenset[str]
+                       ) -> tuple[np.ndarray, dict[int, dict[str, int]]]:
+    """The (article, word) key of every word of up to ``_KEY_LETTERS``
+    letters, and the counts of the longer words but stopwords by article."""
+    # a space opens the buffer, and enough of them close it for every
+    # word's 10-byte read; the words of article i end before ends[i]
+    raw = b" ".join([b"", *parts, b" " * _KEY_LETTERS])
+    ends = np.cumsum(np.fromiter(map(len, parts), dtype=np.intp,
+                                 count=len(parts)) + 1)
+    starts, lengths = _word_spans(raw)
+    keys = _word_keys(raw, starts, lengths)
+    keys |= np.repeat(np.arange(len(parts), dtype=np.uint64) << np.uint64(_KEY_BITS),
+                      np.diff(np.searchsorted(starts, ends), prepend=0))
+
+    long_counts: dict[int, dict[str, int]] = {}
+    is_long = lengths > _KEY_LETTERS
+    if is_long.any():
+        long_starts = starts[is_long]
+        for article, start, length in zip(
+                np.searchsorted(ends, long_starts).tolist(),
+                long_starts.tolist(), lengths[is_long].tolist()):
+            word = raw[start:start + length].decode("ascii")
+            if word not in stopwords:
+                counts = long_counts.setdefault(article, {})
+                counts[word] = counts.get(word, 0) + 1
+        keys = keys[~is_long]
+    return keys, long_counts
+
+
+def _word_spans(raw: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of letters in ``raw``, which holds only
+    letters and spaces and opens and closes with a space."""
+    letters = np.frombuffer(raw, dtype=np.uint8) != 0x20
+    edges = np.flatnonzero(letters[1:] != letters[:-1])
+    return edges[0::2] + 1, edges[1::2] - edges[0::2]
+
+
+def _word_keys(raw: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Packed keys of the words at ``starts``: 5 bits a letter, first letter
+    highest; a longer word gets the key of its first ``_KEY_LETTERS``."""
+    # overlapping little-endian views: element i reads the bytes from i on
+    first8 = np.ndarray((len(raw) - 7,), dtype="<u8", buffer=raw, strides=(1,))
+    last2 = np.ndarray((len(raw) - 1,), dtype="<u2", buffer=raw, strides=(1,))
+    # byte j of x holds letter j's code (the letter's low 5 bits), 0 past the end
+    x = first8.take(starts) & _FIRST8_MASKS.take(lengths, mode="clip")
+    # fold neighbouring fields together, the earlier letter above the later
+    x = ((x & np.uint64(0x00FF00FF00FF00FF)) << np.uint64(5)) \
+        | ((x >> np.uint64(8)) & np.uint64(0x00FF00FF00FF00FF))
+    x = ((x & np.uint64(0x0000FFFF0000FFFF)) << np.uint64(10)) \
+        | ((x >> np.uint64(16)) & np.uint64(0x0000FFFF0000FFFF))
+    x = ((x & np.uint64(0xFFFFFFFF)) << np.uint64(20)) | (x >> np.uint64(32))
+    y = last2.take(starts + 8) & _LAST2_MASKS.take(lengths, mode="clip")
+    y = ((y & 0xFF) << 5) | (y >> 8)
+    return (x << np.uint64(10)) | y
+
+
+def _decode_keys(keys: np.ndarray) -> list[str]:
+    """The words of packed keys (article bits ignored)."""
+    # one row of letters a word, padded and followed by spaces
+    text = np.full((len(keys), _KEY_LETTERS + 1), 0x20, dtype=np.uint8)
+    text[:, :_KEY_LETTERS] = _ASCII.take((keys[:, None] >> _SHIFTS) & np.uint64(31))
+    return text.tobytes().decode("ascii").split()
+
+
+@functools.lru_cache(maxsize=4)
+def _stopword_keys(stopwords: frozenset[str]) -> np.ndarray:
+    """Sorted keys of the stopwords that a word of up to ``_KEY_LETTERS``
+    letters can equal; read-only, since every chunk shares them."""
+    words = [word for word in stopwords if 0 < len(word) <= _KEY_LETTERS
+             and word.isascii() and word.isalpha() and word.islower()]
+    raw = " ".join(["", *words, " " * _KEY_LETTERS]).encode("ascii")
+    keys = np.sort(_word_keys(raw, *_word_spans(raw)))
+    keys.flags.writeable = False
+    return keys
 
 
 def count_terms(article_id: str, tokens: Sequence[str],

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import engdyn
-from engdyn import cli
+from engdyn import cli, topicgraph
 from engdyn.svgplot import fit_overlay_svg, scatter_svg
 
 SPEC_OBJ = {
@@ -531,6 +531,39 @@ class TestExtractTopics:
         assert cli.main(["extract-topics", "--input", str(path),
                          "--out", str(tmp_path / "o")]) == 2
         assert "not UTF-8" in capsys.readouterr().err
+
+    def test_chunks_match_a_line_at_a_time(self, tmp_path, capsys, monkeypatch):
+        # 2 chunks and one line of every kind: text (with a word past the
+        # packed keys' 10 letters), pre-tokenized, malformed, stopword-only
+        # and blank; the output and both warnings equal those of 1-line chunks
+        kinds = [
+            lambda i: json.dumps({"article_id": f"t{i}", "text": (
+                "market trade economy bank " if i % 2 else
+                "match goal team league ") + "internationally " * (i % 3)}),
+            lambda i: json.dumps({"article_id": f"p{i}",
+                                  "terms": ["Market", "inflation", "coach"]}),
+            lambda i: '{"article_id": "m", "text": 5}',
+            lambda i: json.dumps({"article_id": f"s{i}", "text": "the and of 42"}),
+            lambda i: "",
+        ]
+        size = topicgraph.CHUNK_ARTICLES
+        lines = [kinds[i % len(kinds)](i) for i in range(2 * size + 1)]
+        path = tmp_path / "articles.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        runs = []
+        for name, chunk in (("chunked", size), ("per_line", 1)):
+            monkeypatch.setattr(topicgraph, "CHUNK_ARTICLES", chunk)
+            out = tmp_path / name
+            code = cli.main(["extract-topics", "--input", str(path),
+                             "--out", str(out), "--seed", "1"])
+            runs.append((code, read_tree(out), capsys.readouterr().err))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
+        malformed = sum(1 for i in range(len(lines)) if i % len(kinds) == 2)
+        stopword_only = sum(1 for i in range(len(lines)) if i % len(kinds) == 3)
+        assert f"warning: {malformed} malformed article line(s) skipped" in runs[0][2]
+        assert f"warning: {stopword_only} article(s) without usable terms " \
+            "skipped" in runs[0][2]
 
     def test_byte_order_mark_accepted(self, tmp_path):
         plain = self.run_lines(tmp_path, "plain", [])

@@ -7,8 +7,9 @@ every digest unchanged; the determinism test only compares runs with each
 other, so a consistent change of output would slip through it.
 
 Digests depend on the floating-point results of the interpreter and of
-numpy and scipy, so they are pinned to the versions recorded beside them;
-under other versions the test skips and names both version sets.
+numpy, so they are pinned to the versions recorded beside them; under other
+versions the test skips and names both version sets. No command loads scipy
+(``test_cli.py::test_no_command_loads_scipy``), so its version is not pinned.
 
 Refresh the stored digests, only for a deliberate change of output, with
 
@@ -27,7 +28,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from engdyn import cli
 from engdyn.model import CATEGORIES
@@ -141,8 +141,7 @@ def run_cases(tmp: Path) -> dict[str, dict]:
 
 
 def environment() -> dict[str, str]:
-    return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__}
+    return {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def test_output_trees_match_stored_digests(tmp_path):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from engdyn.errors import EmptyArticle, InvalidInput
 from engdyn.topicgraph import (ArticleTerms, TermGraph, count_terms,
-                               extract_terms, project)
+                               extract_terms, extract_terms_chunk, project)
 
 # ----------------------------------------------------------------- oracles
 
@@ -32,6 +32,17 @@ def oracle_extract_terms(article_id, text, stopwords, k=10):
         raise EmptyArticle(f"article {article_id!r} has no usable tokens")
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     return ArticleTerms(article_id=article_id, top_terms=tuple(ranked[:k]))
+
+
+def oracle_extract_terms_chunk(article_ids, texts, stopwords, k=10):
+    """Per-article oracle results, ``None`` where the article is empty."""
+    results = []
+    for article_id, text in zip(article_ids, texts):
+        try:
+            results.append(oracle_extract_terms(article_id, text, stopwords, k))
+        except EmptyArticle:
+            results.append(None)
+    return results
 
 
 def oracle_count_terms(article_id, tokens, stopwords, k=10):
@@ -90,6 +101,21 @@ stopword_sets = st.frozensets(
     st.sampled_from(["the", "a", "ab", "cat", "x", "i", "k", "", "The"]),
     max_size=5)
 ks = st.integers(-3, 12)
+# words longer than the 10 letters a packed key holds, sharing that prefix
+# with each other and with short words, so only their tails order them
+PREFIX = "abcdefghij"
+long_words = st.one_of(
+    st.sampled_from([PREFIX, PREFIX[:9], PREFIX + "k", PREFIX + "a", PREFIX * 2,
+                     PREFIX + "z" * 30, "Abcdefghijk", "abcdefghiJK", "zzzzzzzzzzz"]),
+    st.text(alphabet="ab", min_size=1, max_size=30).map(PREFIX.__add__))
+long_texts = st.lists(st.one_of(long_words, st.sampled_from(WORDS + TRICKY)),
+                      max_size=40).map(" ".join)
+chunks = st.lists(st.one_of(texts, long_texts), min_size=1, max_size=40)
+# stopwords that are long, empty or hold non-letters beside plain ones
+chunk_stopword_sets = st.frozensets(
+    st.sampled_from(["the", "a", "cat", "x", "", "The", "co-op", "don't", "x1",
+                     " ", PREFIX, PREFIX + "k", PREFIX * 2, PREFIX + "K"]),
+    max_size=6)
 tokens = st.lists(st.one_of(st.sampled_from(["", "News", "news", "NEWS", "the",
                                              "The", "vote", "İ", "K"]),
                             st.text(max_size=4)), max_size=30)
@@ -113,6 +139,50 @@ class TestExtractTerms:
     def test_non_string_text_raises_like_before(self):
         assert outcome(extract_terms, "a", 5, frozenset())[0] is AttributeError
         assert outcome(oracle_extract_terms, "a", 5, frozenset())[0] is AttributeError
+
+
+class TestExtractTermsChunk:
+    @given(chunks, chunk_stopword_sets, ks)
+    @settings(max_examples=500, deadline=None)
+    def test_matches_regex_tokenizer_per_article(self, texts, stopwords, k):
+        ids = [f"a{i}" for i in range(len(texts))]
+        assert extract_terms_chunk(ids, texts, stopwords, k) == \
+            oracle_extract_terms_chunk(ids, texts, stopwords, k)
+
+    @pytest.mark.parametrize("texts", [
+        [], [""], ["", "123 ...", "the a"], ["\u00e9\u00df 42", "the the"]])
+    def test_chunk_without_usable_tokens(self, texts):
+        stopwords = frozenset({"the", "a"})
+        assert extract_terms_chunk([f"a{i}" for i in range(len(texts))], texts,
+                                   stopwords) == [None] * len(texts)
+
+    def test_long_words_only(self):
+        texts = [PREFIX + "k " + PREFIX + "a " + PREFIX + "k", "the", PREFIX * 3]
+        ids = ["a", "b", "c"]
+        for k in (-1, 0, 1, 10):
+            assert extract_terms_chunk(ids, texts, frozenset({"the"}), k) == \
+                oracle_extract_terms_chunk(ids, texts, frozenset({"the"}), k)
+
+    def test_count_field_wider_than_sixteen_bits(self):
+        # 300,001 repeats need 19 bits of count in the ranking key: the first
+        # article's terms, some 300,000 below the top count, rank before the
+        # second article's only if none of those bits spill into its index
+        texts = ["delta delta epsilon",
+                 "alpha " * 300_001 + "beta beta gamma " + PREFIX + "k"]
+        got = extract_terms_chunk(["small", "big"], texts, frozenset(), 3)
+        assert got == oracle_extract_terms_chunk(["small", "big"], texts,
+                                                 frozenset(), 3)
+        assert got[1].top_terms == (("alpha", 300_001), ("beta", 2),
+                                    (PREFIX + "k", 1))
+
+    def test_chunk_past_the_article_field_is_split(self):
+        # 2**14 + 1 articles need 15 bits of article index beside the
+        # 50-bit word key, so the chunk is counted in two halves
+        texts = [f"w{'abc'[i % 3]} {'xyz'[i % 3]}{'xyz'[i % 2]} the"
+                 for i in range(2**14 + 1)]
+        ids = [str(i) for i in range(len(texts))]
+        assert extract_terms_chunk(ids, texts, frozenset({"the"}), 2) == \
+            oracle_extract_terms_chunk(ids, texts, frozenset({"the"}), 2)
 
 
 class TestCountTerms:

@@ -11,7 +11,7 @@ import json
 from pathlib import Path
 
 import engdyn
-from engdyn import cli
+from engdyn import cli, topicgraph
 
 TRACED = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
 SPEC = {"seed": 5, "topics": [
@@ -34,6 +34,17 @@ def test_every_wrapped_attribute_resolves():
         assert callable(getattr(getattr(engdyn, module_name), attribute))
 
 
+def wrap_all(traced, monkeypatch):
+    """A recorder whose spans time every ``WRAPPED`` attribute."""
+    recorder = traced.Recorder()
+    for module_name, attribute, name, count in traced.WRAPPED:
+        module = getattr(engdyn, module_name)
+        # registers the original, which monkeypatch puts back after the test
+        monkeypatch.setattr(module, attribute, getattr(module, attribute))
+        recorder.wrap(module, attribute, name, count)
+    return recorder
+
+
 def test_analyze_reaches_load_posts_through_the_module(tmp_path, monkeypatch):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(SPEC))
@@ -41,12 +52,7 @@ def test_analyze_reaches_load_posts_through_the_module(tmp_path, monkeypatch):
     assert cli.main(["simulate", "--input", str(spec), "--out", str(corpus)]) == 0
 
     traced = load_traced()
-    recorder = traced.Recorder()
-    for module_name, attribute, name, count in traced.WRAPPED:
-        module = getattr(engdyn, module_name)
-        # registers the original, which monkeypatch puts back after the test
-        monkeypatch.setattr(module, attribute, getattr(module, attribute))
-        recorder.wrap(module, attribute, name, count)
+    recorder = wrap_all(traced, monkeypatch)
     root = recorder.open("process")
     code = cli.main(["analyze", "--input", str(corpus / "posts.jsonl"),
                      "--categories", str(corpus / "categories.csv"),
@@ -59,3 +65,38 @@ def test_analyze_reaches_load_posts_through_the_module(tmp_path, monkeypatch):
     assert layers["model.load_posts.posts"] == 40 + 41 + 42
     assert layers["model.load_posts.s"] > 0
     assert layers["model.build_series.calls"] == layers["curvefit.fit.calls"] == 3
+
+
+def test_extract_topics_reaches_its_layers_through_the_module(tmp_path, monkeypatch):
+    # the term kernel is not in WRAPPED, so its time shows in cli.self_s;
+    # counting calls to the attribute shows that cli still goes through it
+    n_articles = 2 * topicgraph.CHUNK_ARTICLES + 1
+    path = tmp_path / "articles.jsonl"
+    path.write_text("".join(
+        json.dumps({"article_id": f"a{i}", "text": ("river vote " if i % 2 else
+                                                    "ballot rain ") * 3}) + "\n"
+        for i in range(n_articles)))
+    kernel_calls = []
+    kernel = topicgraph.extract_terms_chunk
+
+    def counted(*args, **kwargs):
+        kernel_calls.append(len(args[0]))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(topicgraph, "extract_terms_chunk", counted)
+    traced = load_traced()
+    recorder = wrap_all(traced, monkeypatch)
+    root = recorder.open("process")
+    code = cli.main(["extract-topics", "--input", str(path),
+                     "--out", str(tmp_path / "out")])
+    recorder.close(root)
+    assert code == 0
+
+    assert kernel_calls == [topicgraph.CHUNK_ARTICLES] * 2 + [1]
+    names = [span[2] for span in recorder.spans]
+    for layer in ("topicgraph.project", "topicgraph.louvain",
+                  "topicgraph.cluster_report"):
+        assert names.count(layer) == 1
+    layers = traced.layer_metrics(recorder.spans, root[4] - root[3])
+    assert layers["topicgraph.extract_terms.calls"] == 0
+    assert layers["topicgraph.project.nodes"] == 4
