@@ -12,7 +12,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from importlib import resources
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -36,6 +36,8 @@ CHUNK_ARTICLES = 32
 _KEY_LETTERS = 10
 _KEY_BITS = 5 * _KEY_LETTERS
 _KEY_MASK = (1 << _KEY_BITS) - 1
+# marks the key of a longer word, which holds its index in a sorted list
+_LONG = np.uint64(1 << 63)
 _SHIFTS = np.arange(_KEY_BITS - 5, -1, -5, dtype=np.uint64)
 _ASCII = np.frombuffer(b" abcdefghijklmnopqrstuvwxyz     ", dtype=np.uint8)
 # by word length: the letter codes among a word's first 8 and next 2 bytes
@@ -109,10 +111,10 @@ def extract_terms_chunk(article_ids: Sequence[str], texts: Sequence[str],
     """:func:`extract_terms` of many articles at once, ``None`` for each
     article without usable tokens.
 
-    Words of up to ``_KEY_LETTERS`` letters are counted and ranked as packed
-    integer keys, with one sort each over the whole chunk; longer words,
-    found in most real news articles, are counted in a dict and merged into
-    their article's ranking.
+    Words are counted and ranked as packed integer keys, with one sort each
+    over the whole chunk: a word of up to ``_KEY_LETTERS`` letters is its
+    own key, and a longer one is keyed by its place among the chunk's longer
+    words, which one decode cuts out of the chunk.
     """
     n = len(texts)
     # every code point outside a-z becomes one separator byte ("?" for
@@ -121,20 +123,19 @@ def extract_terms_chunk(article_ids: Sequence[str], texts: Sequence[str],
     parts = [text.lower().encode("ascii", "replace").translate(_LETTERS)
              for text in texts]
     # the counting key holds the article index and a word key, the ranking
-    # key the article index, a count and a run index; counts and run
-    # indices stay below the chunk's letter count, so a single article
-    # would need 2**32 letters to overflow either
+    # key the article index, a count and a run index; counts, run indices
+    # and long-word indices stay below the chunk's letter count, so a single
+    # article would need 2**32 letters to overflow any of them
     if n > 1 and (n - 1).bit_length() + max(
             _KEY_BITS, 2 * sum(map(len, parts)).bit_length()) > 64:
         half = n // 2
         return (extract_terms_chunk(article_ids[:half], texts[:half], stopwords, k)
                 + extract_terms_chunk(article_ids[half:], texts[half:], stopwords, k))
-    runs, counts, long_counts = _count_words(parts, stopwords)
+    run_article, counts, words, long_words = _count_words(parts, stopwords)
 
     # rank by (article, -count, word) with one sort: runs are in (article,
     # word) order, so a run's own index stands for its word
-    m = len(runs)
-    run_article = (runs >> np.uint64(_KEY_BITS)).astype(np.intp)
+    m = len(counts)
     top = int(counts.max(initial=0))
     count_bits, index_bits = top.bit_length(), m.bit_length()
     rank = run_article.astype(np.uint64) << np.uint64(count_bits + index_bits)
@@ -142,45 +143,25 @@ def extract_terms_chunk(article_ids: Sequence[str], texts: Sequence[str],
     rank |= np.arange(m, dtype=np.uint64)
     rank.sort()
     order = (rank & np.uint64((1 << index_bits) - 1)).astype(np.intp)
-    # keep ranked[:k] of each article, except that one with long words
-    # keeps all of its short words when k <= 0: the merge slices the union
+    # keep ranked[:k] of each article
     per_article = np.bincount(run_article, minlength=n)
     place = np.arange(m) - (np.cumsum(per_article) - per_article)[run_article]
-    if k > 0:
-        kept = order[place < k]
-    else:
-        limit = per_article + k if k else np.zeros(n, dtype=np.intp)
-        merged_articles = list(long_counts)
-        limit[merged_articles] = per_article[merged_articles]
-        kept = order[place < limit[run_article]]
+    keep = k if k > 0 else (per_article + k)[run_article] if k else 0
+    kept = order[place < keep]
     kept_per_article = np.bincount(run_article[kept], minlength=n).tolist()
-    ranked = iter(zip(_decode_keys(runs[kept]), counts[kept].tolist()))
-
-    results: list[ArticleTerms | None] = []
-    for a, (article_id, size, short) in enumerate(
-            zip(article_ids, kept_per_article, per_article.tolist())):
-        top_terms = tuple(islice(ranked, size))
-        if a in long_counts:
-            merged = sorted(top_terms + tuple(long_counts[a].items()),
-                            key=lambda item: (-item[1], item[0]))
-            results.append(ArticleTerms(article_id, tuple(merged[:k])))
-        else:
-            results.append(ArticleTerms(article_id, top_terms) if short else None)
-    return results
+    ranked = iter(zip(_decode_terms(words[kept], long_words), counts[kept].tolist()))
+    return [ArticleTerms(article_id, tuple(islice(ranked, size))) if usable else None
+            for article_id, size, usable
+            in zip(article_ids, kept_per_article, per_article.tolist())]
 
 
 def _count_words(parts: list[bytes], stopwords: frozenset[str]
-                 ) -> tuple[np.ndarray, np.ndarray, dict[int, dict[str, int]]]:
-    """Word counts of each article, stopwords left out: the sorted
-    (article, word) keys of the words of up to ``_KEY_LETTERS`` letters with
-    the count of each, and the counts of the longer words by article."""
-    keys, long_counts = _article_word_keys(parts, stopwords)
-    keys.sort()
-    new_run = np.empty(len(keys), dtype=bool)
-    new_run[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=new_run[1:])
-    first = np.flatnonzero(new_run)
-    runs, counts = keys[first], np.diff(first, append=len(keys))
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """Word counts of each article, stopwords left out: for each distinct
+    (article, word) in that order, its article, its count and the word's key
+    for :func:`_decode_terms`, and the sorted long words those keys index."""
+    keys, is_long, found = _article_word_keys(parts)
+    runs, counts = _runs(keys[~is_long] if found else keys)
     # hashable for the cache; frozenset() returns a frozenset itself
     stop = _stopword_keys(frozenset(stopwords))
     if len(stop) and len(runs):
@@ -188,13 +169,59 @@ def _count_words(parts: list[bytes], stopwords: frozenset[str]
         at = np.minimum(np.searchsorted(stop, words), len(stop) - 1)
         usable = stop[at] != words
         runs, counts = runs[usable], counts[usable]
-    return runs, counts, long_counts
+    run_article = (runs >> np.uint64(_KEY_BITS)).astype(np.intp)
+    if not found:
+        return run_article, counts, runs & np.uint64(_KEY_MASK), []
+
+    # a long word's index in the sorted list of the chunk's long words
+    # but stopwords; the list's length marks a stopword
+    long_words = sorted(set(found) - stopwords)
+    index = dict(zip(long_words, range(len(long_words))))
+    ids = np.fromiter(map(index.get, found, repeat(len(long_words))),
+                      dtype=np.uint64, count=len(found))
+    usable = ids < len(long_words)
+    ids, prefix_keys = ids[usable], keys[is_long][usable]
+    id_bits = np.uint64(len(long_words).bit_length())
+    long_runs, long_counts = _runs(
+        (prefix_keys >> np.uint64(_KEY_BITS) << id_bits) | ids)
+    long_article = long_runs >> id_bits
+    long_ids = long_runs & ((np.uint64(1) << id_bits) - np.uint64(1))
+    # a long word sorts after the word of its first _KEY_LETTERS letters and
+    # before every greater key of up to _KEY_LETTERS letters, so each long
+    # run goes after the short runs of its article whose key is at most
+    # its prefix's
+    prefix = np.empty(len(long_words), dtype=np.uint64)
+    prefix[ids] = prefix_keys & np.uint64(_KEY_MASK)
+    after = np.searchsorted(runs, (long_article << np.uint64(_KEY_BITS))
+                            | prefix[long_ids], side="right")
+    is_long_run = np.zeros(len(runs) + len(long_runs), dtype=bool)
+    is_long_run[after + np.arange(len(long_runs))] = True
+
+    def merge(short: np.ndarray, long: np.ndarray) -> np.ndarray:
+        both = np.empty(len(is_long_run), dtype=short.dtype)
+        both[~is_long_run] = short
+        both[is_long_run] = long
+        return both
+    return (merge(run_article, long_article.astype(np.intp)), merge(counts, long_counts),
+            merge(runs & np.uint64(_KEY_MASK), long_ids | _LONG), long_words)
 
 
-def _article_word_keys(parts: list[bytes], stopwords: frozenset[str]
-                       ) -> tuple[np.ndarray, dict[int, dict[str, int]]]:
-    """The (article, word) key of every word of up to ``_KEY_LETTERS``
-    letters, and the counts of the longer words but stopwords by article."""
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``keys`` in order and how often each occurs;
+    sorts ``keys`` in place."""
+    keys.sort()
+    new_run = np.empty(len(keys), dtype=bool)
+    new_run[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new_run[1:])
+    first = np.flatnonzero(new_run)
+    return keys[first], np.diff(first, append=len(keys))
+
+
+def _article_word_keys(parts: list[bytes]
+                       ) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """The (article, word) key of every word, a word of over
+    ``_KEY_LETTERS`` letters keyed by its first ``_KEY_LETTERS``; which
+    words are that long; and those words, in order."""
     # a space opens the buffer, and enough of them close it for every
     # word's 10-byte read; the words of article i end before ends[i]
     raw = b" ".join([b"", *parts, b" " * _KEY_LETTERS])
@@ -204,20 +231,15 @@ def _article_word_keys(parts: list[bytes], stopwords: frozenset[str]
     keys = _word_keys(raw, starts, lengths)
     keys |= np.repeat(np.arange(len(parts), dtype=np.uint64) << np.uint64(_KEY_BITS),
                       np.diff(np.searchsorted(starts, ends), prepend=0))
-
-    long_counts: dict[int, dict[str, int]] = {}
     is_long = lengths > _KEY_LETTERS
+    found: list[str] = []
     if is_long.any():
-        long_starts = starts[is_long]
-        for article, start, length in zip(
-                np.searchsorted(ends, long_starts).tolist(),
-                long_starts.tolist(), lengths[is_long].tolist()):
-            word = raw[start:start + length].decode("ascii")
-            if word not in stopwords:
-                counts = long_counts.setdefault(article, {})
-                counts[word] = counts.get(word, 0) + 1
-        keys = keys[~is_long]
-    return keys, long_counts
+        # each long word with the space after it, so one split lists them
+        spans = lengths[is_long] + 1
+        at = np.repeat(starts[is_long] - (np.cumsum(spans) - spans), spans) \
+            + np.arange(spans.sum())
+        found = np.frombuffer(raw, dtype=np.uint8)[at].tobytes().decode("ascii").split()
+    return keys, is_long, found
 
 
 def _word_spans(raw: bytes) -> tuple[np.ndarray, np.ndarray]:
@@ -245,6 +267,18 @@ def _word_keys(raw: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarra
     y = last2.take(starts + 8) & _LAST2_MASKS.take(lengths, mode="clip")
     y = ((y & 0xFF) << 5) | (y >> 8)
     return (x << np.uint64(10)) | y
+
+
+def _decode_terms(words: np.ndarray, long_words: list[str]) -> list[str]:
+    """The terms of word keys: a packed word, or ``_LONG`` plus an index into
+    ``long_words``."""
+    is_long = words >= _LONG
+    if not is_long.any():
+        return _decode_keys(words)
+    terms = np.empty(len(words), dtype=object)
+    terms[~is_long] = _decode_keys(words[~is_long])
+    terms[is_long] = [long_words[i] for i in (words[is_long] - _LONG).tolist()]
+    return terms.tolist()
 
 
 def _decode_keys(keys: np.ndarray) -> list[str]:

@@ -163,6 +163,25 @@ class TestExtractTermsChunk:
             assert extract_terms_chunk(ids, texts, frozenset({"the"}), k) == \
                 oracle_extract_terms_chunk(ids, texts, frozenset({"the"}), k)
 
+    def test_long_and_short_words_share_one_ranking(self):
+        # equal counts, so only the word order ranks: a long word sorts
+        # right after the 10-letter word that is its prefix, before the next
+        # greater short key, and articles keep their own long words
+        texts = [" ".join([PREFIX + "b", "zz", PREFIX + "a", PREFIX[:9] + "k",
+                           PREFIX, PREFIX + "c", PREFIX[:9], PREFIX + "a", "zz",
+                           PREFIX + "b", PREFIX + "a", PREFIX + "b", "zzz"]),
+                 "yy " + PREFIX + "aa",
+                 "the " + PREFIX + "a"]
+        ids = ["a", "b", "c"]
+        got = extract_terms_chunk(ids, texts, frozenset({"the", PREFIX + "b"}), 6)
+        assert got == oracle_extract_terms_chunk(
+            ids, texts, frozenset({"the", PREFIX + "b"}), 6)
+        assert got[0].top_terms == ((PREFIX + "a", 3), ("zz", 2), (PREFIX[:9], 1),
+                                    (PREFIX, 1), (PREFIX + "c", 1),
+                                    (PREFIX[:9] + "k", 1))
+        assert got[1].top_terms == ((PREFIX + "aa", 1), ("yy", 1))
+        assert got[2].top_terms == ((PREFIX + "a", 1),)
+
     def test_count_field_wider_than_sixteen_bits(self):
         # 300,001 repeats need 19 bits of count in the ranking key: the first
         # article's terms, some 300,000 below the top count, rank before the
