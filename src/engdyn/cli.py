@@ -350,6 +350,8 @@ def _decode_article(line: str, stopwords: frozenset[str]
         terms = obj["terms"]
         if not (isinstance(terms, list) and all(isinstance(t, str) for t in terms)):
             raise TypeError("terms must be a list of strings")
+        # a lone surrogate, which the UTF-8 outputs cannot hold, raises a ValueError
+        "".join(terms).encode("utf-8")
         return topicgraph.count_terms(article_id, terms, stopwords)
     text = obj["text"]
     if not isinstance(text, str):
@@ -422,27 +424,30 @@ def cmd_extract_topics(args) -> int:
         return _fail("empty corpus")
 
     graph = topicgraph.louvain(topicgraph.project(articles), seed=args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
 
-    fh, writer = _open_csv(out / "edges.csv")
-    with fh:
-        writer.writerow(["term1", "term2", "weight"])
-        for (a, b) in sorted(graph.edges):
-            writer.writerow([a, b, graph.edges[(a, b)]])
+        fh, writer = _open_csv(out / "edges.csv")
+        with fh:
+            writer.writerow(["term1", "term2", "weight"])
+            for (a, b), weight in zip(graph.edges.tolist(), graph.weights.tolist()):
+                writer.writerow([graph.nodes[a], graph.nodes[b], weight])
 
-    fh, writer = _open_csv(out / "partition.csv")
-    with fh:
-        writer.writerow(["term", "community"])
-        for term in graph.nodes:
-            writer.writerow([term, graph.partition[term]])
+        fh, writer = _open_csv(out / "partition.csv")
+        with fh:
+            writer.writerow(["term", "community"])
+            for term in graph.nodes:
+                writer.writerow([term, graph.partition[term]])
 
-    fh, writer = _open_csv(out / "clusters.csv")
-    with fh:
-        writer.writerow(["community", "rank", "term", "intra_degree"])
-        for cid, ranked in topicgraph.cluster_report(graph):
-            for rank, (term, degree) in enumerate(ranked, start=1):
-                writer.writerow([cid, rank, term, _fmt(degree)])
+        fh, writer = _open_csv(out / "clusters.csv")
+        with fh:
+            writer.writerow(["community", "rank", "term", "intra_degree"])
+            for cid, ranked in topicgraph.cluster_report(graph):
+                for rank, (term, degree) in enumerate(ranked, start=1):
+                    writer.writerow([cid, rank, term, _fmt(degree)])
+    except OSError as exc:
+        return _fail(str(exc))
 
     print(f"{len(set(graph.partition.values()))} communities over "
           f"{len(graph.nodes)} terms (Q={graph.modularity:.4f})")

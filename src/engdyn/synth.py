@@ -27,7 +27,6 @@ import numpy as np
 
 from .curvefit import sigmoid
 from .errors import InvalidInput
-from .metrics import speed_index
 from .model import CATEGORIES, MAX_COUNT, SECONDS_PER_DAY, PostTable
 
 CORPUS_EPOCH = datetime(2018, 1, 1, tzinfo=timezone.utc)
@@ -213,34 +212,3 @@ def default_corpus_specs(n_topics: int, seed: int = 0,
         categories[topic_id] = sorted(CATEGORIES[p] for p in picks)
     return specs, categories
 
-
-def sign_test_corpus_specs(n_topics: int, seed: int = 0, n_posts: int = 600,
-                           ) -> tuple[list[SynthSpec], dict[str, list[str]]]:
-    """A corpus where the designed Love-Hate target falls as the designed
-    Speed Index rises, for end-to-end sign checks of the pipeline."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x51C4]))
-    horizon = 1400.0
-    raw = []
-    for i in range(n_topics):
-        alpha = float(np.exp(rng.uniform(np.log(0.002), np.log(0.05))))
-        beta = float(rng.uniform(150.0, 1100.0))
-        raw.append((f"topic{i:04d}", alpha, beta,
-                    speed_index(alpha, beta, horizon)))
-    si_values = np.array([r[3] for r in raw])
-    lo, hi = float(si_values.min()), float(si_values.max())
-    span = (hi - lo) or 1.0
-    specs = []
-    categories: dict[str, list[str]] = {}
-    for i, (topic_id, alpha, beta, si) in enumerate(raw):
-        lh = 0.9 - 1.6 * (si - lo) / span  # decreasing in designed SI
-        specs.append(SynthSpec(
-            topic_id=topic_id,
-            alpha_true=alpha,
-            beta_true=beta,
-            horizon_days=horizon,
-            n_posts=n_posts,
-            lh_target=float(lh),
-            noise_seed=seed,
-        ))
-        categories[topic_id] = [CATEGORIES[i % len(CATEGORIES)]]
-    return specs, categories

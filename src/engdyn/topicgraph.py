@@ -59,18 +59,22 @@ class ArticleTerms:
         return tuple(term for term, _ in self.top_terms)
 
 
-@dataclass
+@dataclass(eq=False)
 class TermGraph:
     """Weighted term co-occurrence graph, optionally partitioned.
 
-    ``edges`` maps lexicographically sorted term pairs to the number of
-    shared articles; there are no self-loops.
+    ``nodes`` are the sorted terms; ``edges`` is an (m, 2) integer array of
+    node-index pairs i < j in ascending order, and ``weights`` holds the
+    number of articles each pair shares. There are no self-loops.
+    ``history`` is the modularity after each Louvain pass.
     """
 
     nodes: tuple[str, ...]
-    edges: dict[tuple[str, str], int]
+    edges: np.ndarray
+    weights: np.ndarray
     partition: dict[str, int] | None = None
     modularity: float | None = None
+    history: tuple[float, ...] = ()
 
 
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
@@ -346,10 +350,10 @@ def project(articles: Sequence[ArticleTerms]) -> TermGraph:
     for terms in term_sets:
         if len(terms) > 1:
             by_size.setdefault(len(terms), []).append([index[t] for t in terms])
-    # pair key a * n + b with a < b sorts as the pair (nodes[a], nodes[b]);
-    # every group writes its keys into one preallocated array, so no list of
-    # per-group arrays and no concatenated copy of them is ever held. The
-    # keys are the memory peak of extract-topics: int32 when they fit
+    # pair key a * n + b with a < b sorts as the pair (a, b); every group
+    # writes its keys into one preallocated array, so no list of per-group
+    # arrays and no concatenated copy of them is ever held. The keys are the
+    # memory peak of extract-topics: int32 when they fit
     dtype = np.int32 if n * n < _INT32_KEYS else np.int64
     keys = np.empty(sum(len(rows) * size * (size - 1) // 2
                         for size, rows in by_size.items()), dtype=dtype)
@@ -362,10 +366,39 @@ def project(articles: Sequence[ArticleTerms]) -> TermGraph:
         block += ids[:, j]
         at += block.size
     pairs, weights = np.unique(keys, return_counts=True)
-    first, second = np.divmod(pairs, n)
-    edges = {(nodes[a], nodes[b]): w for a, b, w
-             in zip(first.tolist(), second.tolist(), weights.tolist())}
-    return TermGraph(nodes=tuple(nodes), edges=edges)
+    return TermGraph(nodes=tuple(nodes), edges=np.column_stack(np.divmod(pairs, n)),
+                     weights=weights)
+
+
+def _edge_list(graph: TermGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two endpoints and the float weight of each edge of ``graph``;
+    InvalidInput on a self-loop."""
+    first, second = np.asarray(graph.edges, dtype=np.intp).T
+    loops = np.flatnonzero(first == second)
+    if len(loops):
+        raise InvalidInput(f"self-loop on {graph.nodes[first[loops[0]]]!r}")
+    return first, second, np.asarray(graph.weights, dtype=float)
+
+
+def _merge(src: np.ndarray, dst: np.ndarray, w: np.ndarray,
+           n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Directed edges among ``n`` nodes, parallel ones summed and loops
+    dropped, sorted by (src, dst)."""
+    keep = src != dst
+    keys, at = np.unique(src[keep] * n + dst[keep], return_inverse=True)
+    src, dst = np.divmod(keys, n)
+    return src, dst, np.bincount(at, weights=w[keep], minlength=len(keys))
+
+
+def _level(graph: TermGraph) -> tuple[np.ndarray, ...]:
+    """The first Louvain level of ``graph``: each edge in both directions as
+    (src, dst, w) sorted by (src, dst), and every node's weighted degree k."""
+    first, second, weights = _edge_list(graph)
+    n = len(graph.nodes)
+    src, dst, w = _merge(np.concatenate([first, second]),
+                         np.concatenate([second, first]),
+                         np.concatenate([weights, weights]), n)
+    return src, dst, w, np.bincount(src, weights=w, minlength=n)
 
 
 def modularity(graph: TermGraph, partition: dict[str, int],
@@ -376,9 +409,8 @@ def modularity(graph: TermGraph, partition: dict[str, int],
     the doubled weight of edges inside community c and deg_c its total
     weighted degree. An edgeless graph has Q = 0.
     """
-    return _modularity_indexed(_adjacency(graph),
-                               [partition[node] for node in graph.nodes],
-                               resolution)
+    return _modularity(_level(graph), [partition[node] for node in graph.nodes],
+                       resolution)
 
 
 def louvain(graph: TermGraph, seed: int, resolution: float = 1.0,
@@ -389,85 +421,62 @@ def louvain(graph: TermGraph, seed: int, resolution: float = 1.0,
     by a seeded RNG; communities are then aggregated and the process repeats
     until a full pass improves modularity by less than ``min_gain``.
     Community ids in the returned partition are renumbered by each
-    community's lexicographically smallest term.
+    community's lexicographically smallest term; ``history`` holds the
+    modularity after each pass.
     """
-    partition, q, _ = _run_louvain(graph, seed, resolution, min_gain)
-    return replace(graph, partition=partition, modularity=q)
-
-
-def louvain_trace(graph: TermGraph, seed: int, resolution: float = 1.0,
-                  min_gain: float = 1e-7) -> tuple[float, ...]:
-    """Per-pass modularity of the same seeded run (diagnostics)."""
-    _, _, history = _run_louvain(graph, seed, resolution, min_gain)
-    return history
-
-
-def _run_louvain(graph: TermGraph, seed: int, resolution: float,
-                 min_gain: float) -> tuple[dict[str, int], float, tuple[float, ...]]:
     if not graph.nodes:
         raise InvalidInput("graph has no nodes")
     nodes = graph.nodes
     n = len(nodes)
-    adj = _adjacency(graph)
+    level = base = _level(graph)
 
     rng = random.Random(seed)
-    level_adj = adj
-    assign = list(range(n))  # original node -> current level node
+    assign = np.arange(n)  # original node -> current level node
     labels = list(range(n))
-    q_prev = q_labels = _modularity_indexed(adj, labels, resolution)
+    q_prev = q_labels = _modularity(base, labels, resolution)
     history: list[float] = []
 
     while True:
-        local = _one_level(level_adj, rng, resolution, min_gain)
-        projected = [local[assign[v]] for v in range(n)]
-        q = _modularity_indexed(adj, projected, resolution)
+        local = np.array(_one_level(level, rng, resolution, min_gain))
+        projected = local[assign].tolist()
+        q = _modularity(base, projected, resolution)
         history.append(q)
         if q >= q_prev:
             labels, q_labels = projected, q
         if q - q_prev < min_gain:
             break
         q_prev = q
-        level_adj, remap = _aggregate(level_adj, local)
-        assign = [remap[local[assign[v]]] for v in range(n)]
+        # communities become the nodes of the next level, numbered in order
+        # of their ids; a node's degree is the sum of its members', so it
+        # counts the weight inside a community twice
+        ids, new = np.unique(local, return_inverse=True)
+        src, dst, w, k = level
+        level = (*_merge(new[src], new[dst], w, len(ids)),
+                 np.bincount(new, weights=k, minlength=len(ids)))
+        assign = new[assign]
 
-    # renumber communities by their smallest member term
-    members: dict[int, str] = {}
-    for v, c in enumerate(labels):
-        if c not in members or nodes[v] < members[c]:
-            members[c] = nodes[v]
-    order = sorted(members, key=members.get)
-    renumber = {c: i for i, c in enumerate(order)}
-    partition = {nodes[v]: renumber[labels[v]] for v in range(n)}
-    return partition, q_labels, tuple(history)
-
-
-def _adjacency(graph: TermGraph) -> list[dict[int, float]]:
-    """Neighbour weights by node index, in ``graph.nodes`` order."""
-    index = {node: i for i, node in enumerate(graph.nodes)}
-    adj: list[dict[int, float]] = [dict() for _ in graph.nodes]
-    for (a, b), w in graph.edges.items():
-        ia, ib = index[a], index[b]
-        if ia == ib:
-            raise InvalidInput(f"self-loop on {a!r}")
-        adj[ia][ib] = adj[ia].get(ib, 0.0) + float(w)
-        adj[ib][ia] = adj[ib].get(ia, 0.0) + float(w)
-    return adj
+    # nodes are sorted, so communities in order of first appearance are in
+    # order of their smallest member term
+    renumber = {c: i for i, c in enumerate(dict.fromkeys(labels))}
+    partition = {node: renumber[c] for node, c in zip(nodes, labels)}
+    return replace(graph, partition=partition, modularity=q_labels,
+                   history=tuple(history))
 
 
-def _degrees(adj: list[dict[int, float]]) -> list[float]:
-    return [sum(w for j, w in nbrs.items() if j != i) + 2.0 * nbrs.get(i, 0.0)
-            for i, nbrs in enumerate(adj)]
-
-
-def _one_level(adj: list[dict[int, float]], rng: random.Random,
+def _one_level(level: tuple[np.ndarray, ...], rng: random.Random,
                resolution: float, min_gain: float) -> list[int]:
-    n = len(adj)
+    src, dst, w, k = level
+    n = len(k)
     comm = list(range(n))
-    k = _degrees(adj)
-    two_m = sum(k)
+    two_m = float(k.sum())
     if two_m == 0:
         return comm
-    tot = {c: k[c] for c in range(n)}
+    # node v's neighbours, in ascending order, and their weights lie at
+    # bounds[v]:bounds[v + 1] of dst and w; sliced per visit, since a tuple
+    # per edge would set the peak memory of extract-topics
+    bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
+    dst, w, k = dst.tolist(), w.tolist(), k.tolist()
+    tot = k.copy()
     order = list(range(n))
     rng.shuffle(order)
 
@@ -477,10 +486,10 @@ def _one_level(adj: list[dict[int, float]], rng: random.Random,
             cv = comm[v]
             kv = k[v]
             links: dict[int, float] = {}
-            for u, w in adj[v].items():
-                if u != v:
-                    cu = comm[u]
-                    links[cu] = links.get(cu, 0.0) + w
+            start, end = bounds[v], bounds[v + 1]
+            for u, wu in zip(dst[start:end], w[start:end]):
+                cu = comm[u]
+                links[cu] = links.get(cu, 0.0) + wu
             tot[cv] -= kv
             stay = links.get(cv, 0.0) - resolution * tot[cv] * kv / two_m
             best_c, best_s = cv, stay
@@ -490,7 +499,7 @@ def _one_level(adj: list[dict[int, float]], rng: random.Random,
                 s = links[c] - resolution * tot[c] * kv / two_m
                 if s > best_s:
                     best_c, best_s = c, s
-            tot[best_c] = tot.get(best_c, 0.0) + kv
+            tot[best_c] += kv
             comm[v] = best_c
             sweep_gain += 2.0 * (best_s - stay) / two_m
         if sweep_gain < min_gain:
@@ -498,40 +507,19 @@ def _one_level(adj: list[dict[int, float]], rng: random.Random,
     return comm
 
 
-def _aggregate(adj: list[dict[int, float]],
-               comm: list[int]) -> tuple[list[dict[int, float]], dict[int, int]]:
-    remap = {c: i for i, c in enumerate(sorted(set(comm)))}
-    new_adj: list[dict[int, float]] = [dict() for _ in range(len(remap))]
-    for i, nbrs in enumerate(adj):
-        ci = remap[comm[i]]
-        for j, w in nbrs.items():
-            if j < i:
-                continue
-            cj = remap[comm[j]]
-            if ci == cj:
-                new_adj[ci][ci] = new_adj[ci].get(ci, 0.0) + w
-            else:
-                new_adj[ci][cj] = new_adj[ci].get(cj, 0.0) + w
-                new_adj[cj][ci] = new_adj[cj].get(ci, 0.0) + w
-    return new_adj, remap
-
-
-def _modularity_indexed(adj: list[dict[int, float]], labels: list[int],
-                        resolution: float) -> float:
-    k = _degrees(adj)
-    two_m = sum(k)
+def _modularity(level: tuple[np.ndarray, ...], labels: list,
+                resolution: float) -> float:
+    src, dst, w, k = level
+    two_m = float(k.sum())
     if two_m == 0:
         return 0.0
-    intra2 = 0.0
-    for i, nbrs in enumerate(adj):
-        for j, w in nbrs.items():
-            if j > i and labels[i] == labels[j]:
-                intra2 += 2.0 * w
-    tot: dict[int, float] = {}
-    for i, deg in enumerate(k):
-        c = labels[i]
-        tot[c] = tot.get(c, 0.0) + deg
-    return intra2 / two_m - resolution * sum((d / two_m) ** 2 for d in tot.values())
+    # communities numbered in order of first appearance, the order in which
+    # their (deg_c / 2m)^2 terms are summed
+    first: dict = {}
+    ids = np.array([first.setdefault(c, len(first)) for c in labels])
+    intra2 = float(w[ids[src] == ids[dst]].sum())
+    tot = np.bincount(ids, weights=k)
+    return intra2 / two_m - resolution * sum((d / two_m) ** 2 for d in tot.tolist())
 
 
 def cluster_report(graph: TermGraph, top_n: int = 10
@@ -544,12 +532,16 @@ def cluster_report(graph: TermGraph, top_n: int = 10
     """
     if graph.partition is None:
         raise InvalidInput("graph has no partition; run louvain first")
-    intra: dict[str, float] = {node: 0.0 for node in graph.nodes}
+    first, second, weights = _edge_list(graph)
     part = graph.partition
-    for (a, b), w in graph.edges.items():
-        if part[a] == part[b]:
-            intra[a] += w
-            intra[b] += w
+    labels = np.array([part[node] for node in graph.nodes])
+    inside = labels[first] == labels[second]
+    n = len(graph.nodes)
+    # float even where no edge lies inside, when bincount returns integers
+    intra = dict(zip(graph.nodes, np.add(
+        np.bincount(first[inside], weights=weights[inside], minlength=n),
+        np.bincount(second[inside], weights=weights[inside], minlength=n),
+        dtype=float).tolist()))
     groups: dict[int, list[str]] = {}
     for node in graph.nodes:
         groups.setdefault(part[node], []).append(node)

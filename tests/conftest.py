@@ -1,8 +1,10 @@
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
 from engdyn.model import TopicSeries
+from engdyn.topicgraph import TermGraph
 
 from record_oracle import PostRecord, table_of  # tests take table_of from here
 
@@ -37,10 +39,28 @@ def series_from_curve(times, fractions, topic_id="s", n_posts=100,
     )
 
 
+def graph_of(nodes, edges):
+    """The TermGraph over ``nodes`` (a sequence of terms) whose edges are the
+    pairs of ``edges``, a {(term, term): weight} dict."""
+    index = {node: i for i, node in enumerate(nodes)}
+    rows = sorted((*sorted((index[a], index[b])), w) for (a, b), w in edges.items())
+    pairs = np.array([row[:2] for row in rows], dtype=np.intp).reshape(-1, 2)
+    return TermGraph(nodes=tuple(nodes), edges=pairs,
+                     weights=np.array([row[2] for row in rows]))
+
+
+def edge_rows(graph):
+    """``graph``'s edges as (term, term, weight) rows, in stored order."""
+    return [(graph.nodes[a], graph.nodes[b], w)
+            for (a, b), w in zip(graph.edges.tolist(), graph.weights.tolist())]
+
+
+TWO_CLIQUE = (("a", "b", "c", "x", "y", "z"),
+              {("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1,
+               ("x", "y"): 1, ("x", "z"): 1, ("y", "z"): 1,
+               ("c", "x"): 1})
+
+
 @pytest.fixture
 def two_clique_graph():
-    from engdyn.topicgraph import TermGraph
-    edges = {("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1,
-             ("x", "y"): 1, ("x", "z"): 1, ("y", "z"): 1,
-             ("c", "x"): 1}
-    return TermGraph(nodes=("a", "b", "c", "x", "y", "z"), edges=edges)
+    return graph_of(*TWO_CLIQUE)

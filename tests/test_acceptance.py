@@ -24,10 +24,12 @@ from engdyn import cli, curvefit, synth
 from engdyn.metrics import speed_index, topic_metrics
 from engdyn.model import CATEGORIES, CategoryAssignment, build_series
 from engdyn.stats import mann_whitney_u, pairwise_category_tests, spearman
-from engdyn.topicgraph import TermGraph, louvain, louvain_trace
+from engdyn.topicgraph import louvain
 
+from conftest import graph_of
 from test_metrics import speed_index_quadrature
 from test_stats import oracle_ranks, oracle_spearman_rho
+from test_synth import sign_test_corpus_specs
 from test_topicgraph import brute_force_best, clique_ring
 
 
@@ -182,11 +184,11 @@ def test_spearman_oracle():
 # ------------------------------------------------------------------ 5
 
 def test_louvain_quality():
-    two_clique = TermGraph(
-        nodes=("a", "b", "c", "x", "y", "z"),
-        edges={("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1,
-               ("x", "y"): 1, ("x", "z"): 1, ("y", "z"): 1, ("c", "x"): 1})
-    ring = clique_ring()
+    two_clique = graph_of(
+        ("a", "b", "c", "x", "y", "z"),
+        {("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1,
+         ("x", "y"): 1, ("x", "z"): 1, ("y", "z"): 1, ("c", "x"): 1})
+    ring = graph_of(*clique_ring())
 
     fixtures = [two_clique, ring]
     rng = np.random.default_rng(55)
@@ -199,14 +201,13 @@ def test_louvain_quality():
                 edges[(f"n{a}", f"n{b}")] = int(rng.integers(1, 4))
         if edges:
             nodes = tuple(sorted({u for e in edges for u in e}))
-            graph = TermGraph(nodes=nodes, edges=edges)
-            fixtures.append(graph)
-            small.append(graph)
+            fixtures.append(graph_of(nodes, edges))
+            small.append((nodes, edges))
 
     monotone = all(
         all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
         for graph in fixtures for trace in
-        [louvain_trace(graph, seed=s) for s in range(3)])
+        [louvain(graph, seed=s).history for s in range(3)])
 
     part = louvain(two_clique, seed=0).partition
     cliques_ok = (len({part["a"], part["b"], part["c"]}) == 1
@@ -221,9 +222,9 @@ def test_louvain_quality():
 
     near_opt = True
     worst_gap = 0.0
-    for graph in small:
-        best_q, _ = brute_force_best(graph)
-        got = louvain(graph, seed=1).modularity
+    for nodes, edges in small:
+        best_q, _ = brute_force_best(nodes, edges)
+        got = louvain(graph_of(nodes, edges), seed=1).modularity
         worst_gap = max(worst_gap, best_q - got)
         near_opt = near_opt and got >= best_q - 0.05
 
@@ -237,7 +238,7 @@ def test_louvain_quality():
 
 def test_pipeline_sign():
     start = time.monotonic()
-    specs, _ = synth.sign_test_corpus_specs(200, seed=5, n_posts=600)
+    specs, _ = sign_test_corpus_specs(200, seed=5, n_posts=600)
     si_values, lh_values = [], []
     for spec in specs:
         posts = synth.generate_topic(spec)

@@ -525,6 +525,23 @@ class TestExtractTopics:
         assert (out / "edges.csv").read_text().splitlines()[1:] == [
             "economy,market,2", "economy,trade,2", "market,trade,2"]
 
+    def test_lone_surrogate_term_is_a_malformed_line(self, tmp_path, capsys):
+        clean = self.run_lines(tmp_path, "clean", [])
+        capsys.readouterr()
+        bad = ['{"article_id": "a1", "terms": ["vote", "\\ud800x"]}']
+        assert self.run_lines(tmp_path, "dirty", bad) == clean
+        assert "warning: 1 malformed article line(s) skipped" \
+            in capsys.readouterr().err
+
+    def test_out_that_cannot_be_created_exits_two(self, tmp_path, capsys):
+        path = self.write_articles(tmp_path)
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory\n")
+        assert cli.main(["extract-topics", "--input", str(path),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_text() == "a file, not a directory\n"
+
     def test_undecodable_input_exits_two(self, tmp_path, capsys):
         path = self.write_articles(tmp_path)
         path.write_bytes(path.read_bytes() + b"\xff\n")

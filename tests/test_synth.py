@@ -10,13 +10,45 @@ from hypothesis import strategies as st
 import record_oracle
 from engdyn import curvefit
 from engdyn.errors import InvalidInput
-from engdyn.metrics import love_hate
-from engdyn.model import build_series, parse_posts, read_categories
+from engdyn.metrics import love_hate, speed_index
+from engdyn.model import CATEGORIES, build_series, parse_posts, read_categories
 from engdyn.synth import (CORPUS_EPOCH, MAX_TOPIC_POSTS, SynthSpec,
                           default_corpus_specs, generate_corpus, generate_topic,
-                          sample_times, sign_test_corpus_specs)
+                          sample_times)
 
 EPOCH_US = int(CORPUS_EPOCH.timestamp()) * 10**6
+
+
+def sign_test_corpus_specs(n_topics: int, seed: int = 0, n_posts: int = 600,
+                           ) -> tuple[list[SynthSpec], dict[str, list[str]]]:
+    """A corpus where the designed Love-Hate target falls as the designed
+    Speed Index rises, for end-to-end sign checks of the pipeline."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x51C4]))
+    horizon = 1400.0
+    raw = []
+    for i in range(n_topics):
+        alpha = float(np.exp(rng.uniform(np.log(0.002), np.log(0.05))))
+        beta = float(rng.uniform(150.0, 1100.0))
+        raw.append((f"topic{i:04d}", alpha, beta,
+                    speed_index(alpha, beta, horizon)))
+    si_values = np.array([r[3] for r in raw])
+    lo, hi = float(si_values.min()), float(si_values.max())
+    span = (hi - lo) or 1.0
+    specs = []
+    categories: dict[str, list[str]] = {}
+    for i, (topic_id, alpha, beta, si) in enumerate(raw):
+        lh = 0.9 - 1.6 * (si - lo) / span  # decreasing in designed SI
+        specs.append(SynthSpec(
+            topic_id=topic_id,
+            alpha_true=alpha,
+            beta_true=beta,
+            horizon_days=horizon,
+            n_posts=n_posts,
+            lh_target=float(lh),
+            noise_seed=seed,
+        ))
+        categories[topic_id] = [CATEGORIES[i % len(CATEGORIES)]]
+    return specs, categories
 
 
 def truncated_cdf(t, alpha, beta, horizon):
@@ -241,7 +273,6 @@ class TestCorpusDesigns:
 
     def test_sign_corpus_designed_lh_decreases_in_si(self):
         specs, _ = sign_test_corpus_specs(50, seed=1, n_posts=10)
-        from engdyn.metrics import speed_index
         si = [speed_index(s.alpha_true, s.beta_true, s.horizon_days)
               for s in specs]
         lh = [s.lh_target for s in specs]

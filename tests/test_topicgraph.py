@@ -5,9 +5,11 @@ import pytest
 
 from engdyn import topicgraph
 from engdyn.errors import EmptyArticle, InvalidInput
-from engdyn.topicgraph import (ArticleTerms, TermGraph, cluster_report,
-                               count_terms, extract_terms, load_stopwords,
-                               louvain, louvain_trace, modularity, project)
+from engdyn.topicgraph import (ArticleTerms, cluster_report, count_terms,
+                               extract_terms, load_stopwords, louvain,
+                               modularity, project)
+
+from conftest import TWO_CLIQUE, edge_rows, graph_of
 
 
 def set_partitions(items):
@@ -22,40 +24,42 @@ def set_partitions(items):
         yield [[first]] + part
 
 
-def oracle_modularity(graph, blocks):
-    """Q from the raw adjacency formula, independent of the library path."""
+def oracle_modularity(nodes, edges, blocks):
+    """Q from the raw adjacency formula, independent of the library path;
+    ``edges`` maps sorted term pairs to weights."""
     label = {}
     for i, blk in enumerate(blocks):
         for node in blk:
             label[node] = i
-    degree = {n: 0.0 for n in graph.nodes}
-    for (a, b), w in graph.edges.items():
+    degree = {n: 0.0 for n in nodes}
+    for (a, b), w in edges.items():
         degree[a] += w
         degree[b] += w
     two_m = sum(degree.values())
     if two_m == 0:
         return 0.0
     q = 0.0
-    for i in graph.nodes:
-        for j in graph.nodes:
+    for i in nodes:
+        for j in nodes:
             if label[i] != label[j]:
                 continue
             key = (i, j) if i < j else (j, i)
-            a_ij = float(graph.edges.get(key, 0)) if i != j else 0.0
+            a_ij = float(edges.get(key, 0)) if i != j else 0.0
             q += a_ij / two_m - degree[i] * degree[j] / (two_m * two_m)
     return q
 
 
-def brute_force_best(graph):
+def brute_force_best(nodes, edges):
     best_q, best_blocks = -2.0, None
-    for blocks in set_partitions(list(graph.nodes)):
-        q = oracle_modularity(graph, blocks)
+    for blocks in set_partitions(list(nodes)):
+        q = oracle_modularity(nodes, edges, blocks)
         if q > best_q:
             best_q, best_blocks = q, blocks
     return best_q, best_blocks
 
 
 def clique_ring(n_cliques=4, size=5):
+    """The nodes and the {(term, term): weight} edges of a ring of cliques."""
     edges = {}
     for c in range(n_cliques):
         names = [f"c{c}n{k}" for k in range(size)]
@@ -66,7 +70,7 @@ def clique_ring(n_cliques=4, size=5):
         b = f"c{(c + 1) % n_cliques}n1"
         edges[(a, b) if a < b else (b, a)] = 1
     nodes = tuple(sorted({n for e in edges for n in e}))
-    return TermGraph(nodes=nodes, edges=edges)
+    return nodes, edges
 
 
 class TestExtractTerms:
@@ -118,13 +122,13 @@ class TestProject:
         arts = [ArticleTerms("a1", (("a", 2), ("b", 1))),
                 ArticleTerms("a2", (("b", 3), ("c", 1)))]
         graph = project(arts)
-        assert graph.edges == {("a", "b"): 1, ("b", "c"): 1}
+        assert edge_rows(graph) == [("a", "b", 1), ("b", "c", 1)]
         assert graph.nodes == ("a", "b", "c")
 
     def test_repeated_cooccurrence_accumulates(self):
         arts = [ArticleTerms("a1", (("a", 1), ("b", 1))),
                 ArticleTerms("a2", (("a", 1), ("b", 1)))]
-        assert project(arts).edges == {("a", "b"): 2}
+        assert edge_rows(project(arts)) == [("a", "b", 2)]
 
     def test_weights_match_bruteforce_intersections(self):
         rng = np.random.default_rng(12)
@@ -134,18 +138,20 @@ class TestProject:
             picks = rng.choice(vocab, size=rng.integers(2, 9), replace=False)
             arts.append(ArticleTerms(f"a{i}",
                                      tuple((w, 1) for w in sorted(picks))))
-        graph = project(arts)
+        weights = {(a, b): w for a, b, w in edge_rows(project(arts))}
         for t1, t2 in itertools.combinations(sorted({t for a in arts
                                                      for t in a.terms}), 2):
             expected = sum(1 for a in arts
                            if t1 in a.terms and t2 in a.terms)
-            assert graph.edges.get((t1, t2), 0) == expected
+            assert weights.get((t1, t2), 0) == expected
 
     def test_order_invariance(self):
         arts = [ArticleTerms("a1", (("a", 1), ("b", 1))),
                 ArticleTerms("a2", (("b", 1), ("c", 1))),
                 ArticleTerms("a3", (("a", 1), ("c", 1)))]
-        assert project(arts) == project(list(reversed(arts)))
+        forward, backward = project(arts), project(list(reversed(arts)))
+        assert forward.nodes == backward.nodes
+        assert edge_rows(forward) == edge_rows(backward)
 
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidInput):
@@ -160,7 +166,9 @@ class TestProject:
         narrow = project(arts)
         monkeypatch.setattr(topicgraph, "_INT32_KEYS", 0)
         wide = project(arts)
-        assert narrow == wide and len(narrow.edges) > 1000
+        assert narrow.nodes == wide.nodes and len(narrow.edges) > 1000
+        assert edge_rows(narrow) == edge_rows(wide)
+        assert narrow.weights.dtype == wide.weights.dtype
 
 
 class TestLouvain:
@@ -170,19 +178,19 @@ class TestLouvain:
         assert part["a"] == part["b"] == part["c"]
         assert part["x"] == part["y"] == part["z"]
         assert part["a"] != part["x"]
-        best_q, best_blocks = brute_force_best(two_clique_graph)
+        best_q, best_blocks = brute_force_best(*TWO_CLIQUE)
         assert result.modularity == pytest.approx(best_q, abs=1e-12)
         assert sorted(map(sorted, best_blocks)) == [["a", "b", "c"],
                                                     ["x", "y", "z"]]
 
     def test_edgeless_graph_is_singletons(self):
-        graph = TermGraph(nodes=("p", "q", "r"), edges={})
+        graph = graph_of(("p", "q", "r"), {})
         result = louvain(graph, seed=1)
         assert sorted(result.partition.values()) == [0, 1, 2]
         assert result.modularity == 0.0
 
     def test_clique_ring_recovers_four_communities(self):
-        graph = clique_ring()
+        graph = graph_of(*clique_ring())
         for seed in range(5):
             result = louvain(graph, seed=seed)
             groups = {}
@@ -195,8 +203,8 @@ class TestLouvain:
     def test_ring_modularity_matches_quotient_bruteforce(self):
         # aggregate each K5 into one node (self-loops dropped, degrees kept
         # through the formula) and brute-force the 4-node quotient
-        graph = clique_ring()
-        result = louvain(graph, seed=2)
+        ring = clique_ring()
+        result = louvain(graph_of(*ring), seed=2)
         # by symmetry the optimum groups whole cliques; enumerate clique
         # groupings directly on the original graph
         cliques = [[f"c{c}n{k}" for k in range(5)] for c in range(4)]
@@ -204,11 +212,11 @@ class TestLouvain:
         for blocks in set_partitions(list(range(4))):
             node_blocks = [[n for c in blk for n in cliques[c]]
                            for blk in blocks]
-            best_q = max(best_q, oracle_modularity(graph, node_blocks))
+            best_q = max(best_q, oracle_modularity(*ring, node_blocks))
         assert result.modularity == pytest.approx(best_q, abs=1e-12)
 
     def test_modularity_non_decreasing_per_pass(self, two_clique_graph):
-        fixtures = [two_clique_graph, clique_ring()]
+        fixtures = [two_clique_graph, graph_of(*clique_ring())]
         rng = np.random.default_rng(4)
         for n in (5, 8):
             edges = {}
@@ -217,14 +225,14 @@ class TestLouvain:
                     edges[(f"n{a}", f"n{b}")] = int(rng.integers(1, 4))
             if edges:
                 nodes = tuple(sorted({x for e in edges for x in e}))
-                fixtures.append(TermGraph(nodes=nodes, edges=edges))
+                fixtures.append(graph_of(nodes, edges))
         for graph in fixtures:
             for seed in range(3):
-                trace = louvain_trace(graph, seed=seed)
+                trace = louvain(graph, seed=seed).history
                 assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
 
     def test_final_q_matches_recomputation(self, two_clique_graph):
-        for graph in (two_clique_graph, clique_ring()):
+        for graph in (two_clique_graph, graph_of(*clique_ring())):
             result = louvain(graph, seed=7)
             assert result.modularity == pytest.approx(
                 modularity(graph, result.partition), abs=1e-12)
@@ -237,13 +245,13 @@ class TestLouvain:
             edges = {(a, b): float(rng.uniform(0.1, 5.0))
                      for a, b in itertools.combinations(nodes, 2)
                      if rng.random() < 0.4}
-            graph = TermGraph(nodes=nodes, edges=edges)
+            graph = graph_of(nodes, edges)
             labels = rng.integers(0, int(rng.integers(1, n + 1)), n).tolist()
             partition = dict(zip(nodes, labels))
             blocks = [[v for v in nodes if partition[v] == c]
                       for c in set(labels)]
             assert modularity(graph, partition) == pytest.approx(
-                oracle_modularity(graph, blocks), abs=1e-12)
+                oracle_modularity(nodes, edges, blocks), abs=1e-12)
 
     def test_small_graphs_near_bruteforce_optimum(self):
         rng = np.random.default_rng(99)
@@ -256,9 +264,8 @@ class TestLouvain:
             if not edges:
                 continue
             nodes = tuple(sorted({x for e in edges for x in e}))
-            graph = TermGraph(nodes=nodes, edges=edges)
-            result = louvain(graph, seed=trial)
-            best_q, _ = brute_force_best(graph)
+            result = louvain(graph_of(nodes, edges), seed=trial)
+            best_q, _ = brute_force_best(nodes, edges)
             assert result.modularity >= best_q - 0.05
 
     def test_seeded_determinism(self, two_clique_graph):
@@ -269,7 +276,17 @@ class TestLouvain:
 
     def test_empty_graph_rejected(self):
         with pytest.raises(InvalidInput):
-            louvain(TermGraph(nodes=(), edges={}), seed=0)
+            louvain(graph_of((), {}), seed=0)
+
+    def test_self_loop_rejected_everywhere(self):
+        graph = graph_of(("a", "b"), {("a", "b"): 1, ("b", "b"): 2})
+        with pytest.raises(InvalidInput, match="self-loop on 'b'"):
+            louvain(graph, seed=0)
+        with pytest.raises(InvalidInput, match="self-loop on 'b'"):
+            modularity(graph, {"a": 0, "b": 0})
+        graph.partition = {"a": 0, "b": 0}
+        with pytest.raises(InvalidInput, match="self-loop on 'b'"):
+            cluster_report(graph)
 
 
 class TestClusterReport:
@@ -282,9 +299,10 @@ class TestClusterReport:
         assert ["x", "y", "z"] in terms_by_comm
 
     def test_singletons_have_one_term_each(self):
-        graph = TermGraph(nodes=("p", "q"), edges={})
+        graph = graph_of(("p", "q"), {})
         report = cluster_report(louvain(graph, seed=0))
         assert [len(ranked) for _, ranked in report] == [1, 1]
+        assert repr(report) == "[(0, [('p', 0.0)]), (1, [('q', 0.0)])]"
 
     def test_report_is_deterministic(self, two_clique_graph):
         r1 = cluster_report(louvain(two_clique_graph, seed=5))
@@ -299,6 +317,6 @@ class TestClusterReport:
         edges = {(f"hub", f"s{i}"): 1 for i in range(15)}
         edges = {tuple(sorted(k)): v for k, v in edges.items()}
         nodes = tuple(sorted({x for e in edges for x in e}))
-        graph = louvain(TermGraph(nodes=nodes, edges=edges), seed=0)
+        graph = louvain(graph_of(nodes, edges), seed=0)
         report = cluster_report(graph, top_n=3)
         assert all(len(ranked) <= 3 for _, ranked in report)

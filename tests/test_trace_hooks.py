@@ -100,3 +100,6 @@ def test_extract_topics_reaches_its_layers_through_the_module(tmp_path, monkeypa
     layers = traced.layer_metrics(recorder.spans, root[4] - root[3])
     assert layers["topicgraph.extract_terms.calls"] == 0
     assert layers["topicgraph.project.nodes"] == 4
+    # the benchmark counts edges as len(graph.edges): one per edges.csv row
+    rows = (tmp_path / "out" / "edges.csv").read_text().splitlines()[1:]
+    assert layers["topicgraph.project.edges"] == len(rows) == 2
