@@ -16,7 +16,7 @@ import re
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from itertools import chain, compress, islice, takewhile
+from itertools import chain, islice, takewhile
 from pathlib import Path
 from typing import Iterable
 
@@ -40,8 +40,8 @@ UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _ONE_US = timedelta(microseconds=1)
 _raw_decode = json.JSONDecoder().raw_decode
 _post_fields = operator.itemgetter(*POST_FIELDS)
-# lines per chunk; the stamps of a chunk's fast-path rows are converted at
-# once. Larger chunks are no faster and raise the peak RSS of a parse
+# lines per chunk; each chunk is read, its stamps converted at once, and its
+# rows kept. Larger chunks are no faster and raise the peak RSS of a parse
 # (+2 MiB at 4096 lines on 190k posts); at 256 lines the fixed cost of each
 # conversion slows decoded corpora by about 6%
 _CHUNK_LINES = 1024
@@ -52,8 +52,8 @@ _STAMP_SHAPE = np.frombuffer(b"0000-00-00T00:00:00Z", dtype=np.uint8)
 _STAMP_DIGITS = _STAMP_SHAPE == ord("0")
 _STAMP_PUNCTUATION = (_STAMP_SHAPE == ord("-")) | (_STAMP_SHAPE == ord(":"))
 _UTC_OFFSETS = ("+00:00", "-00:00")
-_ZERO_OFFSET = np.frombuffer(b"00:00", dtype=np.uint8)
 _STAMP_PLACEHOLDER = "1970-01-01T00:00:00Z"  # overwritten after conversion
+_UNDECODED = object()  # _check_line's default: the line is still to decode
 # the line json.dumps writes for a record with its keys in POST_FIELDS order
 # and the default separators, as simulate writes it. Strings hold no escape
 # and no control character, so each group is the text json.loads returns;
@@ -183,11 +183,7 @@ class PostTable:
 
 class _Rows:
     """The parse so far: accepted rows as int64 columns in input order, the
-    rejects, and the first line of each accepted ``post_id``.
-
-    :meth:`mark` and :meth:`rollback` undo everything added since a mark, so
-    a chunk of lines can be parsed again by the per-line path.
-    """
+    rejects, and the first line of each accepted ``post_id``."""
 
     def __init__(self):
         self.codes: dict[str, int] = {}  # topic id -> first-seen code
@@ -195,132 +191,44 @@ class _Rows:
         self.rejects: list[tuple[int, str]] = []
         self.row_codes = array("q")
         self.counts = array("q")
-        self.stamps = array("q")  # filled a chunk at a time
-
-    def mark(self) -> tuple[int, int, int, int]:
-        return (len(self.row_codes), len(self.rejects), len(self.first_line),
-                len(self.codes))
-
-    def rollback(self, mark: tuple[int, int, int, int]) -> None:
-        rows, rejects, ids, topics = mark
-        del self.row_codes[rows:]
-        del self.counts[rows * len(COUNT_FIELDS):]
-        del self.rejects[rejects:]
-        # dicts pop their newest entries first, and entries are only ever added
-        while len(self.first_line) > ids:
-            self.first_line.popitem()
-        while len(self.codes) > topics:
-            self.codes.popitem()
-
-    def add_line(self, lineno: int, line: str) -> int | None:
-        """The per-line path: decode ``line`` with :func:`_loads` and go on
-        as :meth:`add_record`. Blank lines are skipped silently."""
-        if not line.strip():
-            return None
-        try:
-            obj = _loads(line)
-        except (ValueError, RecursionError) as exc:  # incl. too-deep JSON
-            self.rejects.append((lineno, str(exc)))
-            return None
-        return self.add_record(lineno, obj)
-
-    def add_record(self, lineno: int, obj) -> int | None:
-        """Check ``obj``, what :func:`_loads` returns for line ``lineno``,
-        with :func:`_check_record`; keep its row and return its stamp, or
-        record why not and return None."""
-        try:
-            post_id, topic_id, stamp, counts = _check_record(obj)
-        except ValueError as exc:
-            self.rejects.append((lineno, str(exc)))
-            return None
-        if topic_id not in self.codes:  # checked once per topic id
-            try:
-                topic_id.encode("utf-8")  # outputs name the topic in UTF-8
-            except UnicodeEncodeError:
-                self.rejects.append((lineno, "topic_id holds a lone surrogate"))
-                return None
-        seen = self.first_line.setdefault(post_id, lineno)
-        if seen != lineno:
-            self.rejects.append(
-                (lineno, f"duplicate post_id {post_id!r} (first seen on line {seen})"))
-            return None
-        self.row_codes.append(self.codes.setdefault(topic_id, len(self.codes)))
-        self.counts.extend(counts)
-        return stamp
-
-    def add_canonical(self, start: int, lines: list[str]) -> int:
-        """Add the lines at the head of ``lines`` (the first is line
-        ``start``) that match :data:`_CANONICAL`, and return how many; 0,
-        adding none, when a stamp among them is one :func:`_stamps_us` does
-        not read. Their rows are checked a column at a time. A line the
-        per-line path rejects (a count above :data:`MAX_COUNT`, a
-        ``post_id`` already accepted, a new topic id that is not UTF-8)
-        changes nothing but the rejects, so it goes to :meth:`add_line`
-        after the other rows are kept."""
-        matches = list(takewhile(bool, map(_CANONICAL.fullmatch, lines)))
-        if not matches:
-            return 0
-        n = len(matches)
-        post_ids, topic_ids, texts, *columns = zip(*map(re.Match.groups, matches))
-        stamps = _stamps_us(texts)
-        if stamps is None:
-            return 0
-        # ten digits at most, so int64 holds every count
-        counts = np.fromstring(" ".join(chain.from_iterable(columns)),
-                               dtype=np.int64, sep=" ").reshape(len(COUNT_FIELDS), n)
-        high = (counts > MAX_COUNT).any(axis=0).tolist()
-        bad_topics = set()
-        for topic_id in dict.fromkeys(topic_ids):
-            if topic_id not in self.codes:
-                try:
-                    topic_id.encode("utf-8")  # outputs name the topic in UTF-8
-                except UnicodeEncodeError:
-                    bad_topics.add(topic_id)
-        ids = dict(zip(post_ids, range(start, start + n)))
-        rejected = []
-        if (bad_topics or any(high) or len(ids) < n
-                or not self.first_line.keys().isdisjoint(ids)):
-            seen = set()  # post ids kept so far
-            for i, (post_id, topic_id, over) in enumerate(zip(post_ids, topic_ids, high)):
-                if (over or topic_id in bad_topics or post_id in seen
-                        or post_id in self.first_line):
-                    rejected.append(i)
-                else:
-                    seen.add(post_id)
-            keep = np.ones(n, dtype=bool)
-            keep[rejected] = False
-            post_ids, topic_ids = compress(post_ids, keep), list(compress(topic_ids, keep))
-            ids = dict(zip(post_ids, compress(range(start, start + n), keep)))
-            counts, stamps = counts[:, keep], stamps[keep]
-        for topic_id in dict.fromkeys(topic_ids):
-            self.codes.setdefault(topic_id, len(self.codes))
-        self.first_line.update(ids)
-        self.row_codes.extend(map(self.codes.__getitem__, topic_ids))
-        self.counts.frombytes(counts.T.tobytes())
-        self.stamps.frombytes(stamps.tobytes())
-        for i in rejected:
-            self.add_line(start + i, lines[i])
-        return n
+        self.stamps = array("q")
 
     def add_chunk(self, start: int, lines: list[str]) -> None:
-        """Add ``lines``, the first of which is line ``start``, decoding each.
+        """Add ``lines``, the first of which is line ``start``, in three
+        steps; only the last changes the parse.
 
-        A line of the common shape (one JSON object and at most a newline,
+        Read: each line becomes a row, a reject reason or None (a blank
+        line). The lines at the head of the chunk that match
+        :data:`_CANONICAL` are split by it. Every other line is decoded, and
+        one of the common shape (one JSON object and at most a newline,
         non-empty string ids, five integer counts in range and a stamp of 20
-        characters, or 25 ending in a zero UTC offset) is checked here with
-        a few C-level tests, and its stamp is converted with the rest of the
-        chunk's. Every other line goes through :meth:`add_record` or
-        :meth:`add_line`. When the chunk holds a stamp that
-        :func:`_stamps_us` does not read, it is undone and added again line
-        by line."""
-        mark = self.mark()
-        codes, first_line = self.codes, self.first_line
-        row_codes, counts = self.row_codes, self.counts
+        characters, or 25 ending in a zero UTC offset) is checked with a few
+        C-level tests; the rest go through :func:`_check_line`.
+
+        Convert: the stamps are converted at once by :func:`_stamps_us`. A
+        row whose stamp it does not read, or whose count read by the pattern
+        exceeds :data:`MAX_COUNT`, goes alone through :func:`_check_line`.
+
+        Keep: in line order, a row whose topic id is not UTF-8 or whose
+        ``post_id`` was already kept is rejected; the others are kept.
+        """
+        # read
+        matches = list(takewhile(bool, map(_CANONICAL.fullmatch, lines)))
+        n = len(matches)
+        post_ids, topic_ids, texts, *columns = (
+            map(list, zip(*map(re.Match.groups, matches))) if matches
+            else ([] for _ in POST_FIELDS))
+        # ten digits at most, so int64 holds every count
+        head = np.fromstring(" ".join(chain.from_iterable(columns)),
+                             dtype=np.int64, sep=" ").reshape(len(COUNT_FIELDS), n)
+        items = list(range(n))  # per line: its row, its reject reason or None
+        objs = []  # per row after the head: the decoded object, for fast rows
+        tail = array("q")  # the counts of the rows after the head
+        known, known_stamps = [], []  # the rows the per-line checks read
         top = MAX_COUNT  # a local: read five times a line
-        texts = []  # the chunk's stamps, as text
-        kept = []  # (index in texts, stamp) of rows the per-line path kept
-        for lineno, line in enumerate(lines, start):
-            decoded = False  # whether obj is what _loads(line) returns
+        obj = None
+        for line in islice(lines, n, None):
+            decoded = False  # whether obj is what json.loads(line) returns
             try:
                 obj, end = _raw_decode(line)
                 decoded = line[end:] == "\n" or end == len(line)
@@ -335,37 +243,76 @@ class _Rows:
                         and 0 <= d <= top and 0 <= e <= top
                         and type(stamp) is str
                         and (len(stamp) == 20 or stamp[19:] in _UTC_OFFSETS))
-            if not fast:
-                stamp = (self.add_record(lineno, obj) if decoded
-                         else self.add_line(lineno, line))
-                if stamp is not None:
-                    kept.append((len(texts), stamp))
-                    texts.append(_STAMP_PLACEHOLDER)
-                continue
-            # a line rejected for its topic id or as a repeat goes through
-            # the per-line checks, which name its stamp instead when that is bad
-            if topic_id not in codes:  # checked once per topic id
+            if fast:
+                tail.extend((a, b, c, d, e))
+            else:
+                found = _check_line(line, obj) if decoded else _check_line(line)
+                if type(found) is not tuple:
+                    items.append(found)
+                    continue
+                post_id, topic_id, stamp_us, five = found
+                known.append(len(texts))
+                known_stamps.append(stamp_us)
+                stamp = _STAMP_PLACEHOLDER
+                tail.extend(five)
+            items.append(len(texts))
+            post_ids.append(post_id)
+            topic_ids.append(topic_id)
+            texts.append(stamp)
+            objs.append(obj)
+        # convert
+        stamps, readable = _stamps_us(texts)
+        stamps[known] = known_stamps
+        again = ~readable
+        again[:n] |= (head > MAX_COUNT).any(axis=0)
+        dropped = {}  # row -> reject reason
+        for row in np.flatnonzero(again).tolist():
+            found = _check_line(lines[row]) if row < n else _check_line(None, objs[row - n])
+            if type(found) is tuple:
+                stamps[row] = found[2]
+            else:
+                dropped[row] = found
+        counts = np.concatenate(
+            (head.T, np.frombuffer(tail, dtype=np.int64).reshape(-1, len(COUNT_FIELDS))))
+        # keep
+        codes, first_line = self.codes, self.first_line
+        bad_topics = set()
+        for topic_id in dict.fromkeys(topic_ids):
+            if topic_id not in codes:
                 try:
                     topic_id.encode("utf-8")  # outputs name the topic in UTF-8
                 except UnicodeEncodeError:
-                    self.add_record(lineno, obj)
-                    continue
-            if first_line.setdefault(post_id, lineno) != lineno:
-                self.add_record(lineno, obj)
-                continue
-            row_codes.append(codes.setdefault(topic_id, len(codes)))
-            counts.extend((a, b, c, d, e))
-            texts.append(stamp)
-        stamps = _stamps_us(texts)
-        if stamps is None:  # undo the chunk and add it line by line
-            self.rollback(mark)
-            stamps = [self.add_line(lineno, line)
-                      for lineno, line in enumerate(lines, start)]
-            self.stamps.extend(s for s in stamps if s is not None)
+                    bad_topics.add(topic_id)
+        # every line a row of a UTF-8 topic, and every post_id new: bulk
+        bulk = len(texts) == len(lines) and not dropped and not bad_topics
+        if bulk:
+            ids = dict(zip(post_ids, range(start, start + len(lines))))
+            bulk = len(ids) == len(lines) and first_line.keys().isdisjoint(ids)
+        if bulk:
+            for topic_id in dict.fromkeys(topic_ids):
+                codes.setdefault(topic_id, len(codes))
+            first_line.update(ids)
+            self.row_codes.extend(map(codes.__getitem__, topic_ids))
+            keep = slice(None)
         else:
-            for i, stamp in kept:
-                stamps[i] = stamp
-            self.stamps.frombytes(stamps.tobytes())
+            keep = []
+            for lineno, item in enumerate(items, start):
+                if item is None:
+                    continue
+                reason = item if type(item) is str else dropped.get(item)
+                if reason is None:
+                    post_id, topic_id = post_ids[item], topic_ids[item]
+                    if topic_id in bad_topics:
+                        reason = "topic_id holds a lone surrogate"
+                    elif (seen := first_line.setdefault(post_id, lineno)) != lineno:
+                        reason = f"duplicate post_id {post_id!r} (first seen on line {seen})"
+                    else:
+                        self.row_codes.append(codes.setdefault(topic_id, len(codes)))
+                        keep.append(item)
+                        continue
+                self.rejects.append((lineno, reason))
+        self.counts.frombytes(counts[keep].tobytes())
+        self.stamps.frombytes(stamps[keep].tobytes())
 
     def table(self) -> PostTable:
         names = sorted(self.codes)
@@ -421,20 +368,6 @@ def _parse_count(obj, name) -> int:
     return value
 
 
-def _loads(line: str):
-    """``json.loads(line)``, without its wrappers when the line is one JSON
-    value followed by at most a newline. Any other line goes to
-    ``json.loads`` itself, so what is accepted and every error message stay
-    the same."""
-    try:
-        obj, end = _raw_decode(line)
-    except ValueError:
-        return json.loads(line)
-    if end == len(line) or line[end:] == "\n":
-        return obj
-    return json.loads(line)
-
-
 def _check_record(obj) -> tuple[str, str, int, list[int]]:
     """Check one decoded JSON-lines record; returns (post_id, topic_id,
     stamp_us, counts) or raises ValueError with the reject reason."""
@@ -451,45 +384,50 @@ def _check_record(obj) -> tuple[str, str, int, list[int]]:
             [_parse_count(obj, name) for name in COUNT_FIELDS])
 
 
-def _stamps_us(texts) -> np.ndarray | None:
-    """int64 microseconds since the Unix epoch of stamps that all have the
-    shape ``YYYY-MM-DDTHH:MM:SSZ`` (20 characters in ASCII digits, "T" also
-    "t" or a space, "Z" also "z") or ``YYYY-MM-DDTHH:MM:SS+00:00`` (25, "+"
-    also "-") and name a real second of years 1-9999; None when any does
-    not. These are stamps that :func:`_parse_timestamp` accepts, read to the
-    same instant."""
-    widths = set(map(len, texts))
-    if len(widths) > 1:  # both forms: write the zero offsets as "Z"
-        texts = [t[:19] + "Z" if t[19:] in _UTC_OFFSETS else t for t in texts]
-        widths = set(map(len, texts))
-    width = widths.pop() if widths else 20
-    if widths or width not in (20, 25):
-        return None
-    chars = np.frombuffer("".join(texts).encode("ascii", "replace"),
-                          dtype=np.uint8).reshape(-1, width)
-    if width == 20:
-        # OR-ing 0x20 lowercases an ASCII letter; only "Z" and "z" give "z"
-        zone = chars[:, 19] | 0x20 == ord("z")
-    else:  # "+00:00" or "-00:00"
-        zone = (((chars[:, 19] == ord("+")) | (chars[:, 19] == ord("-")))
-                & (chars[:, 20:] == _ZERO_OFFSET).all(axis=1))
-        chars = chars[:, :20]
+def _check_line(line: str | None, obj=_UNDECODED):
+    """The per-line checks: ``(post_id, topic_id, stamp_us, counts)`` of
+    ``line``, the reason it is rejected, or None when it is blank. ``obj``,
+    when given, is what ``json.loads(line)`` returns, so the line is not
+    decoded again."""
+    if obj is _UNDECODED:
+        if not line.strip():
+            return None
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # incl. too-deep JSON
+            return str(exc)
+    try:
+        return _check_record(obj)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _stamps_us(texts) -> tuple[np.ndarray, np.ndarray]:
+    """int64 microseconds since the Unix epoch of ``texts``, stamps of 20
+    characters or of 25 that end in a zero UTC offset, and per stamp
+    whether it was read. Read are the stamps of the shape
+    ``YYYY-MM-DDTHH:MM:SSZ`` (ASCII digits, "T" also "t" or a space, "Z"
+    also "z" or the offset) that name a real second of years 1-9999: stamps
+    that :func:`_parse_timestamp` accepts, read to the same instant. The
+    value of a stamp not read means nothing."""
+    joined = "".join(texts)
+    if len(joined) != 20 * len(texts):  # write the zero offsets as "Z"
+        joined = "".join(t if len(t) == 20 else t[:19] + "Z" for t in texts)
+    chars = np.frombuffer(joined.encode("ascii", "replace"),
+                          dtype=np.uint8).reshape(-1, 20)
     between = chars[:, 10]
-    if not (zone.all()
-            and (chars[:, _STAMP_PUNCTUATION] == _STAMP_SHAPE[_STAMP_PUNCTUATION]).all()
-            and ((between | 0x20 == ord("t")) | (between == ord(" "))).all()):
-        return None
     digits = chars[:, _STAMP_DIGITS].astype(np.int64) - ord("0")
-    if not ((digits >= 0) & (digits <= 9)).all():
-        return None
     year = digits[:, :4] @ np.array([1000, 100, 10, 1])
     month, day, hour, minute, second = (digits[:, 4::2] * 10 + digits[:, 5::2]).T
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_days = _DAYS_IN_MONTH[np.minimum(month, 12)] + (leap & (month == 2))
-    if not ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
-            & (day <= month_days) & (hour < 24) & (minute < 60)
-            & (second < 60)).all():
-        return None
+    month_days = _DAYS_IN_MONTH[np.clip(month, 0, 12)] + (leap & (month == 2))
+    # OR-ing 0x20 lowercases an ASCII letter; only "Z" and "z" give "z"
+    readable = ((chars[:, 19] | 0x20 == ord("z"))
+                & (chars[:, _STAMP_PUNCTUATION] == _STAMP_SHAPE[_STAMP_PUNCTUATION]).all(axis=1)
+                & ((between | 0x20 == ord("t")) | (between == ord(" ")))
+                & ((digits >= 0) & (digits <= 9)).all(axis=1)
+                & (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+                & (day <= month_days) & (hour < 24) & (minute < 60) & (second < 60))
     # days since 1970-01-01 in the proleptic Gregorian calendar, counted
     # from 0000-03-01 in 400-year eras (Hinnant's days_from_civil); y >= 0
     y = year - (month <= 2)
@@ -498,7 +436,7 @@ def _stamps_us(texts) -> np.ndarray | None:
     day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
     days = (era * 146097 + year_of_era * 365 + year_of_era // 4
             - year_of_era // 100 + day_of_year - 719468)
-    return (((days * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000
+    return (((days * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000, readable
 
 
 def parse_posts(stream: Iterable[str]) -> ParseResult:
@@ -509,23 +447,21 @@ def parse_posts(stream: Iterable[str]) -> ParseResult:
     whose ``post_id`` was already accepted is rejected, so a repeated line
     cannot count its engagement twice; the first one is kept.
 
-    The stream is read in chunks of lines. The lines at the head of a chunk
-    that have the layout ``simulate`` writes are read by one regular
-    expression, :data:`_CANONICAL`, and checked a column at a time
-    (:meth:`_Rows.add_canonical`). The rest of the chunk, and all of it when
-    any of those checks fails, goes through :meth:`_Rows.add_chunk`, which
-    decodes each line; every line it cannot check with a few type tests goes
-    through the per-line checks, :func:`_check_record`. What is accepted,
-    the rejects, their order and their reasons are therefore those of the
-    per-line path on every input.
+    The stream is read in chunks of lines, and each chunk goes once through
+    :meth:`_Rows.add_chunk`: its lines are read (the lines at the head of a
+    chunk that have the layout ``simulate`` writes by one regular
+    expression, :data:`_CANONICAL`; the others decoded and checked with a
+    few type tests), its stamps converted at once, and its rows kept in line
+    order. A line none of these reads, and a row one of them flags, goes
+    alone through the per-line checks, :func:`_check_record`. What is
+    accepted, the rejects, their order and their reasons are therefore those
+    of the per-line path on every input.
     """
     rows = _Rows()
     stream = iter(stream)
     start = 1  # the line number of the chunk's first line
     while lines := list(islice(stream, _CHUNK_LINES)):
-        done = rows.add_canonical(start, lines)
-        if done < len(lines):
-            rows.add_chunk(start + done, lines[done:])
+        rows.add_chunk(start, lines)
         start += len(lines)
     rows.first_line.clear()  # the largest part of the parse; freed before table()
     return ParseResult(rows.table(), tuple(rows.rejects))

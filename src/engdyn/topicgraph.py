@@ -78,7 +78,8 @@ class TermGraph:
 
 
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
-    """Load a stopword list (one word per line, '#' comments allowed).
+    """Load a stopword list (one word per line, '#' comments allowed, a
+    leading UTF-8 byte order mark ignored).
 
     Without a path, the bundled English list is used.
     """
@@ -86,7 +87,7 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
         text = resources.files("engdyn").joinpath("data/stopwords_en.txt") \
             .read_text(encoding="utf-8")
     else:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     words = set()
     for line in text.splitlines():
         word = line.strip().lower()

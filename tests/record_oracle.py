@@ -4,8 +4,10 @@ as it was for tests to compare against and to build small tables by hand.
 ``generate_topic`` and ``post_to_json`` are the generator and the JSON-lines
 writer that built one ``PostRecord`` and one ``datetime`` per post;
 ``table_of`` is the converter from records to a :class:`PostTable`.
-``parse_posts`` is the parser that sent every line through ``model._loads``
-and ``model._check_record`` and appended rows one method call at a time.
+``parse_posts`` is the parser that sent every line through ``json.loads``
+and ``model._check_record`` and appended rows one method call at a time;
+``model.parse_posts`` must accept the same rows and report the same
+rejects on every stream.
 """
 
 import json
@@ -13,11 +15,13 @@ import math
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from unittest import mock
 
 import numpy as np
 
+from engdyn import model
 from engdyn.model import (COUNT_FIELDS, ParseResult, PostTable, _check_record,
-                          _loads, _stamp_us)
+                          _stamp_us)
 from engdyn.synth import CORPUS_EPOCH, SynthSpec, _sample_times, rng_for
 
 
@@ -77,7 +81,7 @@ def parse_posts(stream) -> ParseResult:
         if not line.strip():
             continue
         try:
-            post_id, topic_id, stamp, counts = _check_record(_loads(line))
+            post_id, topic_id, stamp, counts = _check_record(json.loads(line))
         except (ValueError, RecursionError) as exc:  # incl. too-deep JSON
             rejects.append((lineno, str(exc)))
             continue
@@ -94,6 +98,23 @@ def parse_posts(stream) -> ParseResult:
             continue
         builder.add(topic_id, stamp, counts)
     return ParseResult(builder.table(), tuple(rejects))
+
+
+def assert_same_parse(lines, chunk_lines, **patched):
+    """Parse ``lines`` with ``model.parse_posts``, in chunks of
+    ``chunk_lines`` and with the other ``model`` names in ``patched``
+    replaced, and compare with :func:`parse_posts`."""
+    want = parse_posts(lines)
+    with mock.patch.multiple(model, _CHUNK_LINES=chunk_lines, **patched):
+        got = model.parse_posts(lines)
+    assert got.rejects == want.rejects
+    assert got.records.topic_ids == want.records.topic_ids
+    for name in ("bounds", "stamps_us", "counts"):
+        mine, theirs = getattr(got.records, name), getattr(want.records, name)
+        assert mine.dtype == theirs.dtype == np.int64
+        assert mine.shape == theirs.shape
+        assert mine.tolist() == theirs.tolist()
+    return got
 
 
 def table_of(records) -> PostTable:

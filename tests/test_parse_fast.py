@@ -11,13 +11,14 @@ from datetime import datetime, timezone
 from unittest import mock
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import record_oracle
 from engdyn import model
 from engdyn.model import (COUNT_FIELDS, MAX_COUNT, _parse_timestamp, _stamp_us,
                           _stamps_us, parse_posts)
+from record_oracle import assert_same_parse
 
 
 def post(post_id="p", topic_id="t", timestamp="2018-01-05T12:00:00Z", **counts):
@@ -29,22 +30,6 @@ def post(post_id="p", topic_id="t", timestamp="2018-01-05T12:00:00Z", **counts):
 
 def line(obj, end="\n"):
     return json.dumps(obj) + end
-
-
-def assert_same_parse(lines, chunk_lines, **patched):
-    """Parse ``lines`` with chunks of ``chunk_lines`` and the other ``model``
-    names in ``patched`` replaced, and compare with the oracle."""
-    want = record_oracle.parse_posts(lines)
-    with mock.patch.multiple(model, _CHUNK_LINES=chunk_lines, **patched):
-        got = parse_posts(lines)
-    assert got.rejects == want.rejects
-    assert got.records.topic_ids == want.records.topic_ids
-    for name in ("bounds", "stamps_us", "counts"):
-        mine, theirs = getattr(got.records, name), getattr(want.records, name)
-        assert mine.dtype == theirs.dtype == np.int64
-        assert mine.shape == theirs.shape
-        assert mine.tolist() == theirs.tolist()
-    return got
 
 
 # ----------------------------------------------------------------- streams
@@ -148,10 +133,11 @@ class TestSameAsPerLineParser:
     def test_random_streams(self, lines, chunk_lines):
         assert_same_parse(lines, chunk_lines)
 
-    def test_rollback_of_a_new_topic_and_a_reused_post_id(self):
+    def test_unreadable_stamp_of_a_new_topic_and_a_reused_post_id(self):
         # chunks of four lines: in the first, the only line of topic "new"
         # has a stamp the bulk conversion cannot read, and its post_id comes
-        # back two lines later; the chunk is parsed again line by line
+        # back two lines later; the per-line checks reject that line alone,
+        # so neither its topic nor its post_id is kept
         lines = [line(post(post_id="p1", topic_id="a")),
                  line(post(post_id="p9", topic_id="new",
                            timestamp="2020-02-30T00:00:00Z")),
@@ -220,14 +206,36 @@ class TestFastPath:
         assert len(got.records) == len(lines)
 
     def test_rejected_lines_alone_are_decoded(self):
+        # a repeat and a lone-surrogate topic among the pattern's rows are
+        # rejected without decoding; only the over-range count goes through
+        # the per-line checks
         lines = common_shape_lines(line)
         lines[3] = line(post(post_id="p1"))  # line 2's post_id
         lines[20] = line(post(post_id="x", likes=MAX_COUNT + 1))
         lines[40] = SHAPES["unescaped non-ASCII"](post(post_id="y", topic_id="t\ud800"))
-        decode = mock.Mock(wraps=model._raw_decode)
-        got = assert_same_parse(lines, chunk_lines=64, _raw_decode=decode)
+        check = mock.Mock(wraps=model._check_line)
+        got = assert_same_parse(lines, chunk_lines=64, _check_line=check,
+                                _raw_decode=mock.Mock(side_effect=AssertionError))
         assert [lineno for lineno, _ in got.rejects] == [4, 21, 41]
-        assert decode.call_count == 3
+        assert check.call_args_list == [mock.call(lines[20])]
+
+    def test_unreadable_stamp_alone_is_checked_per_line(self):
+        # the per-line checks accept any separator between date and time,
+        # the bulk conversion only "T", "t" and a space
+        lines = [line(post(post_id=f"p{i}", timestamp="2020-01-01T00:00:00Z"))
+                 for i in range(64)]
+        lines[17] = line(post(post_id="p17", timestamp="2020-01-01_00:00:00Z"))
+        check = mock.Mock(wraps=model._check_record)
+        convert = model._stamps_us
+
+        def unread_as_zero(texts):  # the value of a stamp not read means nothing
+            values, readable = convert(texts)
+            return np.where(readable, values, 0), readable
+
+        got = assert_same_parse(lines, chunk_lines=64, _check_record=check,
+                                _stamps_us=unread_as_zero)
+        assert len(got.records) == 64 and not got.rejects
+        assert check.call_count == 1
 
     def test_other_layouts_try_the_pattern_once_a_chunk(self):
         lines = common_shape_lines(reordered)
@@ -245,22 +253,30 @@ class TestFastPath:
             want = _stamp_us(_parse_timestamp(text))
         except ValueError:
             want = None
-        got = _stamps_us([text])
-        if text[10] in "Tt " and text[19:] in ("Z", "z", "+00:00", "-00:00"):
-            assert (got is None) == (want is None)
-        if got is not None:
-            assert got.tolist() == [want]
+        # the readers pass stamps of 20 characters or 25 in a zero offset
+        assume(len(text) == 20 or text[19:] in ("+00:00", "-00:00"))
+        values, readable = _stamps_us([text])
+        assert readable.dtype == bool and readable.shape == values.shape == (1,)
+        if text[10] in "Tt ":
+            assert readable[0] == (want is not None)
+        if readable[0]:
+            assert values.tolist() == [want]
 
     @given(st.lists(st.tuples(st.datetimes(min_value=datetime(1, 1, 1),
                                            max_value=datetime(9999, 12, 31, 23, 59, 59)),
                               st.sampled_from(["Z", "z", "+00:00", "-00:00"])),
-                    max_size=20))
+                    max_size=20),
+           st.data())
     @settings(max_examples=200, deadline=None)
-    def test_every_second_of_years_1_to_9999(self, stamps):
+    def test_every_second_of_years_1_to_9999(self, stamps, data):
         texts = [ts.isoformat(timespec="seconds") + zone for ts, zone in stamps]
         want = [_stamp_us(ts.replace(microsecond=0, tzinfo=timezone.utc))
                 for ts, _ in stamps]
-        got = _stamps_us(texts)
-        assert got.dtype == np.int64 and got.tolist() == want
-        # one stamp that cannot be read fails the whole chunk
-        assert _stamps_us(texts + ["2020-02-30T00:00:00Z"]) is None
+        values, readable = _stamps_us(texts)
+        assert values.dtype == np.int64 and values.tolist() == want
+        assert readable.tolist() == [True] * len(texts)
+        # a stamp that cannot be read flags itself alone
+        at = data.draw(st.integers(0, len(texts)))
+        values, readable = _stamps_us(texts[:at] + ["2020-02-30T00:00:00Z"] + texts[at:])
+        assert readable.tolist() == [True] * at + [False] + [True] * (len(texts) - at)
+        assert np.delete(values, at).tolist() == want

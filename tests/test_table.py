@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 
 from engdyn.errors import InsufficientData, ZeroEngagement
 from engdyn.metrics import love_hate, reaction_totals
-from engdyn.model import (POST_FIELDS, TopicSeries, _loads, _parse_count,
+from engdyn.model import (POST_FIELDS, TopicSeries, _parse_count,
                           _parse_timestamp, build_series, parse_posts)
 
 from conftest import EPOCH, make_post, table_of
-from record_oracle import PostRecord
+from record_oracle import PostRecord, assert_same_parse
 
 
 # ----------------------------------------------------------------- oracles
@@ -192,16 +192,20 @@ class TestParseEquivalence:
             table.topic("a").counts[0, 0] = 99
 
 
-def decoded(fn, text):
-    """A decoder's value, or the type and message of the error it raised."""
-    try:
-        return fn(text)
-    except ValueError as exc:
-        return type(exc), str(exc)
-
-
 JSON_PIECES = ['{"a": 1}', "[1, 2]", '"s"', "7", "null", "{", "}", ",", " ",
                "\n", "\r\n", "\t", "\x0c", "\ufeff", "\u00a0", "x", '{"b": [', "]}"]
+# a post in the layout simulate writes, put in place of each {"a": 1}
+POST = ('{"post_id": "p", "topic_id": "t", "timestamp": "2018-01-05T12:00:00Z", '
+        '"likes": 3, "shares": 1, "comments": 2, "love": 1, "angry": 0}')
+
+
+def assert_same_decode(text):
+    """``parse_posts`` decodes ``text`` as the per-line parser's
+    ``json.loads`` does: the same rows and the same rejects with the same
+    reasons, whether or not the line has a post in it, at its head or not."""
+    posted = text.replace('{"a": 1}', POST)
+    for lines in ([text], [posted], [text, posted], [posted, text]):
+        assert_same_parse(lines, chunk_lines=2)
 
 
 class TestDecodeEquivalence:
@@ -211,12 +215,12 @@ class TestDecodeEquivalence:
         '{"a": 1}\u00a0', '{"a": 1', "", "\n", "[1, 2]\n", '"text"', "1 2",
         '{"a": NaN}', '{"a": 1e400}'])
     def test_same_as_json_loads(self, text):
-        assert decoded(_loads, text) == decoded(json.loads, text)
+        assert_same_decode(text)
 
     @given(st.lists(st.sampled_from(JSON_PIECES), max_size=6).map("".join))
     @settings(max_examples=300, deadline=None)
     def test_same_as_json_loads_on_random_text(self, text):
-        assert decoded(_loads, text) == decoded(json.loads, text)
+        assert_same_decode(text)
 
 
 class TestSeriesEquivalence:

@@ -116,6 +116,11 @@ class TestExtractTerms:
         stop = load_stopwords()
         assert {"the", "on", "and", "is"} <= stop
 
+    def test_stopword_file_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_text("\ufeffthe\n# a comment\nOf\n", encoding="utf-8")
+        assert load_stopwords(path) == frozenset({"the", "of"})
+
 
 class TestProject:
     def test_two_articles_share_one_term(self):
