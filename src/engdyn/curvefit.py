@@ -29,6 +29,8 @@ from .errors import DegenerateFit, InsufficientData, InvalidInput
 from .model import TopicSeries
 
 _STALL_DAMPING = 1e16
+# a predicted decrease at or below this multiple of the RSS is rounding noise
+_FLAT = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -60,29 +62,49 @@ class FitResult:
 
 
 def sigmoid(t, alpha: float, beta: float):
-    """Logistic curve value(s) at t, stable for |alpha * (t - beta)| up to ~700.
+    """Logistic curve value(s) at t, for any real alpha * (t - beta).
 
-    The overflowing exponential branch is rewritten through exp of the
-    negative magnitude, so saturated tails return exactly 0.0 or 1.0 instead
-    of overflowing. Accepts scalars or arrays.
+    Both branches divide by 1 + exp(-|z|), which cannot overflow, so
+    saturated tails return exactly 0.0 or 1.0, infinite arguments their
+    limits, and NaN stays NaN. Accepts scalars or arrays.
     """
     z = np.asarray(alpha * (np.asarray(t, dtype=float) - beta))
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(np.minimum(z, -z))  # exp(-|z|); minimum keeps a NaN's sign
+    out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def sigmoid_jacobian(t, alpha: float, beta: float):
-    """Partials (df/dalpha, df/dbeta) of the logistic curve."""
+def _sigmoid_parts(t, alpha: float, beta: float):
+    """The logistic curve and its partials (df/dalpha, df/dbeta) at t, from
+    one evaluation of it."""
     t = np.asarray(t, dtype=float)
     f = sigmoid(t, alpha, beta)
     core = f * (1.0 - f)
-    return (t - beta) * core, -alpha * core
+    return f, (t - beta) * core, -alpha * core
+
+
+def sigmoid_jacobian(t, alpha: float, beta: float):
+    """Partials (df/dalpha, df/dbeta) of the logistic curve."""
+    return _sigmoid_parts(t, alpha, beta)[1:]
+
+
+def _truncated_parts(t, alpha: float, beta: float,
+                     window: tuple[float, float]):
+    """:func:`truncated_sigmoid` and its partials (dF/dalpha, dF/dbeta), from
+    one evaluation of the logistic curve at t and one at the window ends;
+    all NaN when the window holds no representable mass."""
+    (lo, hi), (da_lo, da_hi), (db_lo, db_hi) = _sigmoid_parts(window, alpha, beta)
+    span = hi - lo
+    if not span > 0.0:
+        nan = np.full(np.shape(t), math.nan)
+        return nan, nan, nan
+    f, da, db = _sigmoid_parts(t, alpha, beta)
+    F = (f - lo) / span
+    # quotient rule on (f(t) - f(start)) / (f(end) - f(start))
+    return (F, (da - da_lo - F * (da_hi - da_lo)) / span,
+            (db - db_lo - F * (db_hi - db_lo)) / span)
 
 
 def truncated_sigmoid(t, alpha: float, beta: float,
@@ -93,28 +115,14 @@ def truncated_sigmoid(t, alpha: float, beta: float,
     1 at its end. All values are NaN when the window holds no
     representable mass (f(end) == f(start) in floating point).
     """
-    t = np.asarray(t, dtype=float)
-    lo, hi = sigmoid(np.asarray(window, dtype=float), alpha, beta)
-    span = hi - lo
-    if not span > 0.0:
-        return np.full(t.shape, math.nan)
-    return (sigmoid(t, alpha, beta) - lo) / span
+    return _truncated_parts(t, alpha, beta, window)[0]
 
 
 def truncated_sigmoid_jacobian(t, alpha: float, beta: float,
                                window: tuple[float, float]):
     """Partials (dF/dalpha, dF/dbeta) of :func:`truncated_sigmoid`; NaN
     where the curve itself is."""
-    F = truncated_sigmoid(t, alpha, beta, window)
-    lo, hi = sigmoid(np.asarray(window, dtype=float), alpha, beta)
-    span = hi - lo
-    if not span > 0.0:
-        return F, F
-    (da_lo, da_hi), (db_lo, db_hi) = sigmoid_jacobian(window, alpha, beta)
-    da, db = sigmoid_jacobian(t, alpha, beta)
-    # quotient rule on (f(t) - f(start)) / (f(end) - f(start))
-    return ((da - da_lo - F * (da_hi - da_lo)) / span,
-            (db - db_lo - F * (db_hi - db_lo)) / span)
+    return _truncated_parts(t, alpha, beta, window)[1:]
 
 
 def bridge_meat(F, J, n_posts: int) -> np.ndarray:
@@ -143,8 +151,7 @@ def initial_guess(series: TopicSeries) -> tuple[float, float]:
     from the 10%/90% crossing times, clamped to [1e-5, 10], with 1.0 as the
     fallback when both quantiles land in the same bin (step-like series).
     """
-    t = np.asarray(series.times)
-    y = np.asarray(series.fractions)
+    t, y = series.times, series.fractions
 
     def first_crossing(level: float) -> float:
         hit = np.nonzero(y >= level)[0]
@@ -160,11 +167,6 @@ def initial_guess(series: TopicSeries) -> tuple[float, float]:
     return alpha0, beta0
 
 
-def _solve_step(A: np.ndarray, g: np.ndarray, damping: float) -> np.ndarray:
-    lhs = A + damping * np.diag(np.diag(A))
-    return np.linalg.solve(lhs, g)
-
-
 def fit(series: TopicSeries, options: FitOptions = FitOptions()) -> FitResult:
     """Fit the logistic curve to a series by damped Gauss-Newton.
 
@@ -178,8 +180,7 @@ def fit(series: TopicSeries, options: FitOptions = FitOptions()) -> FitResult:
     bridge sandwich with ``series.n_posts`` as the sample size; the window
     is in the series' own days (see :class:`~engdyn.model.TopicSeries`).
     """
-    t = np.asarray(series.times, dtype=float)
-    y = np.asarray(series.fractions, dtype=float)
+    t, y = series.times, series.fractions
     n = len(t)
     if n < 3:
         raise InsufficientData(f"fit needs at least 3 points, got {n}")
@@ -195,10 +196,8 @@ def fit(series: TopicSeries, options: FitOptions = FitOptions()) -> FitResult:
         raise DegenerateFit("initial alpha must be positive")
     theta = np.array([math.log(alpha0), beta0])
 
+    # one evaluation of the curve and its Jacobian per trial point
     if window is None:
-        def model(th):
-            return sigmoid(t, math.exp(th[0]), th[1])
-
         def model_and_jac(th):
             alpha = math.exp(th[0])
             beta = th[1]
@@ -208,13 +207,10 @@ def fit(series: TopicSeries, options: FitOptions = FitOptions()) -> FitResult:
             J = np.column_stack((alpha * (t - beta) * core, -alpha * core))
             return f, J
     else:
-        def model(th):
-            return truncated_sigmoid(t, math.exp(th[0]), th[1], window)
-
         def model_and_jac(th):
             alpha = math.exp(th[0])
-            da, db = truncated_sigmoid_jacobian(t, alpha, th[1], window)
-            return model(th), np.column_stack((alpha * da, db))
+            F, da, db = _truncated_parts(t, alpha, th[1], window)
+            return F, np.column_stack((alpha * da, db))
 
     f, J = model_and_jac(theta)
     residual = y - f
@@ -227,7 +223,11 @@ def fit(series: TopicSeries, options: FitOptions = FitOptions()) -> FitResult:
 
     while iterations < options.max_iter:
         A = J.T @ J
-        if not np.all(np.isfinite(A)) or np.any(np.diag(A) <= 0.0):
+        a00, a01, a10, a11 = A.ravel().tolist()
+        # a non-finite entry or a diagonal entry <= 0 leaves no usable
+        # curvature; NaN fails every comparison
+        if not (0.0 < a00 < math.inf and 0.0 < a11 < math.inf
+                and math.isfinite(a01) and math.isfinite(a10)):
             raise DegenerateFit("J'J is singular at the current iterate")
         gradient = J.T @ residual
         grad_norm = float(np.max(np.abs(gradient)))
@@ -247,27 +247,30 @@ def fit(series: TopicSeries, options: FitOptions = FitOptions()) -> FitResult:
 
         step = None
         while damping < _STALL_DAMPING:
+            # A + damping * diag(A)
+            lhs = np.array(((a00 + damping * a00, a01),
+                            (a10, a11 + damping * a11)))
             try:
-                candidate = _solve_step(A, gradient, damping)
+                candidate = np.linalg.solve(lhs, gradient)
             except np.linalg.LinAlgError as exc:
                 raise DegenerateFit("J'J is singular at the current iterate") from exc
             # Model-predicted decrease; once it is below the RSS rounding
             # granularity the S-comparison carries no information, so the
             # quadratic model is trusted outright (near-Newton refinement).
             predicted = float(gradient @ candidate)
-            flat = predicted <= 16.0 * np.finfo(float).eps * max(rss, 1e-300)
+            flat = predicted <= _FLAT * max(rss, 1e-300)
             trial = theta + candidate
-            if not np.all(np.isfinite(trial)) or trial[0] > 700.0:
+            log_alpha, beta = trial.tolist()
+            if not (math.isfinite(log_alpha) and math.isfinite(beta)) \
+                    or log_alpha > 700.0:
                 damping *= options.damping_up  # alpha would overflow; shrink
                 continue
-            f_trial = model(trial)
+            f_trial, J_trial = model_and_jac(trial)
             r_trial = y - f_trial
             rss_trial = float(r_trial @ r_trial)
-            if np.isfinite(rss_trial) and (rss_trial <= rss or flat):
+            if math.isfinite(rss_trial) and (rss_trial <= rss or flat):
                 step = candidate
-                theta = trial
-                residual = r_trial
-                rss = rss_trial
+                theta, J, residual, rss = trial, J_trial, r_trial, rss_trial
                 if flat:
                     damping = min(damping * options.damping_down, 1e-12)
                 else:
@@ -276,7 +279,6 @@ def fit(series: TopicSeries, options: FitOptions = FitOptions()) -> FitResult:
             damping *= options.damping_up
         if step is None:
             break  # stalled: no decrease possible at float precision
-        f, J = model_and_jac(theta)
         if float(np.linalg.norm(step)) < options.step_tol:
             gradient = J.T @ residual
             grad_ok = bool(np.max(np.abs(gradient)) < options.grad_tol)
@@ -323,13 +325,12 @@ def _iid_covariance(t, alpha, beta, rss, n) -> np.ndarray:
 def _bridge_covariance(t, alpha, beta, window, n_posts) -> np.ndarray:
     """Sandwich inv(J'J) J' Sigma J inv(J'J) of the truncated fit, Sigma
     the bridge covariance of :func:`bridge_meat`."""
-    ja, jb = truncated_sigmoid_jacobian(t, alpha, beta, window)
+    F, ja, jb = _truncated_parts(t, alpha, beta, window)
     J = np.column_stack((ja, jb))
     bread = np.linalg.inv(J.T @ J)
     # a last bin can end past the window end, where F exceeds 1; a
     # distribution function cannot, so the covariance uses F clipped
-    F = np.clip(truncated_sigmoid(t, alpha, beta, window), 0.0, 1.0)
-    return bread @ bridge_meat(F, J, n_posts) @ bread
+    return bread @ bridge_meat(np.clip(F, 0.0, 1.0), J, n_posts) @ bread
 
 
 def _standard_errors(covariance) -> tuple[float, float]:

@@ -81,14 +81,15 @@ CATEGORIES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TopicSeries:
     """A topic's time-binned, normalized cumulative engagement curve.
 
     ``times`` are days since the topic's first post (first entry 0.0,
     strictly increasing); ``fractions`` are the matching cumulative shares
     of total engagement, ending exactly at 1.0 for series built by
-    :func:`build_series`.
+    :func:`build_series`. Both are read-only float64 arrays, copied from
+    the sequences the constructor is given.
 
     Bin convention: ``times[k]`` is the start of bin k and ``fractions[k]``
     is the share of engagement through its end, ``times[k] + bin_width``.
@@ -99,24 +100,17 @@ class TopicSeries:
 
     topic_id: str
     t0: datetime
-    times: tuple[float, ...]
-    fractions: tuple[float, ...]
+    times: np.ndarray
+    fractions: np.ndarray
     total_engagement: int
     n_posts: int
     horizon_days: float
 
-    def validate(self) -> None:
-        """Check the structural invariants; raises AssertionError on drift."""
-        t = np.asarray(self.times)
-        y = np.asarray(self.fractions)
-        assert len(t) == len(y) >= 2
-        assert t[0] == 0.0
-        assert np.all(np.diff(t) > 0)
-        assert np.all((y >= 0.0) & (y <= 1.0))
-        assert np.all(np.diff(y) >= 0.0)
-        assert y[-1] == 1.0
-        assert self.horizon_days == t[-1] > 0
-        assert self.total_engagement > 0 and self.n_posts > 0
+    def __post_init__(self):
+        for name in ("times", "fractions"):
+            column = np.array(getattr(self, name), dtype=float)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
 
 @dataclass(frozen=True)
@@ -524,8 +518,8 @@ def build_series(posts: PostTable, topic_id: str,
     return TopicSeries(
         topic_id=topic_id,
         t0=UNIX_EPOCH + timedelta(microseconds=us0),
-        times=tuple(times.tolist()),
-        fractions=tuple(fractions.tolist()),
+        times=times,
+        fractions=fractions,
         total_engagement=total,
         n_posts=n_posts,
         horizon_days=float(times[-1]),

@@ -1,3 +1,4 @@
+import dataclasses
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -26,17 +27,39 @@ def make_post(topic_id="t", day=0.0, likes=1, shares=0, comments=0, love=0,
 def series_from_curve(times, fractions, topic_id="s", n_posts=100,
                       total=1000) -> TopicSeries:
     """Wrap raw (t, y) samples as a series for fitter-level tests."""
-    times = tuple(float(t) for t in times)
-    fractions = tuple(float(y) for y in fractions)
+    times = np.asarray(times, dtype=float)
     return TopicSeries(
         topic_id=topic_id,
         t0=EPOCH,
         times=times,
-        fractions=fractions,
+        fractions=np.asarray(fractions, dtype=float),
         total_engagement=total,
         n_posts=n_posts,
-        horizon_days=times[-1],
+        horizon_days=float(times[-1]),
     )
+
+
+def series_fields(series: TopicSeries) -> dict:
+    """``series``'s fields by name, with ``times`` and ``fractions`` as
+    tuples of floats, so that ``==`` compares every value exactly."""
+    fields = {f.name: getattr(series, f.name) for f in dataclasses.fields(series)}
+    for name in ("times", "fractions"):
+        fields[name] = tuple(fields[name].tolist())
+    return fields
+
+
+def assert_valid_series(series: TopicSeries) -> None:
+    """The structural invariants of a series built by ``build_series``."""
+    t = series.times
+    y = series.fractions
+    assert len(t) == len(y) >= 2
+    assert t[0] == 0.0
+    assert np.all(np.diff(t) > 0)
+    assert np.all((y >= 0.0) & (y <= 1.0))
+    assert np.all(np.diff(y) >= 0.0)
+    assert y[-1] == 1.0
+    assert series.horizon_days == t[-1] > 0
+    assert series.total_engagement > 0 and series.n_posts > 0
 
 
 def graph_of(nodes, edges):

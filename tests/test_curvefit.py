@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -5,18 +7,56 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from engdyn import synth
+from engdyn import curvefit, synth
 from engdyn.curvefit import (FitOptions, bridge_meat, fit, initial_guess,
                              sigmoid, sigmoid_jacobian, truncated_sigmoid,
                              truncated_sigmoid_jacobian)
-from engdyn.errors import DegenerateFit, InsufficientData, InvalidInput
+from engdyn.errors import (DegenerateFit, EngdynError, InsufficientData,
+                           InvalidInput)
 from engdyn.model import build_series
 from engdyn.stats import spearman
 
 from conftest import series_from_curve
+from test_golden import DIGESTS_PATH, environment
+
+
+def masked_sigmoid(t, alpha, beta):
+    """The logistic curve as two masked branches, as ``sigmoid`` computed it
+    before it became one ``np.where``: the oracle of its bits."""
+    z = np.asarray(alpha * (np.asarray(t, dtype=float) - beta))
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
 
 
 class TestSigmoid:
+    def test_bits_equal_the_masked_branches(self):
+        rng = np.random.default_rng(2026)
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                   1e-300, -1e-300, 5e-324, -5e-324]
+        t = np.concatenate([rng.normal(0.0, 40.0, 20_000),
+                            rng.uniform(700.0, 800.0, 500),
+                            -rng.uniform(700.0, 800.0, 500),
+                            [700.0, -700.0, 745.2, -745.2, 800.0, -800.0],
+                            special])
+        for alpha, beta in ((1.0, 0.0), (0.003, 250.0), (7.5, -3.0)):
+            assert np.array_equal(bits(sigmoid(t, alpha, beta)),
+                                  bits(masked_sigmoid(t, alpha, beta)))
+        for z in special + [750.0, -750.0]:
+            for arg in (z, np.array(z)):  # a Python scalar, a 0-d array
+                value = sigmoid(arg, 1.0, 0.0)
+                assert type(value) is float
+                assert bits(value) == bits(masked_sigmoid(arg, 1.0, 0.0))
+
     @pytest.mark.parametrize("alpha", [1e-4, 0.01, 1.0, 100.0])
     def test_midpoint_is_half(self, alpha):
         assert sigmoid(123.0, alpha, 123.0) == 0.5
@@ -235,3 +275,69 @@ class TestWindowFit:
         with pytest.raises(InvalidInput):
             fit(series_from_curve(t, sigmoid(t, 0.1, 50.0)),
                 FitOptions(window=window))
+
+
+def digest_series(i):
+    """The i-th of 40 generated series, from gentle to step-like slopes and
+    every fifth with a handful of posts, and its generator window in series
+    days (see ``test_acceptance``)."""
+    spec = synth.SynthSpec(f"d{i:02d}", 0.002 * 1.15 ** i, 100.0 + 31.0 * i,
+                           1400.0, 4 + i if i % 5 == 4 else 200 + 20 * i,
+                           noise_seed=i)
+    series = build_series(synth.generate_topic(spec), spec.topic_id)
+    shift = (series.t0 - synth.CORPUS_EPOCH).total_seconds() / 86400.0 + 1.0
+    return series, (-shift, spec.horizon_days - shift)
+
+
+class TestFitBytes:
+    """The fit's exact results and its work, pinned. The digests are the
+    sha256 of the fits' reprs, one line per series; a change to the LM loop
+    that claims to keep the fit must reproduce them bit for bit. Like the
+    golden digests, they hold for the interpreter and numpy recorded in
+    ``golden_digests.json``."""
+
+    @pytest.mark.parametrize("windowed, expected", [
+        (False, "0f2ad313937d87e338dbf0aa6d6a0a914ddb1f1765f94d6676450c1fc20bbe90"),
+        (True, "11aa6978524ed1838f67595111573778259473004df58d0c053b5d0dcce6d900"),
+    ])
+    def test_repr_digest(self, windowed, expected):
+        recorded = json.loads(DIGESTS_PATH.read_text())["environment"]
+        if environment() != recorded:
+            pytest.skip(f"digests recorded under {recorded}, "
+                        f"running {environment()}")
+        lines = []
+        for i in range(40):
+            series, window = digest_series(i)
+            try:
+                lines.append(repr(fit(series, FitOptions(
+                    window=window if windowed else None))))
+            except EngdynError as exc:
+                lines.append(type(exc).__name__)
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == expected
+
+    @pytest.mark.parametrize("windowed", [False, True])
+    def test_one_curve_evaluation_per_trial(self, windowed, monkeypatch):
+        # trials are the damped systems solved (no trial here leaves the
+        # finite range, which is skipped unevaluated); the curve is also
+        # evaluated at the start and once for the standard errors
+        solve, sigmoid_on = np.linalg.solve, curvefit.sigmoid
+        trials, on_grid, on_window = [], [], []
+
+        def counting_solve(a, b):
+            trials.append(1)
+            return solve(a, b)
+
+        def counting_sigmoid(t, alpha, beta):
+            (on_grid if np.shape(t) == np.shape(series.times)
+             else on_window).append(1)
+            return sigmoid_on(t, alpha, beta)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(curvefit, "sigmoid", counting_sigmoid)
+        for i in (0, 13, 27):
+            series, window = digest_series(i)
+            del trials[:], on_grid[:], on_window[:]
+            r = fit(series, FitOptions(window=window if windowed else None))
+            assert r.converged and len(trials) >= r.iterations > 0
+            assert len(on_grid) == len(trials) + 2
+            assert len(on_window) == (len(trials) + 2 if windowed else 0)

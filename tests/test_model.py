@@ -12,7 +12,8 @@ from engdyn.errors import (InsufficientData, InvalidInput, TooManyBins,
 from engdyn.model import (CATEGORIES, MAX_BINS, MAX_COUNT, build_series,
                           parse_posts, read_categories)
 
-from conftest import make_post, table_of
+from conftest import (assert_valid_series, make_post, series_fields,
+                      series_from_curve, table_of)
 
 
 def post_line(**overrides):
@@ -150,12 +151,25 @@ class TestParsePosts:
 class TestBuildSeries:
     def test_two_post_arithmetic(self):
         posts = [make_post(day=0, likes=10), make_post(day=10, likes=30)]
-        series = build_series(table_of(posts), "t", bin_width=1.0)
-        assert series.times == tuple(float(k) for k in range(11))
-        assert series.fractions[:10] == (0.25,) * 10
-        assert series.fractions[10] == 1.0
-        assert series.total_engagement == 40
-        assert series.horizon_days == 10.0
+        fields = series_fields(build_series(table_of(posts), "t", bin_width=1.0))
+        assert fields["times"] == tuple(float(k) for k in range(11))
+        assert fields["fractions"] == (0.25,) * 10 + (1.0,)
+        assert fields["total_engagement"] == 40
+        assert fields["horizon_days"] == 10.0
+
+    def test_series_is_read_only(self):
+        posts = [make_post(day=0, likes=10), make_post(day=10, likes=30)]
+        series = build_series(table_of(posts), "t")
+        for column in (series.times, series.fractions):
+            assert column.dtype == np.float64
+            with pytest.raises(ValueError):
+                column[0] = 0.5
+
+    def test_series_copies_the_arrays_it_is_given(self):
+        times = np.array([0.0, 1.0, 2.0])
+        series = series_from_curve(times, [0.25, 0.5, 1.0])
+        times[0] = 9.0  # the caller's array stays writable, and apart
+        assert series_fields(series)["times"] == (0.0, 1.0, 2.0)
 
     def test_single_post_insufficient(self):
         with pytest.raises(InsufficientData):
@@ -194,7 +208,7 @@ class TestBuildSeries:
                  zip([0, 3, 3, 7, 19], range(5))]
         series = build_series(table_of(posts), "t")
         assert series.fractions[-1] == 1.0
-        series.validate()
+        assert_valid_series(series)
 
     def test_synthetic_series_tracks_generating_curve(self):
         # draw a known law whose mass sits almost entirely inside the window
@@ -209,9 +223,9 @@ class TestBuildSeries:
 
     def test_wider_bins(self):
         posts = [make_post(day=0, likes=1), make_post(day=21, likes=1)]
-        series = build_series(table_of(posts), "t", bin_width=7.0)
-        assert series.times == (0.0, 7.0, 14.0, 21.0)
-        assert series.horizon_days == 21.0
+        fields = series_fields(build_series(table_of(posts), "t", bin_width=7.0))
+        assert fields["times"] == (0.0, 7.0, 14.0, 21.0)
+        assert fields["horizon_days"] == 21.0
 
     @given(st.lists(
         st.tuples(st.integers(0, 400), st.integers(0, 20), st.integers(0, 20)),
@@ -224,19 +238,21 @@ class TestBuildSeries:
         assume(max(r[0] for r in raw) > min(r[0] for r in raw))
         shuffled = list(posts)
         rnd.shuffle(shuffled)
-        assert build_series(table_of(posts), "t") == build_series(table_of(shuffled), "t")
+        assert (series_fields(build_series(table_of(posts), "t"))
+                == series_fields(build_series(table_of(shuffled), "t")))
 
     def test_topic_isolation(self):
         mine = [make_post("a", day=0, likes=5), make_post("a", day=9, likes=5)]
         other = [make_post("b", day=d, likes=7) for d in (1, 2, 30)]
         merged = [other[0], mine[0], other[1], mine[1], other[2]]
-        assert build_series(table_of(mine), "a") == build_series(table_of(merged), "a")
-        assert build_series(table_of(other), "b") == build_series(table_of(merged), "b")
+        for tid, posts in (("a", mine), ("b", other)):
+            assert (series_fields(build_series(table_of(posts), tid))
+                    == series_fields(build_series(table_of(merged), tid)))
 
     def test_monotone_fractions_invariant(self):
         spec = synth.SynthSpec("t", 0.004, 700.0, 1400.0, 200, noise_seed=9)
         series = build_series(synth.generate_topic(spec), "t")
-        series.validate()
+        assert_valid_series(series)
         y = np.asarray(series.fractions)
         assert np.all(np.diff(y) >= 0)
         assert y[0] >= 0 and y[-1] == 1.0
