@@ -13,6 +13,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -218,20 +219,26 @@ def _category_tests(results, assignments, config):
     }
     summaries: dict[str, dict] = {}
     matrices: dict[str, stats.PairwiseTestMatrix] = {}
-    for name in MATRIX_METRICS:
-        try:
-            matrix = stats.pairwise_category_tests(
-                values[name], assignments.values(), name,
-                alpha_level=config.alpha_level,
-                category_order=model.CATEGORIES)
-        except InvalidInput as exc:
-            summaries[name] = {"error": str(exc)}
-            continue
-        matrices[name] = matrix
-        summary = matrix.summary()
-        summary["frac_below_rounded_0.001"] = matrix.frac_significant(ROUNDED_THRESHOLD)
-        summary["excluded_categories"] = list(matrix.excluded)
-        summaries[name] = summary
+    # a category excluded for its size is a notice on stderr, which no
+    # warning filter can turn into an error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for name in MATRIX_METRICS:
+            try:
+                matrix = stats.pairwise_category_tests(
+                    values[name], assignments.values(), name,
+                    alpha_level=config.alpha_level,
+                    category_order=model.CATEGORIES)
+            except InvalidInput as exc:
+                summaries[name] = {"error": str(exc)}
+                continue
+            matrices[name] = matrix
+            summary = matrix.summary()
+            summary["frac_below_rounded_0.001"] = matrix.frac_significant(ROUNDED_THRESHOLD)
+            summary["excluded_categories"] = list(matrix.excluded)
+            summaries[name] = summary
+    for notice in caught:
+        print(f"warning: {notice.message}", file=sys.stderr)
     return summaries, matrices
 
 
@@ -325,7 +332,7 @@ def cmd_analyze(args) -> int:
             plots=args.plots,
         )
         summary = run_analysis(config)
-    except (OSError, EngdynError, json.JSONDecodeError) as exc:
+    except (OSError, EngdynError) as exc:
         return _fail(str(exc))
     if summary["n_rejected_lines"]:
         print(f"warning: {summary['n_rejected_lines']} malformed input line(s) "

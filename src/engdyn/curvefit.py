@@ -29,6 +29,12 @@ from .errors import DegenerateFit, InsufficientData, InvalidInput
 from .model import TopicSeries
 
 _STALL_DAMPING = 1e16
+# the Levenberg-Marquardt loop's tolerances and damping schedule
+_GRAD_TOL = 1e-10
+_STEP_TOL = 1e-12
+_DAMPING_INIT = 1e-3
+_DAMPING_UP = 10.0
+_DAMPING_DOWN = 0.1
 # a predicted decrease at or below this multiple of the RSS is rounding noise
 _FLAT = 16.0 * np.finfo(float).eps
 
@@ -38,11 +44,6 @@ class FitOptions:
     """Dials of the Levenberg-Marquardt loop."""
 
     max_iter: int = 200
-    grad_tol: float = 1e-10
-    step_tol: float = 1e-12
-    damping_init: float = 1e-3
-    damping_up: float = 10.0
-    damping_down: float = 0.1
     initial: tuple[float, float] | None = None  # (alpha0, beta0); None = heuristic
     # (start, end) of the observation window in series days; None = the
     # paper's full 0 -> 1 sigmoid with iid-residual standard errors
@@ -173,7 +174,7 @@ def fit(series: TopicSeries, options: FitOptions = FitOptions()) -> FitResult:
     Non-convergence within ``max_iter`` is reported through the result
     (``converged=False``), not raised; a singular J'J raises DegenerateFit.
     ``converged=True`` guarantees the gradient infinity-norm is below
-    ``grad_tol`` and both standard errors are finite.
+    ``_GRAD_TOL`` (1e-10) and both standard errors are finite.
 
     With ``options.window`` set, the truncated curve of
     :func:`truncated_sigmoid` is fitted and the standard errors are the
@@ -215,7 +216,7 @@ def fit(series: TopicSeries, options: FitOptions = FitOptions()) -> FitResult:
     f, J = model_and_jac(theta)
     residual = y - f
     rss = float(residual @ residual)
-    damping = options.damping_init
+    damping = _DAMPING_INIT
     iterations = 0
     grad_ok = False
     best_norm = math.inf
@@ -231,7 +232,7 @@ def fit(series: TopicSeries, options: FitOptions = FitOptions()) -> FitResult:
             raise DegenerateFit("J'J is singular at the current iterate")
         gradient = J.T @ residual
         grad_norm = float(np.max(np.abs(gradient)))
-        if grad_norm < options.grad_tol:
+        if grad_norm < _GRAD_TOL:
             grad_ok = True
             break
         # Large-residual Gauss-Newton contracts the gradient only linearly,
@@ -263,7 +264,7 @@ def fit(series: TopicSeries, options: FitOptions = FitOptions()) -> FitResult:
             log_alpha, beta = trial.tolist()
             if not (math.isfinite(log_alpha) and math.isfinite(beta)) \
                     or log_alpha > 700.0:
-                damping *= options.damping_up  # alpha would overflow; shrink
+                damping *= _DAMPING_UP  # alpha would overflow; shrink
                 continue
             f_trial, J_trial = model_and_jac(trial)
             r_trial = y - f_trial
@@ -272,20 +273,20 @@ def fit(series: TopicSeries, options: FitOptions = FitOptions()) -> FitResult:
                 step = candidate
                 theta, J, residual, rss = trial, J_trial, r_trial, rss_trial
                 if flat:
-                    damping = min(damping * options.damping_down, 1e-12)
+                    damping = min(damping * _DAMPING_DOWN, 1e-12)
                 else:
-                    damping = max(damping * options.damping_down, 1e-300)
+                    damping = max(damping * _DAMPING_DOWN, 1e-300)
                 break
-            damping *= options.damping_up
+            damping *= _DAMPING_UP
         if step is None:
             break  # stalled: no decrease possible at float precision
-        if float(np.linalg.norm(step)) < options.step_tol:
+        if float(np.linalg.norm(step)) < _STEP_TOL:
             gradient = J.T @ residual
-            grad_ok = bool(np.max(np.abs(gradient)) < options.grad_tol)
+            grad_ok = bool(np.max(np.abs(gradient)) < _GRAD_TOL)
             break
     else:
         gradient = J.T @ residual
-        grad_ok = bool(np.max(np.abs(gradient)) < options.grad_tol)
+        grad_ok = bool(np.max(np.abs(gradient)) < _GRAD_TOL)
 
     alpha_hat = math.exp(theta[0])
     beta_hat = float(theta[1])

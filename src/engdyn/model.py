@@ -16,7 +16,7 @@ import re
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from itertools import chain, islice, takewhile
+from itertools import chain, compress, islice, takewhile
 from pathlib import Path
 from typing import Iterable
 
@@ -191,7 +191,7 @@ class _Rows:
         """Add ``lines``, the first of which is line ``start``, in three
         steps; only the last changes the parse.
 
-        Read: each line becomes a row, a reject reason or None (a blank
+        Read: each line becomes a row, a reject reason or nothing (a blank
         line). The lines at the head of the chunk that match
         :data:`_CANONICAL` are split by it. Every other line is decoded, and
         one of the common shape (one JSON object and at most a newline,
@@ -201,10 +201,10 @@ class _Rows:
 
         Convert: the stamps are converted at once by :func:`_stamps_us`. A
         row whose stamp it does not read, or whose count read by the pattern
-        exceeds :data:`MAX_COUNT`, goes alone through :func:`_check_line`.
+        exceeds :data:`MAX_COUNT`, goes alone through :func:`_check_line` again.
 
-        Keep: in line order, a row whose topic id is not UTF-8 or whose
-        ``post_id`` was already kept is rejected; the others are kept.
+        Keep: in one pass in line order, a row whose topic id is not UTF-8
+        or whose ``post_id`` was already kept is rejected; the others are kept.
         """
         # read
         matches = list(takewhile(bool, map(_CANONICAL.fullmatch, lines)))
@@ -215,13 +215,13 @@ class _Rows:
         # ten digits at most, so int64 holds every count
         head = np.fromstring(" ".join(chain.from_iterable(columns)),
                              dtype=np.int64, sep=" ").reshape(len(COUNT_FIELDS), n)
-        items = list(range(n))  # per line: its row, its reject reason or None
-        objs = []  # per row after the head: the decoded object, for fast rows
+        linenos = list(range(start, start + n))  # per row: its line number
+        rejects = []  # (line number, reason), at most one a line
         tail = array("q")  # the counts of the rows after the head
         known, known_stamps = [], []  # the rows the per-line checks read
         top = MAX_COUNT  # a local: read five times a line
         obj = None
-        for line in islice(lines, n, None):
+        for lineno, line in enumerate(islice(lines, n, None), start + n):
             decoded = False  # whether obj is what json.loads(line) returns
             try:
                 obj, end = _raw_decode(line)
@@ -242,71 +242,61 @@ class _Rows:
             else:
                 found = _check_line(line, obj) if decoded else _check_line(line)
                 if type(found) is not tuple:
-                    items.append(found)
+                    if found is not None:
+                        rejects.append((lineno, found))
                     continue
                 post_id, topic_id, stamp_us, five = found
                 known.append(len(texts))
                 known_stamps.append(stamp_us)
                 stamp = _STAMP_PLACEHOLDER
                 tail.extend(five)
-            items.append(len(texts))
+            linenos.append(lineno)
             post_ids.append(post_id)
             topic_ids.append(topic_id)
             texts.append(stamp)
-            objs.append(obj)
         # convert
         stamps, readable = _stamps_us(texts)
         stamps[known] = known_stamps
         again = ~readable
         again[:n] |= (head > MAX_COUNT).any(axis=0)
-        dropped = {}  # row -> reject reason
+        keep = ~again  # a row flagged here is kept once its line passes
         for row in np.flatnonzero(again).tolist():
-            found = _check_line(lines[row]) if row < n else _check_line(None, objs[row - n])
+            found = _check_line(lines[linenos[row] - start])
             if type(found) is tuple:
-                stamps[row] = found[2]
+                stamps[row], keep[row] = found[2], True
             else:
-                dropped[row] = found
+                rejects.append((linenos[row], found))
         counts = np.concatenate(
             (head.T, np.frombuffer(tail, dtype=np.int64).reshape(-1, len(COUNT_FIELDS))))
         # keep
-        codes, first_line = self.codes, self.first_line
-        bad_topics = set()
+        codes = self.codes
         for topic_id in dict.fromkeys(topic_ids):
             if topic_id not in codes:
                 try:
                     topic_id.encode("utf-8")  # outputs name the topic in UTF-8
                 except UnicodeEncodeError:
-                    bad_topics.add(topic_id)
-        # every line a row of a UTF-8 topic, and every post_id new: bulk
-        bulk = len(texts) == len(lines) and not dropped and not bad_topics
-        if bulk:
-            ids = dict(zip(post_ids, range(start, start + len(lines))))
-            bulk = len(ids) == len(lines) and first_line.keys().isdisjoint(ids)
-        if bulk:
-            for topic_id in dict.fromkeys(topic_ids):
-                codes.setdefault(topic_id, len(codes))
-            first_line.update(ids)
-            self.row_codes.extend(map(codes.__getitem__, topic_ids))
-            keep = slice(None)
-        else:
-            keep = []
-            for lineno, item in enumerate(items, start):
-                if item is None:
-                    continue
-                reason = item if type(item) is str else dropped.get(item)
-                if reason is None:
-                    post_id, topic_id = post_ids[item], topic_ids[item]
-                    if topic_id in bad_topics:
-                        reason = "topic_id holds a lone surrogate"
-                    elif (seen := first_line.setdefault(post_id, lineno)) != lineno:
-                        reason = f"duplicate post_id {post_id!r} (first seen on line {seen})"
-                    else:
-                        self.row_codes.append(codes.setdefault(topic_id, len(codes)))
-                        keep.append(item)
-                        continue
-                self.rejects.append((lineno, reason))
-        self.counts.frombytes(counts[keep].tobytes())
-        self.stamps.frombytes(stamps[keep].tobytes())
+                    for row in np.flatnonzero(keep).tolist():
+                        if topic_ids[row] == topic_id:
+                            keep[row] = False
+                            rejects.append((linenos[row], "topic_id holds a lone surrogate"))
+        # only the rows that passed every other check register their post_id
+        ok = keep.tolist()
+        kept_lines = list(compress(linenos, ok))
+        seen = list(map(self.first_line.setdefault, compress(post_ids, ok), kept_lines))
+        if seen != kept_lines:  # a repeat: only such a chunk pays for the scan
+            rows = np.flatnonzero(keep)
+            for j in compress(range(len(seen)), map(operator.ne, seen, kept_lines)):
+                keep[rows[j]] = False
+                rejects.append((kept_lines[j], f"duplicate post_id {post_ids[rows[j]]!r} "
+                                               f"(first seen on line {seen[j]})"))
+            ok = keep.tolist()
+        kept_topics = list(compress(topic_ids, ok))
+        for topic_id in dict.fromkeys(kept_topics):
+            codes.setdefault(topic_id, len(codes))
+        self.row_codes.extend(map(codes.__getitem__, kept_topics))
+        self.counts.frombytes(counts.compress(keep, axis=0).tobytes())
+        self.stamps.frombytes(stamps.compress(keep).tobytes())
+        self.rejects.extend(sorted(rejects))
 
     def table(self) -> PostTable:
         names = sorted(self.codes)
@@ -378,7 +368,7 @@ def _check_record(obj) -> tuple[str, str, int, list[int]]:
             [_parse_count(obj, name) for name in COUNT_FIELDS])
 
 
-def _check_line(line: str | None, obj=_UNDECODED):
+def _check_line(line: str, obj=_UNDECODED):
     """The per-line checks: ``(post_id, topic_id, stamp_us, counts)`` of
     ``line``, the reason it is rejected, or None when it is blank. ``obj``,
     when given, is what ``json.loads(line)`` returns, so the line is not

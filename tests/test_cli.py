@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -393,6 +394,32 @@ class TestAnalyze:
         assert summary["n_rejected_lines"] == len(text.splitlines())
         for name in ("fits.csv", "metrics.csv"):
             assert (twice / name).read_bytes() == (once / name).read_bytes()
+
+    def test_excluded_category_is_a_notice_under_error_filters(self, tmp_path, capsys):
+        # four topics in two categories of two, and one lone Health topic;
+        # warnings raised as errors must not stop the run
+        topics = [dict(SPEC_OBJ["topics"][i % 3], topic_id=f"t{i}", categories=[cat])
+                  for i, cat in enumerate(["Politics", "Politics", "Social", "Social",
+                                           "Health"])]
+        spec = write_spec(tmp_path, {"seed": 5, "topics": topics})
+        corpus = tmp_path / "corpus"
+        assert cli.main(["simulate", "--input", str(spec), "--out", str(corpus)]) == 0
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["analyze", "--input", str(corpus / "posts.jsonl"),
+                             "--categories", str(corpus / "categories.csv"),
+                             "--out", str(out)])
+        assert code == 0
+        matrices = [f"matrices/{name}{end}" for name in cli.MATRIX_METRICS
+                    for end in (".csv", "_summary.json")]
+        assert sorted(read_tree(out)) == sorted(
+            ["category_summary.csv", "correlations.json", "fits.csv", "metrics.csv",
+             "summary.json", "matrices/significance_summary.csv"] + matrices)
+        err = capsys.readouterr().err
+        assert ("warning: category 'Health' has 1 topic(s); excluded from pairwise "
+                "alpha tests") in err.splitlines()
+        assert "UserWarning" not in err
 
 
 ARTICLES = []

@@ -166,7 +166,7 @@ class TestFit:
             np.sum((y - f) * r.alpha_hat * (t - r.beta_hat) * core),
             np.sum((y - f) * -r.alpha_hat * core),
         ])
-        assert np.max(np.abs(grad)) < FitOptions().grad_tol
+        assert np.max(np.abs(grad)) < curvefit._GRAD_TOL
 
     def test_duplication_leaves_estimates_unchanged(self):
         rng = np.random.default_rng(11)

@@ -170,6 +170,31 @@ class TestSameAsPerLineParser:
         assert got.rejects == ((3, "duplicate post_id 'p1' (first seen on line 1)"),)
         assert got.records.column("likes").tolist() == [0, 1, 3]
 
+    def test_rejects_of_every_step_merged_in_line_order(self):
+        # the second chunk of 16 lines opens with pattern rows (a repeat of
+        # the first chunk, an over-range count), then decoded lines: a blank,
+        # a non-JSON line, a stamp the bulk conversion cannot read, a
+        # lone-surrogate topic, a repeat of the same chunk and a repeat in
+        # topic "gone", which only rejected lines name. "bad" comes back on a
+        # kept line, since its first line was rejected
+        lines = [line(post(post_id=f"p{i}")) for i in range(1, 17)]
+        lines += [line(post(post_id="p1")),
+                  line(post(post_id="big", likes=MAX_COUNT + 1)),
+                  line(post(post_id="q1")),
+                  "  \n",
+                  SHAPES["not JSON"](post(post_id="x")),
+                  reordered(post(post_id="bad", topic_id="gone",
+                                 timestamp="2020-02-30T00:00:00Z")),
+                  line(post(post_id="s", topic_id="t\ud800")),
+                  reordered(post(post_id="q1")),
+                  line(post(post_id="p2", topic_id="gone")),
+                  line(post(post_id="bad"))]
+        lines += [reordered(post(post_id=f"r{i}")) for i in range(6)]
+        got = assert_same_parse(lines, chunk_lines=16)
+        assert [lineno for lineno, _ in got.rejects] == [17, 18, 21, 22, 23, 24, 25]
+        assert got.records.topic_ids == ("t",)
+        assert len(got.records) == 16 + 1 + 1 + 6
+
     def test_one_pass_iterator(self):
         lines = [line(post(post_id=f"p{i}", timestamp=stamp))
                  for i, stamp in enumerate(STAMPS)]
