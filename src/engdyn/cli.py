@@ -26,6 +26,7 @@ from .errors import (DegenerateFit, EmptyArticle, EngdynError,
 
 MATRIX_METRICS = ("alpha", "beta", "speed_index", "love_hate")
 ROUNDED_THRESHOLD = 0.001  # the conventional rounding of 0.05 / 45
+SCATTER_NAME = "si_vs_lh"  # plots/ stem of the scatter; no topic plot takes it
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,9 @@ def _fmt(value) -> str:
 
 
 def _safe_name(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_.-]", "_", name)
+    """``name`` as an ASCII file stem, cut to 200 characters so that a
+    ``-N`` suffix and an extension stay below the usual 255-byte limit."""
+    return re.sub(r"[^A-Za-z0-9_.-]", "_", name[:200])
 
 
 # ---------------------------------------------------------------- analyze
@@ -227,8 +230,7 @@ def _category_tests(results, assignments, config):
             try:
                 matrix = stats.pairwise_category_tests(
                     values[name], assignments.values(), name,
-                    alpha_level=config.alpha_level,
-                    category_order=model.CATEGORIES)
+                    alpha_level=config.alpha_level)
             except InvalidInput as exc:
                 summaries[name] = {"error": str(exc)}
                 continue
@@ -297,14 +299,14 @@ def _category_table(results, assignments) -> list[dict]:
 
 def _write_plots(plot_dir: Path, results) -> None:
     plot_dir.mkdir(exist_ok=True)
-    used: set[str] = set()
+    used = {SCATTER_NAME}
     for tid in sorted(results):
         series, fr, _ = results[tid]
         svg = svgplot.fit_overlay_svg(series.times, series.fractions,
                                       fr.alpha_hat, fr.beta_hat, tid)
         name = base = _safe_name(tid)
         suffix = 1
-        while name in used:  # distinct ids can sanitize identically
+        while name in used:  # distinct ids can sanitize or cut identically
             name = f"{base}-{suffix}"
             suffix += 1
         used.add(name)
@@ -316,7 +318,7 @@ def _write_plots(plot_dir: Path, results) -> None:
         svg = svgplot.scatter_svg([p[0] for p in points], [p[1] for p in points],
                                   "speed index", "love-hate score",
                                   "speed index vs love-hate")
-        (plot_dir / "si_vs_lh.svg").write_text(svg, encoding="utf-8")
+        (plot_dir / f"{SCATTER_NAME}.svg").write_text(svg, encoding="utf-8")
 
 
 def cmd_analyze(args) -> int:

@@ -86,16 +86,13 @@ def _sigmoid_parts(t, alpha: float, beta: float):
     return f, (t - beta) * core, -alpha * core
 
 
-def sigmoid_jacobian(t, alpha: float, beta: float):
-    """Partials (df/dalpha, df/dbeta) of the logistic curve."""
-    return _sigmoid_parts(t, alpha, beta)[1:]
-
-
 def _truncated_parts(t, alpha: float, beta: float,
                      window: tuple[float, float]):
-    """:func:`truncated_sigmoid` and its partials (dF/dalpha, dF/dbeta), from
-    one evaluation of the logistic curve at t and one at the window ends;
-    all NaN when the window holds no representable mass."""
+    """The logistic law truncated to ``window`` as a cumulative curve,
+    F(t) = (f(t) - f(start)) / (f(end) - f(start)), and its partials
+    (dF/dalpha, dF/dbeta), from one evaluation of the logistic curve at t
+    and one at the window ends; all NaN when the window holds no
+    representable mass (f(end) == f(start) in floating point)."""
     (lo, hi), (da_lo, da_hi), (db_lo, db_hi) = _sigmoid_parts(window, alpha, beta)
     span = hi - lo
     if not span > 0.0:
@@ -106,24 +103,6 @@ def _truncated_parts(t, alpha: float, beta: float,
     # quotient rule on (f(t) - f(start)) / (f(end) - f(start))
     return (F, (da - da_lo - F * (da_hi - da_lo)) / span,
             (db - db_lo - F * (db_hi - db_lo)) / span)
-
-
-def truncated_sigmoid(t, alpha: float, beta: float,
-                      window: tuple[float, float]):
-    """The logistic law truncated to ``window``, as a cumulative curve.
-
-    Returns (f(t) - f(start)) / (f(end) - f(start)): 0 at the window start,
-    1 at its end. All values are NaN when the window holds no
-    representable mass (f(end) == f(start) in floating point).
-    """
-    return _truncated_parts(t, alpha, beta, window)[0]
-
-
-def truncated_sigmoid_jacobian(t, alpha: float, beta: float,
-                               window: tuple[float, float]):
-    """Partials (dF/dalpha, dF/dbeta) of :func:`truncated_sigmoid`; NaN
-    where the curve itself is."""
-    return _truncated_parts(t, alpha, beta, window)[1:]
 
 
 def bridge_meat(F, J, n_posts: int) -> np.ndarray:
@@ -176,8 +155,9 @@ def fit(series: TopicSeries, options: FitOptions = FitOptions()) -> FitResult:
     ``converged=True`` guarantees the gradient infinity-norm is below
     ``_GRAD_TOL`` (1e-10) and both standard errors are finite.
 
-    With ``options.window`` set, the truncated curve of
-    :func:`truncated_sigmoid` is fitted and the standard errors are the
+    With ``options.window`` set, the truncated curve
+    F(t) = (f(t) - f(start)) / (f(end) - f(start)) is fitted, 0 at the window
+    start and 1 at its end, and the standard errors are the
     bridge sandwich with ``series.n_posts`` as the sample size; the window
     is in the series' own days (see :class:`~engdyn.model.TopicSeries`).
     """
@@ -316,7 +296,7 @@ def _iid_covariance(t, alpha, beta, rss, n) -> np.ndarray:
     Computing J'J directly in (alpha, beta) coordinates is identical to the
     delta-method transport of the (log alpha, beta) covariance.
     """
-    ja, jb = sigmoid_jacobian(t, alpha, beta)
+    _, ja, jb = _sigmoid_parts(t, alpha, beta)
     J = np.column_stack((ja, jb))
     A = J.T @ J
     sigma2 = rss / (n - 2)

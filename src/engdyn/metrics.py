@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import DomainError, InvalidInput
 from .model import PostTable
 
@@ -25,7 +23,6 @@ class TopicMetrics:
     topic_id: str
     speed_index: float
     lh_score: Optional[float]  # None when no post carries Love/Angry reactions
-    lh_posts_used: int
     total_love: int
     total_angry: int
 
@@ -53,10 +50,9 @@ def speed_index(alpha: float, beta: float, horizon: float) -> float:
     return min(max(value, 0.0), 1.0)  # trim float fuzz at the saturated ends
 
 
-def reaction_totals(posts: PostTable) -> tuple[int, int, int]:
-    """(total love, total angry, number of posts with any of either)."""
-    love, angry = posts.column("love"), posts.column("angry")
-    return int(love.sum()), int(angry.sum()), int(np.count_nonzero(love + angry))
+def reaction_totals(posts: PostTable) -> tuple[int, int]:
+    """(total love, total angry)."""
+    return int(posts.column("love").sum()), int(posts.column("angry").sum())
 
 
 def love_hate(posts: PostTable, mode: str = "pooled") -> Optional[float]:
@@ -72,7 +68,7 @@ def love_hate(posts: PostTable, mode: str = "pooled") -> Optional[float]:
     if len(posts.topic_ids) > 1:
         raise InvalidInput(f"posts span multiple topics: {list(posts.topic_ids)}")
     if mode == "pooled":
-        love, angry, _ = reaction_totals(posts)
+        love, angry = reaction_totals(posts)
         if love + angry == 0:
             return None
         return (love - angry) / (love + angry)
@@ -89,12 +85,11 @@ def topic_metrics(topic_id: str, posts: PostTable, alpha: float,
                   beta: float, horizon: float, lh_mode: str = "pooled") -> TopicMetrics:
     """Speed Index and reaction figures of the rows of ``topic_id``."""
     rows = posts.topic(topic_id)
-    love, angry, used = reaction_totals(rows)
+    love, angry = reaction_totals(rows)
     return TopicMetrics(
         topic_id=topic_id,
         speed_index=speed_index(alpha, beta, horizon),
         lh_score=love_hate(rows, mode=lh_mode),
-        lh_posts_used=used,
         total_love=love,
         total_angry=angry,
     )

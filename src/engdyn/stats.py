@@ -18,12 +18,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidInput, UndefinedCorrelation
-from .model import CategoryAssignment
+from .model import CATEGORIES, CategoryAssignment
 
 EXACT_LIMIT = 8  # per-sample cutoff; enumeration stays <= C(16, 8) labelings
-
-MWU_MODES = ("exact", "normal_approx", "auto")
-ALTERNATIVES = ("two-sided", "greater", "less")
 
 
 @dataclass(frozen=True)
@@ -215,21 +212,20 @@ def _u_counts(n1: int, n2: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _exact_p(u: float, n1: int, n2: int, alternative: str) -> float:
+def _exact_p(u: float, n1: int, n2: int) -> float:
+    """Two-sided p of U for untied samples, from the exact null."""
     counts = _u_counts(n1, n2)
     total = math.comb(n1 + n2, n1)
     # untied samples make U an integer
     ui = int(round(u))
     p_le = sum(counts[: ui + 1]) / total
     p_ge = sum(counts[ui:]) / total
-    if alternative == "greater":
-        return min(1.0, p_ge)
-    if alternative == "less":
-        return min(1.0, p_le)
     return min(1.0, 2.0 * min(p_le, p_ge))
 
 
-def _normal_p(u: float, n1: int, n2: int, tie_term: float, alternative: str) -> float:
+def _normal_p(u: float, n1: int, n2: int, tie_term: float) -> float:
+    """Two-sided p of U by the normal approximation, with tie-corrected
+    variance and continuity correction."""
     n = n1 + n2
     mu = 0.5 * n1 * n2
     variance = n1 * n2 * (n + 1) / 12.0 * (1.0 - tie_term)
@@ -238,26 +234,17 @@ def _normal_p(u: float, n1: int, n2: int, tie_term: float, alternative: str) -> 
     sd = math.sqrt(variance)
     p_le = normal_cdf((u - mu + 0.5) / sd)
     p_ge = normal_cdf(-(u - mu - 0.5) / sd)
-    if alternative == "greater":
-        return min(1.0, p_ge)
-    if alternative == "less":
-        return min(1.0, p_le)
     return min(1.0, 2.0 * min(p_le, p_ge))
 
 
-def mann_whitney_u(x: Sequence[float], y: Sequence[float], mode: str = "auto",
-                   alternative: str = "two-sided") -> MannWhitneyResult:
-    """Mann-Whitney U test; returns (U of x, p-value).
+def mann_whitney_u(x: Sequence[float], y: Sequence[float]) -> MannWhitneyResult:
+    """Two-sided Mann-Whitney U test; returns (U of x, p-value).
 
-    ``auto`` enumerates the exact null distribution when both samples have
-    at most 8 values and no ties are present, and otherwise falls back to
-    the normal approximation with tie-corrected variance and continuity
-    correction. ``greater`` tests the alternative that x tends larger.
+    The p-value enumerates the exact null distribution when both samples
+    have at most ``EXACT_LIMIT`` values and no ties are present, and
+    otherwise comes from the normal approximation with tie-corrected
+    variance and continuity correction.
     """
-    if mode not in MWU_MODES:
-        raise InvalidInput(f"unknown mode {mode!r}")
-    if alternative not in ALTERNATIVES:
-        raise InvalidInput(f"unknown alternative {alternative!r}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(x) == 0 or len(y) == 0:
@@ -276,12 +263,9 @@ def mann_whitney_u(x: Sequence[float], y: Sequence[float], mode: str = "auto",
     tie_term = float(((tie_counts.astype(float) ** 3 - tie_counts).sum())
                      / (n ** 3 - n)) if n > 1 else 0.0
 
-    if mode == "exact" or (mode == "auto" and not has_ties
-                           and n1 <= EXACT_LIMIT and n2 <= EXACT_LIMIT):
-        if has_ties:
-            raise InvalidInput("exact mode requires samples without ties")
-        return MannWhitneyResult(u1, _exact_p(u1, n1, n2, alternative))
-    return MannWhitneyResult(u1, _normal_p(u1, n1, n2, tie_term, alternative))
+    if not has_ties and n1 <= EXACT_LIMIT and n2 <= EXACT_LIMIT:
+        return MannWhitneyResult(u1, _exact_p(u1, n1, n2))
+    return MannWhitneyResult(u1, _normal_p(u1, n1, n2, tie_term))
 
 
 @dataclass
@@ -292,7 +276,6 @@ class PairwiseTestMatrix:
     categories: tuple[str, ...]
     p_values: np.ndarray  # NaN diagonal
     corrected_threshold: float
-    alpha_level: float
     excluded: tuple[str, ...] = ()
 
     @property
@@ -300,20 +283,10 @@ class PairwiseTestMatrix:
         k = len(self.categories)
         return k * (k - 1) // 2
 
-    def pair_p_values(self) -> list[tuple[str, str, float]]:
-        out = []
-        for i in range(len(self.categories)):
-            for j in range(i + 1, len(self.categories)):
-                out.append((self.categories[i], self.categories[j],
-                            float(self.p_values[i, j])))
-        return out
-
     def frac_significant(self, threshold: float | None = None) -> float:
         cutoff = self.corrected_threshold if threshold is None else threshold
-        pairs = self.pair_p_values()
-        if not pairs:
-            return 0.0
-        return sum(1 for _, _, p in pairs if p < cutoff) / len(pairs)
+        upper = self.p_values[np.triu_indices(len(self.categories), 1)]
+        return int(np.count_nonzero(upper < cutoff)) / len(upper)
 
     def summary(self) -> dict:
         return {
@@ -329,13 +302,12 @@ def pairwise_category_tests(
     assignments: Iterable[CategoryAssignment],
     metric_name: str,
     alpha_level: float = 0.05,
-    category_order: Sequence[str] | None = None,
-    mode: str = "auto",
 ) -> PairwiseTestMatrix:
     """Two-tailed Mann-Whitney tests between every pair of categories.
 
-    Topics carrying several categories contribute their value to each of
-    them. Categories with fewer than 2 topics are excluded with a warning.
+    Categories appear in the order of ``CATEGORIES``. Topics carrying
+    several categories contribute their value to each of them. Categories
+    with fewer than 2 topics are excluded with a warning.
     The Bonferroni threshold divides ``alpha_level`` by the number of pairs
     actually tested.
     """
@@ -348,15 +320,8 @@ def pairwise_category_tests(
         for cat in assignment.categories:
             by_category.setdefault(cat, []).append(values[assignment.topic_id])
 
-    present = list(by_category)
-    if category_order is not None:
-        present.sort(key=lambda c: (list(category_order).index(c)
-                                    if c in category_order else len(category_order), c))
-    else:
-        present.sort()
-
     kept, excluded = [], []
-    for cat in present:
+    for cat in (c for c in CATEGORIES if c in by_category):
         if len(by_category[cat]) >= 2:
             kept.append(cat)
         else:
@@ -371,8 +336,7 @@ def pairwise_category_tests(
     matrix = np.full((k, k), np.nan)
     for i in range(k):
         for j in range(i + 1, k):
-            _, p = mann_whitney_u(by_category[kept[i]], by_category[kept[j]],
-                                  mode=mode)
+            _, p = mann_whitney_u(by_category[kept[i]], by_category[kept[j]])
             matrix[i, j] = matrix[j, i] = p
 
     n_pairs = k * (k - 1) // 2
@@ -381,6 +345,5 @@ def pairwise_category_tests(
         categories=tuple(kept),
         p_values=matrix,
         corrected_threshold=alpha_level / n_pairs,
-        alpha_level=alpha_level,
         excluded=tuple(excluded),
     )

@@ -45,6 +45,8 @@ _FIRST8_MASKS = np.array([((1 << 8 * min(n, 8)) - 1) & 0x1F1F1F1F1F1F1F1F
                           for n in range(_KEY_LETTERS + 1)], dtype=np.uint64)
 _LAST2_MASKS = np.array([((1 << 8 * max(n - 8, 0)) - 1) & 0x1F1F
                          for n in range(_KEY_LETTERS + 1)], dtype=np.uint16)
+# Louvain stops once a sweep or a pass gains less modularity than this
+_MIN_GAIN = 1e-7
 
 
 @dataclass(frozen=True)
@@ -151,8 +153,7 @@ def extract_terms_chunk(article_ids: Sequence[str], texts: Sequence[str],
     # keep ranked[:k] of each article
     per_article = np.bincount(run_article, minlength=n)
     place = np.arange(m) - (np.cumsum(per_article) - per_article)[run_article]
-    keep = k if k > 0 else (per_article + k)[run_article] if k else 0
-    kept = order[place < keep]
+    kept = order[place < k]
     kept_per_article = np.bincount(run_article[kept], minlength=n).tolist()
     ranked = iter(zip(_decode_terms(words[kept], long_words), counts[kept].tolist()))
     return [ArticleTerms(article_id, tuple(islice(ranked, size))) if usable else None
@@ -317,13 +318,13 @@ def count_terms(article_id: str, tokens: Sequence[str],
 def _top_terms(article_id: str, counts: Counter, stopwords: frozenset[str],
                k: int) -> ArticleTerms:
     """Drop stopwords from ``counts`` and keep the k largest, ranked by
-    (-count, term); ``k <= 0`` slices the full ranking as ``ranked[:k]``."""
+    (-count, term)."""
     for word in counts.keys() & stopwords:
         counts.pop(word)  # dict.pop; Counter's own __delitem__ runs in Python
     if not counts:
         raise EmptyArticle(f"article {article_id!r} has no usable tokens")
     items = counts.items()
-    if len(counts) > k > 0:
+    if len(counts) > k:
         # every term of the top k counts at least the k-th largest count, so
         # only the terms at or above it need the keyed sort; sorting the bare
         # counts runs in C and beats heapq.nlargest's Python loop
@@ -402,25 +403,22 @@ def _level(graph: TermGraph) -> tuple[np.ndarray, ...]:
     return src, dst, w, np.bincount(src, weights=w, minlength=n)
 
 
-def modularity(graph: TermGraph, partition: dict[str, int],
-               resolution: float = 1.0) -> float:
+def modularity(graph: TermGraph, partition: dict[str, int]) -> float:
     """Weighted modularity of a partition, recomputed from scratch.
 
-    Q = sum_c [intra_c / (2m) - resolution * (deg_c / (2m))^2] with intra_c
-    the doubled weight of edges inside community c and deg_c its total
-    weighted degree. An edgeless graph has Q = 0.
+    Q = sum_c [intra_c / (2m) - (deg_c / (2m))^2] with intra_c the doubled
+    weight of edges inside community c and deg_c its total weighted degree.
+    An edgeless graph has Q = 0.
     """
-    return _modularity(_level(graph), [partition[node] for node in graph.nodes],
-                       resolution)
+    return _modularity(_level(graph), [partition[node] for node in graph.nodes])
 
 
-def louvain(graph: TermGraph, seed: int, resolution: float = 1.0,
-            min_gain: float = 1e-7) -> TermGraph:
+def louvain(graph: TermGraph, seed: int) -> TermGraph:
     """Two-phase Louvain on the weighted graph, reproducible under ``seed``.
 
     Local moves maximize the modularity gain with node visit order shuffled
     by a seeded RNG; communities are then aggregated and the process repeats
-    until a full pass improves modularity by less than ``min_gain``.
+    until a full pass improves modularity by less than ``_MIN_GAIN``.
     Community ids in the returned partition are renumbered by each
     community's lexicographically smallest term; ``history`` holds the
     modularity after each pass.
@@ -434,17 +432,17 @@ def louvain(graph: TermGraph, seed: int, resolution: float = 1.0,
     rng = random.Random(seed)
     assign = np.arange(n)  # original node -> current level node
     labels = list(range(n))
-    q_prev = q_labels = _modularity(base, labels, resolution)
+    q_prev = q_labels = _modularity(base, labels)
     history: list[float] = []
 
     while True:
-        local = np.array(_one_level(level, rng, resolution, min_gain))
+        local = np.array(_one_level(level, rng))
         projected = local[assign].tolist()
-        q = _modularity(base, projected, resolution)
+        q = _modularity(base, projected)
         history.append(q)
         if q >= q_prev:
             labels, q_labels = projected, q
-        if q - q_prev < min_gain:
+        if q - q_prev < _MIN_GAIN:
             break
         q_prev = q
         # communities become the nodes of the next level, numbered in order
@@ -464,8 +462,7 @@ def louvain(graph: TermGraph, seed: int, resolution: float = 1.0,
                    history=tuple(history))
 
 
-def _one_level(level: tuple[np.ndarray, ...], rng: random.Random,
-               resolution: float, min_gain: float) -> list[int]:
+def _one_level(level: tuple[np.ndarray, ...], rng: random.Random) -> list[int]:
     src, dst, w, k = level
     n = len(k)
     comm = list(range(n))
@@ -492,24 +489,23 @@ def _one_level(level: tuple[np.ndarray, ...], rng: random.Random,
                 cu = comm[u]
                 links[cu] = links.get(cu, 0.0) + wu
             tot[cv] -= kv
-            stay = links.get(cv, 0.0) - resolution * tot[cv] * kv / two_m
+            stay = links.get(cv, 0.0) - tot[cv] * kv / two_m
             best_c, best_s = cv, stay
             for c in sorted(links):
                 if c == cv:
                     continue
-                s = links[c] - resolution * tot[c] * kv / two_m
+                s = links[c] - tot[c] * kv / two_m
                 if s > best_s:
                     best_c, best_s = c, s
             tot[best_c] += kv
             comm[v] = best_c
             sweep_gain += 2.0 * (best_s - stay) / two_m
-        if sweep_gain < min_gain:
+        if sweep_gain < _MIN_GAIN:
             break
     return comm
 
 
-def _modularity(level: tuple[np.ndarray, ...], labels: list,
-                resolution: float) -> float:
+def _modularity(level: tuple[np.ndarray, ...], labels: list) -> float:
     src, dst, w, k = level
     two_m = float(k.sum())
     if two_m == 0:
@@ -520,7 +516,7 @@ def _modularity(level: tuple[np.ndarray, ...], labels: list,
     ids = np.array([first.setdefault(c, len(first)) for c in labels])
     intra2 = float(w[ids[src] == ids[dst]].sum())
     tot = np.bincount(ids, weights=k)
-    return intra2 / two_m - resolution * sum((d / two_m) ** 2 for d in tot.tolist())
+    return intra2 / two_m - sum((d / two_m) ** 2 for d in tot.tolist())
 
 
 def cluster_report(graph: TermGraph, top_n: int = 10

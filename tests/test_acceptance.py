@@ -142,7 +142,7 @@ def test_mann_whitney_exactness():
                 pool = rng.permutation(np.arange(n1 + n2, dtype=float) * 3.0
                                        + 1.0)
                 x, y = pool[:n1], pool[n1:]
-                _, p = mann_whitney_u(x, y, mode="exact")
+                _, p = mann_whitney_u(x, y)  # untied and at most 6: exact
                 ranks = oracle_ranks(pool.tolist())
                 u_obs = sum(ranks[:n1]) - n1 * (n1 + 1) / 2.0
                 us = [sum(ranks[i] for i in c) - n1 * (n1 + 1) / 2.0

@@ -395,6 +395,39 @@ class TestAnalyze:
         for name in ("fits.csv", "metrics.csv"):
             assert (twice / name).read_bytes() == (once / name).read_bytes()
 
+    def plot_titles(self, tmp_path, topic_ids):
+        """Exit code of ``analyze --plots`` over SPEC_OBJ's topics renamed to
+        ``topic_ids``, and each plot's file name mapped to its title."""
+        topics = [dict(topic, topic_id=tid)
+                  for topic, tid in zip(SPEC_OBJ["topics"], topic_ids)]
+        spec = write_spec(tmp_path, {"seed": 11, "topics": topics})
+        corpus = tmp_path / "corpus"
+        assert cli.main(["simulate", "--input", str(spec), "--out", str(corpus)]) == 0
+        out = tmp_path / "run"
+        code = cli.main(["analyze", "--input", str(corpus / "posts.jsonl"),
+                         "--out", str(out), "--plots"])
+        return code, {svg.name: ET.fromstring(svg.read_text()).find(
+                          "{http://www.w3.org/2000/svg}text").text
+                      for svg in (out / "plots").glob("*.svg")}
+
+    def test_topic_named_like_the_scatter_keeps_its_plot(self, tmp_path):
+        code, titles = self.plot_titles(tmp_path, ["si_vs_lh", "slow", "mid"])
+        assert code == 0
+        assert titles == {"si_vs_lh-1.svg": "si_vs_lh", "slow.svg": "slow",
+                          "mid.svg": "mid",
+                          "si_vs_lh.svg": "speed index vs love-hate"}
+
+    def test_long_topic_ids_get_capped_distinct_plots(self, tmp_path):
+        long_x, shared = "x" * 300, "y" * 200
+        code, titles = self.plot_titles(
+            tmp_path, [long_x, shared + "a", shared + "b"])
+        assert code == 0
+        assert (tmp_path / "run" / "summary.json").is_file()
+        assert titles == {"x" * 200 + ".svg": long_x,
+                          shared + ".svg": shared + "a",
+                          shared + "-1.svg": shared + "b",
+                          "si_vs_lh.svg": "speed index vs love-hate"}
+
     def test_excluded_category_is_a_notice_under_error_filters(self, tmp_path, capsys):
         # four topics in two categories of two, and one lone Health topic;
         # warnings raised as errors must not stop the run

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engdyn import curvefit, synth
-from engdyn.curvefit import (FitOptions, bridge_meat, fit, initial_guess,
-                             sigmoid, sigmoid_jacobian, truncated_sigmoid,
-                             truncated_sigmoid_jacobian)
+from engdyn.curvefit import (FitOptions, _sigmoid_parts, _truncated_parts,
+                             bridge_meat, fit, initial_guess, sigmoid)
 from engdyn.errors import (DegenerateFit, EngdynError, InsufficientData,
                            InvalidInput)
 from engdyn.model import build_series
@@ -93,7 +92,7 @@ class TestSigmoid:
             beta = float(rng.uniform(0.0, 1000.0))
             z = float(rng.uniform(0.5, 6.0) * rng.choice([-1.0, 1.0]))
             t = beta + z / alpha
-            da, db = sigmoid_jacobian(t, alpha, beta)
+            _, da, db = _sigmoid_parts(t, alpha, beta)
             fd_a = (sigmoid(t, alpha + h, beta) - sigmoid(t, alpha - h, beta)) / (2 * h)
             fd_b = (sigmoid(t, alpha, beta + h) - sigmoid(t, alpha, beta - h)) / (2 * h)
             assert abs(da - fd_a) / max(abs(fd_a), 1e-12) < 1e-5
@@ -238,12 +237,13 @@ class TestWindowFit:
             window = (float(rng.uniform(-50.0, 50.0)),
                       float(rng.uniform(1000.0, 1500.0)))
             t = np.linspace(window[0], window[1], 7)
-            da, db = truncated_sigmoid_jacobian(t, alpha, beta, window)
-            fd_a = (truncated_sigmoid(t, alpha * (1 + h), beta, window)
-                    - truncated_sigmoid(t, alpha * (1 - h), beta, window)) \
+            _, da, db = _truncated_parts(t, alpha, beta, window)
+
+            def curve(a, b):
+                return _truncated_parts(t, a, b, window)[0]
+            fd_a = (curve(alpha * (1 + h), beta) - curve(alpha * (1 - h), beta)) \
                 / (2 * h * alpha)
-            fd_b = (truncated_sigmoid(t, alpha, beta + hb, window)
-                    - truncated_sigmoid(t, alpha, beta - hb, window)) / (2 * hb)
+            fd_b = (curve(alpha, beta + hb) - curve(alpha, beta - hb)) / (2 * hb)
             assert np.allclose(da, fd_a, rtol=1e-5, atol=1e-6 * np.max(np.abs(fd_a)))
             assert np.allclose(db, fd_b, rtol=1e-5, atol=1e-6 * np.max(np.abs(fd_b)))
 
@@ -262,7 +262,7 @@ class TestWindowFit:
         t = np.arange(0.0, 1001.0)
         window = (-20.0, 990.0)
         series = series_from_curve(
-            t, truncated_sigmoid(t, 0.003, 300.0, window), n_posts=1000)
+            t, _truncated_parts(t, 0.003, 300.0, window)[0], n_posts=1000)
         r = fit(series, FitOptions(window=window))
         assert r.converged
         assert r.alpha_hat == pytest.approx(0.003, rel=1e-6)

@@ -212,11 +212,10 @@ class TestTopicMetrics:
                  make_post(day=9, likes=5, love=0, angry=0, post_id="b")]
         tm = topic_metrics("t", table_of(posts), alpha=0.1, beta=5.0, horizon=9.0)
         assert tm.total_love == 4 and tm.total_angry == 1
-        assert tm.lh_posts_used == 1
         assert tm.lh_score == pytest.approx(0.6)
         assert 0.0 <= tm.speed_index <= 1.0
 
     def test_reaction_totals(self):
         posts = [make_post(love=2, angry=3, post_id="a"),
                  make_post(love=0, angry=0, post_id="b")]
-        assert reaction_totals(table_of(posts)) == (2, 3, 1)
+        assert reaction_totals(table_of(posts)) == (2, 3)

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from engdyn.errors import InvalidInput, UndefinedCorrelation
 from engdyn.model import CategoryAssignment
-from engdyn.stats import (mann_whitney_u, normal_cdf, pairwise_category_tests,
-                          rank_average, spearman, t_two_sided_p)
+from engdyn.stats import (_exact_p, _normal_p, mann_whitney_u, normal_cdf,
+                          pairwise_category_tests, rank_average, spearman,
+                          t_two_sided_p)
 
 
 # ------------------------------------------------------------- oracles
@@ -66,6 +67,14 @@ def oracle_mwu_exact(x, y):
     n_ge = sum(1 for u in us if u >= u_obs)
     p = 2 * Fraction(min(n_le, n_ge), total)
     return u_obs, min(p, Fraction(1))
+
+
+def tie_term(x, y):
+    """sum(t^3 - t) / (n^3 - n) over the tie groups t of the pooled sample."""
+    pooled = list(x) + list(y)
+    n = len(pooled)
+    groups = [pooled.count(v) for v in set(pooled)]
+    return sum(t ** 3 - t for t in groups) / (n ** 3 - n)
 
 
 # ------------------------------------------------------------- spearman
@@ -162,6 +171,9 @@ class TestMannWhitney:
         u, p = mann_whitney_u([1, 2], [3, 4])
         assert u == 0.0
         assert p == pytest.approx(1.0 / 3.0, abs=1e-12)
+        u, p = mann_whitney_u([3, 4], [1, 2])
+        assert u == 4.0
+        assert p == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_interleaved_small_sample(self):
         u, p = mann_whitney_u([1, 3], [2, 4])
@@ -179,17 +191,12 @@ class TestMannWhitney:
                 for _ in range(10):
                     x = rng.permutation(np.arange(n1 + n2) + 1.0)[:n1]
                     y = np.setdiff1d(np.arange(n1 + n2) + 1.0, x)
-                    u, p = mann_whitney_u(x, y, mode="exact")
+                    # untied samples of at most 8 take the exact test
+                    u, p = mann_whitney_u(x, y)
+                    assert p == _exact_p(u, n1, n2)
                     u_ref, p_ref = oracle_mwu_exact(list(x), list(y))
                     assert u == u_ref
                     assert abs(p - float(p_ref)) < 1e-12
-
-    def test_one_sided_alternatives(self):
-        u, p_greater = mann_whitney_u([3, 4], [1, 2], alternative="greater")
-        assert u == 4.0
-        assert p_greater == pytest.approx(1.0 / 6.0, abs=1e-12)
-        _, p_less = mann_whitney_u([3, 4], [1, 2], alternative="less")
-        assert p_less == 1.0
 
     @given(st.lists(st.integers(0, 9), min_size=1, max_size=12),
            st.lists(st.integers(0, 9), min_size=1, max_size=12))
@@ -204,23 +211,25 @@ class TestMannWhitney:
         for _ in range(50):
             pool = rng.permutation(np.arange(16, dtype=float))
             x, y = pool[:8], pool[8:]
-            _, p_exact = mann_whitney_u(x, y, mode="exact")
-            _, p_normal = mann_whitney_u(x, y, mode="normal_approx")
+            u, _ = mann_whitney_u(x, y)
+            p_exact = _exact_p(u, 8, 8)
+            p_normal = _normal_p(u, 8, 8, 0.0)
             assert abs(p_exact - p_normal) < 0.05
 
     def test_auto_switches_to_normal_on_ties(self):
-        # tied data cannot use the exact table; auto must still answer
-        u, p = mann_whitney_u([1, 2, 2], [2, 3, 4], mode="auto")
+        # tied data cannot use the exact table; the normal approximation answers
+        x, y = [1, 2, 2], [2, 3, 4]
+        u, p = mann_whitney_u(x, y)
         assert 0.0 <= p <= 1.0
-        with pytest.raises(InvalidInput):
-            mann_whitney_u([1, 2, 2], [2, 3, 4], mode="exact")
+        assert p == _normal_p(u, 3, 3, tie_term(x, y))
 
     def test_auto_switches_to_normal_on_size(self):
         rng = np.random.default_rng(31)
         x = rng.normal(size=30)
         y = rng.normal(size=30) + 2.0
-        _, p = mann_whitney_u(x, y, mode="auto")
+        u, p = mann_whitney_u(x, y)
         assert p < 0.001
+        assert p == _normal_p(u, 30, 30, 0.0)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(InvalidInput):
@@ -240,7 +249,8 @@ class TestMannWhitney:
             n2 = int(rng.integers(5, 40))
             x = rng.integers(0, 12, n1).astype(float)  # ties guaranteed
             y = rng.integers(0, 12, n2).astype(float) + rng.integers(0, 3)
-            u, p = mann_whitney_u(x, y, mode="normal_approx")
+            u, _ = mann_whitney_u(x, y)
+            p = _normal_p(u, n1, n2, tie_term(x.tolist(), y.tolist()))
             ref = mannwhitneyu(x, y, alternative="two-sided",
                                method="asymptotic", use_continuity=True)
             assert u == pytest.approx(ref.statistic, abs=1e-9)
