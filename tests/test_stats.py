@@ -171,9 +171,6 @@ class TestMannWhitney:
         u, p = mann_whitney_u([1, 2], [3, 4])
         assert u == 0.0
         assert p == pytest.approx(1.0 / 3.0, abs=1e-12)
-        u, p = mann_whitney_u([3, 4], [1, 2])
-        assert u == 4.0
-        assert p == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_interleaved_small_sample(self):
         u, p = mann_whitney_u([1, 3], [2, 4])
@@ -197,6 +194,13 @@ class TestMannWhitney:
                     u_ref, p_ref = oracle_mwu_exact(list(x), list(y))
                     assert u == u_ref
                     assert abs(p - float(p_ref)) < 1e-12
+
+    def test_one_sided_alternatives(self):
+        # The test is two-sided only: U stays the U of x, and p is twice the
+        # smaller one-sided tail, here P(U >= 4) = 1/6 (P(U <= 4) = 1).
+        u, p = mann_whitney_u([3, 4], [1, 2])
+        assert u == 4.0
+        assert p == pytest.approx(2.0 * (1.0 / 6.0), abs=1e-12)
 
     @given(st.lists(st.integers(0, 9), min_size=1, max_size=12),
            st.lists(st.integers(0, 9), min_size=1, max_size=12))
