@@ -14,7 +14,6 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,24 +28,6 @@ ROUNDED_THRESHOLD = 0.001  # the conventional rounding of 0.05 / 45
 SCATTER_NAME = "si_vs_lh"  # plots/ stem of the scatter; no topic plot takes it
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    posts_path: Path
-    out_dir: Path
-    categories_path: Path | None = None
-    bin_width: float = 1.0
-    lh_mode: str = "pooled"
-    alpha_level: float = 0.05
-    seed: int = 0
-    plots: bool = False
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha_level < 1.0):
-            raise InvalidInput("alpha-level must lie in (0, 1)")
-        if not (math.isfinite(self.bin_width) and self.bin_width > 0):
-            raise InvalidInput("bin-width-days must be positive and finite")
-
-
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -57,9 +38,11 @@ def _write_json(path: Path, obj) -> None:
                     encoding="utf-8")
 
 
-def _open_csv(path: Path):
-    fh = open(path, "w", encoding="utf-8", newline="")
-    return fh, csv.writer(fh, lineterminator="\n")
+def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _fmt(value) -> str:
@@ -80,72 +63,56 @@ def _safe_name(name: str) -> str:
 
 # ---------------------------------------------------------------- analyze
 
-def _process_topic(topic_id, posts, config):
-    """Series + fit + metrics for one topic; returns (result, skip_reason)."""
-    try:
-        series = model.build_series(posts, topic_id, config.bin_width)
-        fit_result = curvefit.fit(series)
-        topic_metrics = metrics.topic_metrics(
-            topic_id, posts, fit_result.alpha_hat, fit_result.beta_hat,
-            series.horizon_days, config.lh_mode)
-    except (InsufficientData, TooManyBins, ZeroEngagement, DegenerateFit) as exc:
-        return None, type(exc).__name__
-    return (series, fit_result, topic_metrics), None
-
-
-def run_analysis(config: RunConfig) -> dict:
+def run_analysis(args) -> dict:
     """The full per-topic pipeline plus the cross-category statistics.
 
     Returns a manifest with the skipped-topic map; file outputs land under
-    ``config.out_dir``.
+    ``args.out``.
     """
-    parse_result = model.load_posts(config.posts_path)
+    posts_path = Path(args.input)
+    parse_result = model.load_posts(posts_path)
     if not parse_result.records:
-        raise InvalidInput(f"{config.posts_path}: no valid post records")
+        raise InvalidInput(f"{posts_path}: no valid post records")
     assignments = {}
-    if config.categories_path is not None:
-        assignments = model.read_categories(config.categories_path)
+    if args.categories:
+        assignments = model.read_categories(Path(args.categories))
 
     grouped = model.group_by_topic(parse_result.records)
-    topic_ids = sorted(grouped)
-
+    # topics in sorted order, so ``results`` lists the fitted ones sorted
     results: dict[str, tuple] = {}
     skipped: dict[str, str] = {}
-    for tid in topic_ids:
-        result, reason = _process_topic(tid, grouped[tid], config)
-        if reason is not None:
-            skipped[tid] = reason
+    for tid in sorted(grouped):
+        posts = grouped[tid]
+        try:
+            series = model.build_series(posts, tid, args.bin_width_days)
+            fit_result = curvefit.fit(series)
+            topic_metrics = metrics.topic_metrics(
+                tid, posts, fit_result.alpha_hat, fit_result.beta_hat,
+                series.horizon_days, args.lh_mode)
+        except (InsufficientData, TooManyBins, ZeroEngagement, DegenerateFit) as exc:
+            skipped[tid] = type(exc).__name__
         else:
-            results[tid] = result
+            results[tid] = series, fit_result, topic_metrics
 
-    out = config.out_dir
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    fitted_ids = sorted(results)
-
-    fh, writer = _open_csv(out / "fits.csv")
-    with fh:
-        writer.writerow(["topic_id", "alpha", "beta", "se_alpha", "se_beta",
-                         "rss", "n_points", "converged", "iterations"])
-        for tid in fitted_ids:
-            fr = results[tid][1]
-            writer.writerow([tid, _fmt(fr.alpha_hat), _fmt(fr.beta_hat),
-                             _fmt(fr.se_alpha), _fmt(fr.se_beta), _fmt(fr.rss),
-                             fr.n_points, _fmt(fr.converged), fr.iterations])
-
-    fh, writer = _open_csv(out / "metrics.csv")
-    with fh:
-        writer.writerow(["topic_id", "speed_index", "lh_score", "lh_mode",
-                         "total_love", "total_angry", "n_posts"])
-        for tid in fitted_ids:
-            series, _, tm = results[tid]
-            writer.writerow([tid, _fmt(tm.speed_index), _fmt(tm.lh_score),
-                             config.lh_mode, tm.total_love, tm.total_angry,
-                             series.n_posts])
+    _write_csv(out / "fits.csv",
+               ["topic_id", "alpha", "beta", "se_alpha", "se_beta", "rss",
+                "n_points", "converged", "iterations"],
+               ([tid, _fmt(fr.alpha_hat), _fmt(fr.beta_hat), _fmt(fr.se_alpha),
+                 _fmt(fr.se_beta), _fmt(fr.rss), fr.n_points, _fmt(fr.converged),
+                 fr.iterations] for tid, (_, fr, _) in results.items()))
+    _write_csv(out / "metrics.csv",
+               ["topic_id", "speed_index", "lh_score", "lh_mode", "total_love",
+                "total_angry", "n_posts"],
+               ([tid, _fmt(tm.speed_index), _fmt(tm.lh_score), args.lh_mode,
+                 tm.total_love, tm.total_angry, series.n_posts]
+                for tid, (series, _, tm) in results.items()))
 
     correlations = _correlation_report(results, assignments)
     _write_json(out / "correlations.json", correlations)
 
-    tests_summary, matrices = _category_tests(results, assignments, config)
+    tests_summary, matrices = _category_tests(results, assignments, args.alpha_level)
     matrix_dir = out / "matrices"
     matrix_dir.mkdir(exist_ok=True)
     for name, matrix in matrices.items():
@@ -154,29 +121,24 @@ def run_analysis(config: RunConfig) -> dict:
     _write_significance_table(matrix_dir / "significance_summary.csv", matrices)
 
     category_table = _category_table(results, assignments)
-    fh, writer = _open_csv(out / "category_summary.csv")
-    with fh:
-        writer.writerow(["category", "alpha_mean", "alpha_sd", "beta_mean",
-                         "beta_sd", "si_mean", "si_sd"])
-        for row in category_table:
-            writer.writerow([row["category"], _fmt(row["alpha_mean"]),
-                             _fmt(row["alpha_sd"]), _fmt(row["beta_mean"]),
-                             _fmt(row["beta_sd"]), _fmt(row["si_mean"]),
-                             _fmt(row["si_sd"])])
+    columns = ["category", "alpha_mean", "alpha_sd", "beta_mean", "beta_sd",
+               "si_mean", "si_sd"]
+    _write_csv(out / "category_summary.csv", columns,
+               ([_fmt(row[key]) for key in columns] for row in category_table))
 
-    if config.plots:
+    if args.plots:
         _write_plots(out / "plots", results)
 
     summary = {
         "config": {
-            "bin_width_days": config.bin_width,
-            "lh_mode": config.lh_mode,
-            "alpha_level": config.alpha_level,
-            "seed": config.seed,
+            "bin_width_days": args.bin_width_days,
+            "lh_mode": args.lh_mode,
+            "alpha_level": args.alpha_level,
+            "seed": args.seed,
         },
-        "n_input_topics": len(topic_ids),
-        "n_fitted": len(fitted_ids),
-        "n_converged": sum(1 for tid in fitted_ids if results[tid][1].converged),
+        "n_input_topics": len(grouped),
+        "n_fitted": len(results),
+        "n_converged": sum(1 for _, fr, _ in results.values() if fr.converged),
         "n_rejected_lines": parse_result.n_rejected,
         "skipped": skipped,
         "per_category": category_table,
@@ -212,7 +174,7 @@ def _correlation_report(results, assignments) -> dict:
     return report
 
 
-def _category_tests(results, assignments, config):
+def _category_tests(results, assignments, alpha_level):
     values = {
         "alpha": {tid: fr.alpha_hat for tid, (_, fr, _) in results.items()},
         "beta": {tid: fr.beta_hat for tid, (_, fr, _) in results.items()},
@@ -230,7 +192,7 @@ def _category_tests(results, assignments, config):
             try:
                 matrix = stats.pairwise_category_tests(
                     values[name], assignments.values(), name,
-                    alpha_level=config.alpha_level)
+                    alpha_level=alpha_level)
             except InvalidInput as exc:
                 summaries[name] = {"error": str(exc)}
                 continue
@@ -245,24 +207,19 @@ def _category_tests(results, assignments, config):
 
 
 def _write_matrix_csv(path: Path, matrix: stats.PairwiseTestMatrix) -> None:
-    fh, writer = _open_csv(path)
-    with fh:
-        writer.writerow([""] + list(matrix.categories))
-        for i, cat in enumerate(matrix.categories):
-            row = [cat]
-            for j in range(len(matrix.categories)):
-                row.append("" if i == j else _fmt(float(matrix.p_values[i, j])))
-            writer.writerow(row)
+    cats = matrix.categories
+    _write_csv(path, [""] + list(cats),
+               ([cat] + ["" if i == j else _fmt(float(matrix.p_values[i, j]))
+                         for j in range(len(cats))]
+                for i, cat in enumerate(cats)))
 
 
 def _write_significance_table(path: Path, matrices) -> None:
     names = [n for n in MATRIX_METRICS if n in matrices]
-    fh, writer = _open_csv(path)
-    with fh:
-        writer.writerow([""] + names)
-        below = [matrices[n].frac_significant() for n in names]
-        writer.writerow(["below_threshold"] + [_fmt(v) for v in below])
-        writer.writerow(["above_threshold"] + [_fmt(1.0 - v) for v in below])
+    below = [matrices[n].frac_significant() for n in names]
+    _write_csv(path, [""] + names,
+               [["below_threshold"] + [_fmt(v) for v in below],
+                ["above_threshold"] + [_fmt(1.0 - v) for v in below]])
 
 
 def _category_table(results, assignments) -> list[dict]:
@@ -300,8 +257,7 @@ def _category_table(results, assignments) -> list[dict]:
 def _write_plots(plot_dir: Path, results) -> None:
     plot_dir.mkdir(exist_ok=True)
     used = {SCATTER_NAME}
-    for tid in sorted(results):
-        series, fr, _ = results[tid]
+    for tid, (series, fr, _) in results.items():
         svg = svgplot.fit_overlay_svg(series.times, series.fractions,
                                       fr.alpha_hat, fr.beta_hat, tid)
         name = base = _safe_name(tid)
@@ -312,8 +268,7 @@ def _write_plots(plot_dir: Path, results) -> None:
         used.add(name)
         (plot_dir / f"{name}.svg").write_text(svg, encoding="utf-8")
     points = [(tm.speed_index, tm.lh_score)
-              for _, _, tm in (results[t] for t in sorted(results))
-              if tm.lh_score is not None]
+              for _, _, tm in results.values() if tm.lh_score is not None]
     if points:
         svg = svgplot.scatter_svg([p[0] for p in points], [p[1] for p in points],
                                   "speed index", "love-hate score",
@@ -322,18 +277,12 @@ def _write_plots(plot_dir: Path, results) -> None:
 
 
 def cmd_analyze(args) -> int:
+    if not (0.0 < args.alpha_level < 1.0):
+        return _fail("alpha-level must lie in (0, 1)")
+    if not (math.isfinite(args.bin_width_days) and args.bin_width_days > 0):
+        return _fail("bin-width-days must be positive and finite")
     try:
-        config = RunConfig(
-            posts_path=Path(args.input),
-            out_dir=Path(args.out),
-            categories_path=Path(args.categories) if args.categories else None,
-            bin_width=args.bin_width_days,
-            lh_mode=args.lh_mode,
-            alpha_level=args.alpha_level,
-            seed=args.seed,
-            plots=args.plots,
-        )
-        summary = run_analysis(config)
+        summary = run_analysis(args)
     except (OSError, EngdynError) as exc:
         return _fail(str(exc))
     if summary["n_rejected_lines"]:
@@ -348,40 +297,36 @@ def cmd_analyze(args) -> int:
 
 # ---------------------------------------------------------- extract-topics
 
-def _decode_article(line: str, stopwords: frozenset[str]
-                    ) -> topicgraph.ArticleTerms | tuple[str, str]:
-    """Top terms of a pre-tokenized articles line, or (article_id, text) of
-    a text line; ValueError, KeyError or TypeError when the line is
-    malformed, EmptyArticle when no usable term is left."""
-    obj = json.loads(line)
-    article_id = obj["article_id"]
-    if "terms" in obj:
-        terms = obj["terms"]
-        if not (isinstance(terms, list) and all(isinstance(t, str) for t in terms)):
-            raise TypeError("terms must be a list of strings")
-        # a lone surrogate, which the UTF-8 outputs cannot hold, raises a ValueError
-        "".join(terms).encode("utf-8")
-        return topicgraph.count_terms(article_id, terms, stopwords)
-    text = obj["text"]
-    if not isinstance(text, str):
-        raise TypeError("text must be a string")
-    return article_id, text
-
-
 def _read_articles(lines, stopwords: frozenset[str]):
     """(articles, malformed line count, count of articles without terms).
 
-    Text articles go through the term kernel a chunk at a time and keep
-    their place among the pre-tokenized ones.
+    Text articles go through the term kernel a chunk at a time, so they
+    land after the pre-tokenized ones read with them; no output depends on
+    the order of the articles.
     """
     articles: list = []
-    pending: list[tuple[int, str, str]] = []  # (place, article_id, text)
+    ids: list[str] = []
+    texts: list[str] = []
     bad_lines = empty_articles = 0
     for line in lines:
         if not line.strip():
             continue
         try:
-            article = _decode_article(line, stopwords)
+            obj = json.loads(line)
+            article_id = obj["article_id"]
+            if "terms" in obj:
+                terms = obj["terms"]
+                if not (isinstance(terms, list)
+                        and all(isinstance(t, str) for t in terms)):
+                    raise TypeError("terms must be a list of strings")
+                # a lone surrogate, which the UTF-8 outputs cannot hold,
+                # raises a ValueError
+                "".join(terms).encode("utf-8")
+                articles.append(topicgraph.count_terms(article_id, terms, stopwords))
+                continue
+            text = obj["text"]
+            if not isinstance(text, str):
+                raise TypeError("text must be a string")
         # ValueError covers invalid JSON and integers past the digit limit;
         # RecursionError, JSON nested too deeply to decode
         except (ValueError, KeyError, TypeError, RecursionError):
@@ -390,27 +335,15 @@ def _read_articles(lines, stopwords: frozenset[str]):
         except EmptyArticle:
             empty_articles += 1
             continue
-        if isinstance(article, tuple):
-            pending.append((len(articles), *article))
-        articles.append(article)
-        if len(pending) == topicgraph.CHUNK_ARTICLES:
-            _count_texts(articles, pending, stopwords)
-    if pending:
-        _count_texts(articles, pending, stopwords)
+        ids.append(article_id)
+        texts.append(text)
+        if len(ids) == topicgraph.CHUNK_ARTICLES:
+            articles += topicgraph.extract_terms_chunk(ids, texts, stopwords)
+            ids, texts = [], []
+    if ids:
+        articles += topicgraph.extract_terms_chunk(ids, texts, stopwords)
     usable = [article for article in articles if article is not None]
     return usable, bad_lines, empty_articles + len(articles) - len(usable)
-
-
-def _count_texts(articles: list, pending: list[tuple[int, str, str]],
-                 stopwords: frozenset[str]) -> None:
-    """Put the top terms of each pending text article, or None when it has
-    none, in its place in ``articles``, and empty ``pending``."""
-    found = topicgraph.extract_terms_chunk(
-        [article_id for _, article_id, _ in pending],
-        [text for _, _, text in pending], stopwords)
-    for (place, _, _), terms in zip(pending, found):
-        articles[place] = terms
-    pending.clear()
 
 
 def cmd_extract_topics(args) -> int:
@@ -437,24 +370,15 @@ def cmd_extract_topics(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
 
-        fh, writer = _open_csv(out / "edges.csv")
-        with fh:
-            writer.writerow(["term1", "term2", "weight"])
-            for (a, b), weight in zip(graph.edges.tolist(), graph.weights.tolist()):
-                writer.writerow([graph.nodes[a], graph.nodes[b], weight])
-
-        fh, writer = _open_csv(out / "partition.csv")
-        with fh:
-            writer.writerow(["term", "community"])
-            for term in graph.nodes:
-                writer.writerow([term, graph.partition[term]])
-
-        fh, writer = _open_csv(out / "clusters.csv")
-        with fh:
-            writer.writerow(["community", "rank", "term", "intra_degree"])
-            for cid, ranked in topicgraph.cluster_report(graph):
-                for rank, (term, degree) in enumerate(ranked, start=1):
-                    writer.writerow([cid, rank, term, _fmt(degree)])
+        _write_csv(out / "edges.csv", ["term1", "term2", "weight"],
+                   ([graph.nodes[a], graph.nodes[b], weight] for (a, b), weight
+                    in zip(graph.edges.tolist(), graph.weights.tolist())))
+        _write_csv(out / "partition.csv", ["term", "community"],
+                   ([term, graph.partition[term]] for term in graph.nodes))
+        _write_csv(out / "clusters.csv", ["community", "rank", "term", "intra_degree"],
+                   ([cid, rank, term, _fmt(degree)]
+                    for cid, ranked in topicgraph.cluster_report(graph)
+                    for rank, (term, degree) in enumerate(ranked, start=1)))
     except OSError as exc:
         return _fail(str(exc))
 

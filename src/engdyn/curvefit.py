@@ -198,7 +198,6 @@ def fit(series: TopicSeries, options: FitOptions = FitOptions()) -> FitResult:
     rss = float(residual @ residual)
     damping = _DAMPING_INIT
     iterations = 0
-    grad_ok = False
     best_norm = math.inf
     no_progress = 0
 
@@ -213,7 +212,6 @@ def fit(series: TopicSeries, options: FitOptions = FitOptions()) -> FitResult:
         gradient = J.T @ residual
         grad_norm = float(np.max(np.abs(gradient)))
         if grad_norm < _GRAD_TOL:
-            grad_ok = True
             break
         # Large-residual Gauss-Newton contracts the gradient only linearly,
         # so allow a few flat iterations before declaring a stall.
@@ -261,12 +259,9 @@ def fit(series: TopicSeries, options: FitOptions = FitOptions()) -> FitResult:
         if step is None:
             break  # stalled: no decrease possible at float precision
         if float(np.linalg.norm(step)) < _STEP_TOL:
-            gradient = J.T @ residual
-            grad_ok = bool(np.max(np.abs(gradient)) < _GRAD_TOL)
             break
-    else:
-        gradient = J.T @ residual
-        grad_ok = bool(np.max(np.abs(gradient)) < _GRAD_TOL)
+    # every exit leaves J and residual at theta
+    grad_ok = bool(np.max(np.abs(J.T @ residual)) < _GRAD_TOL)
 
     alpha_hat = math.exp(theta[0])
     beta_hat = float(theta[1])

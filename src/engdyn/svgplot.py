@@ -16,6 +16,10 @@ from .curvefit import sigmoid
 WIDTH = 640
 HEIGHT = 420
 MARGIN = 56
+# text markup escaped; the characters XML 1.0 cannot hold at all, even as
+# references, become U+FFFD
+_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", **dict.fromkeys(
+    [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF], "\ufffd")})
 
 
 def _scale(values, lo, hi, out_lo, out_hi):
@@ -36,6 +40,7 @@ def _polyline(xs, ys, color: str, width: float = 1.5, dash: str = "") -> str:
 def _frame(title: str, xlabel: str, ylabel: str, x_lo, x_hi, y_lo, y_hi) -> list[str]:
     left, right = MARGIN, WIDTH - MARGIN
     top, bottom = MARGIN, HEIGHT - MARGIN
+    title, xlabel, ylabel = (s.translate(_TEXT) for s in (title, xlabel, ylabel))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -235,11 +236,15 @@ class TestAnalyze:
         assert cli.main(["analyze", "--input", str(bad),
                          "--out", str(tmp_path / "o")]) == 2
 
-    def test_bad_alpha_level_exits_two(self, tmp_path):
-        corpus = simulate(tmp_path)
-        assert cli.main(["analyze", "--input", str(corpus / "posts.jsonl"),
-                         "--out", str(tmp_path / "o"),
-                         "--alpha-level", "1.5"]) == 2
+    def test_bad_alpha_level_exits_two(self, tmp_path, capsys):
+        # the alpha level is checked first, then the bin width, both before
+        # the input is opened or the output directory made
+        out = tmp_path / "o"
+        assert cli.main(["analyze", "--input", str(tmp_path / "missing.jsonl"),
+                         "--out", str(out), "--alpha-level", "1.5",
+                         "--bin-width-days", "nan"]) == 2
+        assert capsys.readouterr().err == "error: alpha-level must lie in (0, 1)\n"
+        assert not out.exists()
 
     def test_fifty_topic_corpus(self, tmp_path):
         from engdyn.synth import default_corpus_specs, generate_corpus
@@ -406,7 +411,7 @@ class TestAnalyze:
         out = tmp_path / "run"
         code = cli.main(["analyze", "--input", str(corpus / "posts.jsonl"),
                          "--out", str(out), "--plots"])
-        return code, {svg.name: ET.fromstring(svg.read_text()).find(
+        return code, {svg.name: ET.fromstring(svg.read_text(encoding="utf-8")).find(
                           "{http://www.w3.org/2000/svg}text").text
                       for svg in (out / "plots").glob("*.svg")}
 
@@ -415,6 +420,15 @@ class TestAnalyze:
         assert code == 0
         assert titles == {"si_vs_lh-1.svg": "si_vs_lh", "slow.svg": "slow",
                           "mid.svg": "mid",
+                          "si_vs_lh.svg": "speed index vs love-hate"}
+
+    def test_plot_titles_escaped_for_any_id(self, tmp_path):
+        # markup is escaped; a control character, which XML 1.0 cannot hold
+        # even as a reference, becomes U+FFFD in the title
+        code, titles = self.plot_titles(tmp_path, ["a<b & c", "]]>", "ctl\u0001id"])
+        assert code == 0
+        assert titles == {"a_b___c.svg": "a<b & c", "___.svg": "]]>",
+                          "ctl_id.svg": "ctl\ufffdid",
                           "si_vs_lh.svg": "speed index vs love-hate"}
 
     def test_long_topic_ids_get_capped_distinct_plots(self, tmp_path):
@@ -641,6 +655,37 @@ class TestExtractTopics:
         assert f"warning: {malformed} malformed article line(s) skipped" in runs[0][2]
         assert f"warning: {stopword_only} article(s) without usable terms " \
             "skipped" in runs[0][2]
+
+    def test_article_order_changes_no_output(self, tmp_path, capsys):
+        # more than two chunks of text articles, so that the chunk bounds
+        # move, with pre-tokenized, term-less and malformed lines among them
+        rnd = random.Random(4)
+        vocabularies = ["market trade economy inflation bank growth".split(),
+                        "match goal team league player coach".split(),
+                        "vote ballot party election senate".split()]
+        lines = [json.dumps({"article_id": f"t{i}", "text": " ".join(
+                     rnd.choices(vocabularies[i % 3], k=12)
+                     + rnd.choices(vocabularies[(i + 1) % 3], k=2))})
+                 for i in range(2 * topicgraph.CHUNK_ARTICLES + 7)]
+        lines[10:10] = [json.dumps({"article_id": "p1", "terms": ["Vote", "market"]}),
+                        json.dumps({"article_id": "p2", "terms": ["goal", "team"]}),
+                        json.dumps({"article_id": "e", "text": "the and of 42"}),
+                        '{"article_id": "m", "text": 5}']
+        lines.append(json.dumps({"article_id": "p3", "terms": ["coach", "senate"]}))
+        shuffled = rnd.sample(lines, len(lines))
+        runs = []
+        for name, order in (("first", lines), ("second", shuffled)):
+            path = tmp_path / f"{name}.jsonl"
+            path.write_text("".join(line + "\n" for line in order))
+            out = tmp_path / name
+            code = cli.main(["extract-topics", "--input", str(path),
+                             "--out", str(out), "--seed", "3"])
+            runs.append((code, read_tree(out), capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
+        err = runs[0][2].err
+        assert "warning: 1 malformed article line(s) skipped" in err
+        assert "warning: 1 article(s) without usable terms skipped" in err
 
     def test_byte_order_mark_accepted(self, tmp_path):
         plain = self.run_lines(tmp_path, "plain", [])
