@@ -8,12 +8,10 @@ codes: 0 success, 1 partial (some topics skipped), 2 input error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import re
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +20,7 @@ from . import curvefit, metrics, model, stats, svgplot, synth, topicgraph
 from .errors import (DegenerateFit, EmptyArticle, EngdynError,
                      InsufficientData, InvalidInput, TooManyBins,
                      UndefinedCorrelation, ZeroEngagement)
+from .model import write_csv
 
 MATRIX_METRICS = ("alpha", "beta", "speed_index", "love_hate")
 ROUNDED_THRESHOLD = 0.001  # the conventional rounding of 0.05 / 45
@@ -36,13 +35,6 @@ def _fail(message: str) -> int:
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _fmt(value) -> str:
@@ -96,23 +88,34 @@ def run_analysis(args) -> dict:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "fits.csv",
-               ["topic_id", "alpha", "beta", "se_alpha", "se_beta", "rss",
-                "n_points", "converged", "iterations"],
-               ([tid, _fmt(fr.alpha_hat), _fmt(fr.beta_hat), _fmt(fr.se_alpha),
-                 _fmt(fr.se_beta), _fmt(fr.rss), fr.n_points, _fmt(fr.converged),
-                 fr.iterations] for tid, (_, fr, _) in results.items()))
-    _write_csv(out / "metrics.csv",
-               ["topic_id", "speed_index", "lh_score", "lh_mode", "total_love",
-                "total_angry", "n_posts"],
-               ([tid, _fmt(tm.speed_index), _fmt(tm.lh_score), args.lh_mode,
-                 tm.total_love, tm.total_angry, series.n_posts]
-                for tid, (series, _, tm) in results.items()))
+    write_csv(out / "fits.csv",
+              ["topic_id", "alpha", "beta", "se_alpha", "se_beta", "rss",
+               "n_points", "converged", "iterations"],
+              ([tid, _fmt(fr.alpha_hat), _fmt(fr.beta_hat), _fmt(fr.se_alpha),
+                _fmt(fr.se_beta), _fmt(fr.rss), fr.n_points, _fmt(fr.converged),
+                fr.iterations] for tid, (_, fr, _) in results.items()),
+              texts=results)
+    write_csv(out / "metrics.csv",
+              ["topic_id", "speed_index", "lh_score", "lh_mode", "total_love",
+               "total_angry", "n_posts"],
+              ([tid, _fmt(tm.speed_index), _fmt(tm.lh_score), args.lh_mode,
+                tm.total_love, tm.total_angry, series.n_posts]
+               for tid, (series, _, tm) in results.items()),
+              texts=results)
 
-    correlations = _correlation_report(results, assignments)
+    # each category's fitted topics in sorted order, categories in
+    # CATEGORIES order; a topic counts in each of its categories
+    members = {}
+    for cat in model.CATEGORIES:
+        ids = [tid for tid in results
+               if tid in assignments and cat in assignments[tid].categories]
+        if ids:
+            members[cat] = ids
+
+    correlations = _correlation_report(results, members)
     _write_json(out / "correlations.json", correlations)
 
-    tests_summary, matrices = _category_tests(results, assignments, args.alpha_level)
+    tests_summary, matrices = _category_tests(results, members, args.alpha_level)
     matrix_dir = out / "matrices"
     matrix_dir.mkdir(exist_ok=True)
     for name, matrix in matrices.items():
@@ -120,11 +123,11 @@ def run_analysis(args) -> dict:
         _write_json(matrix_dir / f"{name}_summary.json", matrix.summary())
     _write_significance_table(matrix_dir / "significance_summary.csv", matrices)
 
-    category_table = _category_table(results, assignments)
+    category_table = _category_table(results, members)
     columns = ["category", "alpha_mean", "alpha_sd", "beta_mean", "beta_sd",
                "si_mean", "si_sd"]
-    _write_csv(out / "category_summary.csv", columns,
-               ([_fmt(row[key]) for key in columns] for row in category_table))
+    write_csv(out / "category_summary.csv", columns,
+              ([_fmt(row[key]) for key in columns] for row in category_table))
 
     if args.plots:
         _write_plots(out / "plots", results)
@@ -148,7 +151,7 @@ def run_analysis(args) -> dict:
     return summary
 
 
-def _correlation_report(results, assignments) -> dict:
+def _correlation_report(results, members) -> dict:
     """Speed Index vs Love-Hate rank correlation, overall and per category."""
     pairs = {tid: (tm.speed_index, tm.lh_score)
              for tid, (_, _, tm) in results.items() if tm.lh_score is not None}
@@ -165,72 +168,62 @@ def _correlation_report(results, assignments) -> dict:
     report = {"metric": "speed_index_vs_love_hate",
               "all": corr(sorted(pairs))}
     by_category: dict[str, dict] = {}
-    for cat in model.CATEGORIES:
-        ids = sorted(t for t in pairs
-                     if t in assignments and cat in assignments[t].categories)
-        if ids:
-            by_category[cat] = corr(ids)
+    for cat, ids in members.items():
+        with_lh = [t for t in ids if t in pairs]
+        if with_lh:
+            by_category[cat] = corr(with_lh)
     report["by_category"] = by_category
     return report
 
 
-def _category_tests(results, assignments, alpha_level):
-    values = {
-        "alpha": {tid: fr.alpha_hat for tid, (_, fr, _) in results.items()},
-        "beta": {tid: fr.beta_hat for tid, (_, fr, _) in results.items()},
-        "speed_index": {tid: tm.speed_index for tid, (_, _, tm) in results.items()},
-        "love_hate": {tid: tm.lh_score for tid, (_, _, tm) in results.items()
-                      if tm.lh_score is not None},
-    }
+def _category_tests(results, members, alpha_level):
+    # each topic's values in MATRIX_METRICS order; a topic without
+    # reactions has no love-hate score
+    values = {tid: (fr.alpha_hat, fr.beta_hat, tm.speed_index, tm.lh_score)
+              for tid, (_, fr, tm) in results.items()}
     summaries: dict[str, dict] = {}
     matrices: dict[str, stats.PairwiseTestMatrix] = {}
-    # a category excluded for its size is a notice on stderr, which no
-    # warning filter can turn into an error
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for name in MATRIX_METRICS:
-            try:
-                matrix = stats.pairwise_category_tests(
-                    values[name], assignments.values(), name,
-                    alpha_level=alpha_level)
-            except InvalidInput as exc:
-                summaries[name] = {"error": str(exc)}
-                continue
-            matrices[name] = matrix
-            summary = matrix.summary()
-            summary["frac_below_rounded_0.001"] = matrix.frac_significant(ROUNDED_THRESHOLD)
-            summary["excluded_categories"] = list(matrix.excluded)
-            summaries[name] = summary
-    for notice in caught:
-        print(f"warning: {notice.message}", file=sys.stderr)
+    for i, name in enumerate(MATRIX_METRICS):
+        samples, excluded = {}, []
+        for cat, ids in members.items():
+            sample = [values[t][i] for t in ids if values[t][i] is not None]
+            if len(sample) >= 2:
+                samples[cat] = sample
+            elif sample:
+                excluded.append(cat)
+                print(f"warning: category {cat!r} has {len(sample)} topic(s); "
+                      f"excluded from pairwise {name} tests", file=sys.stderr)
+        try:
+            matrix = stats.pairwise_category_tests(samples, name,
+                                                   alpha_level=alpha_level)
+        except InvalidInput as exc:
+            summaries[name] = {"error": str(exc)}
+            continue
+        matrices[name] = matrix
+        summary = matrix.summary()
+        summary["frac_below_rounded_0.001"] = matrix.frac_significant(ROUNDED_THRESHOLD)
+        summary["excluded_categories"] = excluded
+        summaries[name] = summary
     return summaries, matrices
 
 
 def _write_matrix_csv(path: Path, matrix: stats.PairwiseTestMatrix) -> None:
     cats = matrix.categories
-    _write_csv(path, [""] + list(cats),
-               ([cat] + ["" if i == j else _fmt(float(matrix.p_values[i, j]))
-                         for j in range(len(cats))]
-                for i, cat in enumerate(cats)))
+    write_csv(path, [""] + list(cats),
+              ([cat] + ["" if i == j else _fmt(float(matrix.p_values[i, j]))
+                        for j in range(len(cats))]
+               for i, cat in enumerate(cats)))
 
 
 def _write_significance_table(path: Path, matrices) -> None:
     names = [n for n in MATRIX_METRICS if n in matrices]
     below = [matrices[n].frac_significant() for n in names]
-    _write_csv(path, [""] + names,
-               [["below_threshold"] + [_fmt(v) for v in below],
-                ["above_threshold"] + [_fmt(1.0 - v) for v in below]])
+    write_csv(path, [""] + names,
+              [["below_threshold"] + [_fmt(v) for v in below],
+               ["above_threshold"] + [_fmt(1.0 - v) for v in below]])
 
 
-def _category_table(results, assignments) -> list[dict]:
-    per_cat: dict[str, list[tuple[float, float, float]]] = {}
-    for tid, (_, fr, tm) in results.items():
-        if tid not in assignments:
-            continue
-        for cat in assignments[tid].categories:
-            per_cat.setdefault(cat, []).append(
-                (fr.alpha_hat, fr.beta_hat, tm.speed_index))
-
+def _category_table(results, members) -> list[dict]:
     def mean_sd(xs):
         arr = np.asarray(xs)
         mean = float(arr.mean())
@@ -238,15 +231,12 @@ def _category_table(results, assignments) -> list[dict]:
         return mean, sd
 
     table = []
-    for cat in model.CATEGORIES:
-        if cat not in per_cat:
-            continue
-        triples = per_cat[cat]
-        a_mean, a_sd = mean_sd([t[0] for t in triples])
-        b_mean, b_sd = mean_sd([t[1] for t in triples])
-        s_mean, s_sd = mean_sd([t[2] for t in triples])
+    for cat, ids in members.items():
+        a_mean, a_sd = mean_sd([results[t][1].alpha_hat for t in ids])
+        b_mean, b_sd = mean_sd([results[t][1].beta_hat for t in ids])
+        s_mean, s_sd = mean_sd([results[t][2].speed_index for t in ids])
         table.append({
-            "category": cat, "n_topics": len(triples),
+            "category": cat, "n_topics": len(ids),
             "alpha_mean": a_mean, "alpha_sd": a_sd,
             "beta_mean": b_mean, "beta_sd": b_sd,
             "si_mean": s_mean, "si_sd": s_sd,
@@ -298,22 +288,27 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------- extract-topics
 
 def _read_articles(lines, stopwords: frozenset[str]):
-    """(articles, malformed line count, count of articles without terms).
+    """(articles, malformed line count, repeated article count, count of
+    articles without terms).
 
-    Text articles go through the term kernel a chunk at a time, so they
-    land after the pre-tokenized ones read with them; no output depends on
-    the order of the articles.
+    The first article of each id is kept and every later one skipped. Text
+    articles go through the term kernel a chunk at a time, so they land
+    after the pre-tokenized ones read with them; no output depends on the
+    order of the articles.
     """
     articles: list = []
+    seen: set[str] = set()
     ids: list[str] = []
     texts: list[str] = []
-    bad_lines = empty_articles = 0
+    bad_lines = repeats = empty_articles = 0
     for line in lines:
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
             article_id = obj["article_id"]
+            if not isinstance(article_id, str):
+                raise TypeError("article_id must be a string")
             if "terms" in obj:
                 terms = obj["terms"]
                 if not (isinstance(terms, list)
@@ -322,18 +317,24 @@ def _read_articles(lines, stopwords: frozenset[str]):
                 # a lone surrogate, which the UTF-8 outputs cannot hold,
                 # raises a ValueError
                 "".join(terms).encode("utf-8")
-                articles.append(topicgraph.count_terms(article_id, terms, stopwords))
-                continue
-            text = obj["text"]
-            if not isinstance(text, str):
-                raise TypeError("text must be a string")
+            else:
+                terms, text = None, obj["text"]
+                if not isinstance(text, str):
+                    raise TypeError("text must be a string")
         # ValueError covers invalid JSON and integers past the digit limit;
         # RecursionError, JSON nested too deeply to decode
         except (ValueError, KeyError, TypeError, RecursionError):
             bad_lines += 1
             continue
-        except EmptyArticle:
-            empty_articles += 1
+        if article_id in seen:
+            repeats += 1
+            continue
+        seen.add(article_id)
+        if terms is not None:
+            try:
+                articles.append(topicgraph.count_terms(article_id, terms, stopwords))
+            except EmptyArticle:
+                empty_articles += 1
             continue
         ids.append(article_id)
         texts.append(text)
@@ -343,7 +344,8 @@ def _read_articles(lines, stopwords: frozenset[str]):
     if ids:
         articles += topicgraph.extract_terms_chunk(ids, texts, stopwords)
     usable = [article for article in articles if article is not None]
-    return usable, bad_lines, empty_articles + len(articles) - len(usable)
+    return (usable, bad_lines, repeats,
+            empty_articles + len(articles) - len(usable))
 
 
 def cmd_extract_topics(args) -> int:
@@ -353,12 +355,15 @@ def cmd_extract_topics(args) -> int:
     try:
         stopwords = topicgraph.load_stopwords(args.stopwords)
         with open(args.input, encoding="utf-8-sig") as fh:
-            articles, bad_lines, empty_articles = _read_articles(fh, stopwords)
+            articles, bad_lines, repeats, empty_articles = _read_articles(
+                fh, stopwords)
     except OSError as exc:
         return _fail(str(exc))
     if bad_lines:
         print(f"warning: {bad_lines} malformed article line(s) skipped",
               file=sys.stderr)
+    if repeats:
+        print(f"warning: {repeats} repeated article(s) skipped", file=sys.stderr)
     if empty_articles:
         print(f"warning: {empty_articles} article(s) without usable terms "
               "skipped", file=sys.stderr)
@@ -370,15 +375,18 @@ def cmd_extract_topics(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
 
-        _write_csv(out / "edges.csv", ["term1", "term2", "weight"],
-                   ([graph.nodes[a], graph.nodes[b], weight] for (a, b), weight
-                    in zip(graph.edges.tolist(), graph.weights.tolist())))
-        _write_csv(out / "partition.csv", ["term", "community"],
-                   ([term, graph.partition[term]] for term in graph.nodes))
-        _write_csv(out / "clusters.csv", ["community", "rank", "term", "intra_degree"],
-                   ([cid, rank, term, _fmt(degree)]
-                    for cid, ranked in topicgraph.cluster_report(graph)
-                    for rank, (term, degree) in enumerate(ranked, start=1)))
+        write_csv(out / "edges.csv", ["term1", "term2", "weight"],
+                  ([graph.nodes[a], graph.nodes[b], weight] for (a, b), weight
+                   in zip(graph.edges.tolist(), graph.weights.tolist())),
+                  texts=graph.nodes)
+        write_csv(out / "partition.csv", ["term", "community"],
+                  ([term, graph.partition[term]] for term in graph.nodes),
+                  texts=graph.nodes)
+        write_csv(out / "clusters.csv", ["community", "rank", "term", "intra_degree"],
+                  ([cid, rank, term, _fmt(degree)]
+                   for cid, ranked in topicgraph.cluster_report(graph)
+                   for rank, (term, degree) in enumerate(ranked, start=1)),
+                  texts=graph.nodes)
     except OSError as exc:
         return _fail(str(exc))
 

@@ -543,3 +543,19 @@ def read_categories(path: str | Path) -> dict[str, CategoryAssignment]:
         topic: CategoryAssignment(topic, frozenset(cats))
         for topic, cats in pairs.items()
     }
+
+
+def write_csv(path: str | Path, header: Iterable[str], rows: Iterable,
+              texts: Iterable[str] = ()) -> None:
+    """Write ``header`` and ``rows`` as a UTF-8 CSV table with ``\\n`` row ends.
+
+    ``texts`` are the free texts the rows may hold (ids, terms). csv quotes
+    a field only for the delimiter, the quote character and the characters
+    of the row end, so a field holding a bare ``\\r`` would read back as two
+    rows; when any of ``texts`` holds one, every field is quoted.
+    """
+    quoting = csv.QUOTE_ALL if "\r" in "".join(texts) else csv.QUOTE_MINIMAL
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n", quoting=quoting)
+        writer.writerow(header)
+        writer.writerows(rows)

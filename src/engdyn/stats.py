@@ -10,15 +10,13 @@ approximation with continuity correction.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InvalidInput, UndefinedCorrelation
-from .model import CATEGORIES, CategoryAssignment
 
 EXACT_LIMIT = 8  # per-sample cutoff; enumeration stays <= C(16, 8) labelings
 
@@ -276,7 +274,6 @@ class PairwiseTestMatrix:
     categories: tuple[str, ...]
     p_values: np.ndarray  # NaN diagonal
     corrected_threshold: float
-    excluded: tuple[str, ...] = ()
 
     @property
     def n_pairs(self) -> int:
@@ -298,52 +295,33 @@ class PairwiseTestMatrix:
 
 
 def pairwise_category_tests(
-    values: Mapping[str, float],
-    assignments: Iterable[CategoryAssignment],
+    samples: Mapping[str, Sequence[float]],
     metric_name: str,
     alpha_level: float = 0.05,
 ) -> PairwiseTestMatrix:
     """Two-tailed Mann-Whitney tests between every pair of categories.
 
-    Categories appear in the order of ``CATEGORIES``. Topics carrying
-    several categories contribute their value to each of them. Categories
-    with fewer than 2 topics are excluded with a warning.
-    The Bonferroni threshold divides ``alpha_level`` by the number of pairs
-    actually tested.
+    ``samples`` maps each category to its values, in the order the matrix
+    lists them; every pair of them is tested. The Bonferroni threshold
+    divides ``alpha_level`` by the number of pairs.
     """
     if not (0.0 < alpha_level < 1.0):
         raise InvalidInput("alpha_level must lie in (0, 1)")
-    by_category: dict[str, list[float]] = {}
-    for assignment in assignments:
-        if assignment.topic_id not in values:
-            continue
-        for cat in assignment.categories:
-            by_category.setdefault(cat, []).append(values[assignment.topic_id])
-
-    kept, excluded = [], []
-    for cat in (c for c in CATEGORIES if c in by_category):
-        if len(by_category[cat]) >= 2:
-            kept.append(cat)
-        else:
-            excluded.append(cat)
-            warnings.warn(
-                f"category {cat!r} has {len(by_category[cat])} topic(s); excluded "
-                f"from pairwise {metric_name} tests", stacklevel=2)
-    if len(kept) < 2:
+    if len(samples) < 2:
         raise InvalidInput("need at least 2 categories with 2+ topics each")
 
-    k = len(kept)
+    categories = tuple(samples)
+    k = len(categories)
     matrix = np.full((k, k), np.nan)
     for i in range(k):
         for j in range(i + 1, k):
-            _, p = mann_whitney_u(by_category[kept[i]], by_category[kept[j]])
+            _, p = mann_whitney_u(samples[categories[i]], samples[categories[j]])
             matrix[i, j] = matrix[j, i] = p
 
     n_pairs = k * (k - 1) // 2
     return PairwiseTestMatrix(
         metric_name=metric_name,
-        categories=tuple(kept),
+        categories=categories,
         p_values=matrix,
         corrected_threshold=alpha_level / n_pairs,
-        excluded=tuple(excluded),
     )

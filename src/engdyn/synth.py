@@ -13,7 +13,6 @@ topic_id), so a topic's posts never depend on the other topics or their order.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import sys
@@ -27,7 +26,7 @@ import numpy as np
 
 from .curvefit import sigmoid
 from .errors import InvalidInput
-from .model import CATEGORIES, MAX_COUNT, SECONDS_PER_DAY, PostTable
+from .model import CATEGORIES, MAX_COUNT, SECONDS_PER_DAY, PostTable, write_csv
 
 CORPUS_EPOCH = datetime(2018, 1, 1, tzinfo=timezone.utc)
 _EPOCH_S = int(CORPUS_EPOCH.timestamp())
@@ -174,12 +173,10 @@ def generate_corpus(specs: Sequence[SynthSpec],
             fh.writelines(line % row for row in zip(
                 range(len(table)), stamps.tolist(), *table.counts.T.tolist()))
 
-    with open(categories_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["topic_id", "category"])
-        for spec in specs:
-            writer.writerows([spec.topic_id, cat]
-                             for cat in sorted(category_map.get(spec.topic_id, ())))
+    rows = [[spec.topic_id, cat] for spec in specs
+            for cat in sorted(category_map.get(spec.topic_id, ()))]
+    write_csv(categories_path, ["topic_id", "category"], rows,
+              texts=[field for row in rows for field in row])
 
 
 def default_corpus_specs(n_topics: int, seed: int = 0,

@@ -22,7 +22,7 @@ import pytest
 
 from engdyn import cli, curvefit, synth
 from engdyn.metrics import speed_index, topic_metrics
-from engdyn.model import CATEGORIES, CategoryAssignment, build_series
+from engdyn.model import CATEGORIES, build_series
 from engdyn.stats import mann_whitney_u, pairwise_category_tests, spearman
 from engdyn.topicgraph import louvain
 
@@ -261,14 +261,8 @@ def test_pipeline_sign():
 
 def test_bonferroni_bookkeeping(tmp_path):
     rng = np.random.default_rng(3)
-    values, assignments = {}, []
-    for cat in CATEGORIES:
-        for j in range(3):
-            tid = f"{cat}-{j}"
-            values[tid] = float(rng.normal())
-            assignments.append(CategoryAssignment(tid, frozenset({cat})))
-    matrix = pairwise_category_tests(values, assignments, "alpha",
-                                     alpha_level=0.05)
+    samples = {cat: [float(rng.normal()) for _ in range(3)] for cat in CATEGORIES}
+    matrix = pairwise_category_tests(samples, "alpha", alpha_level=0.05)
     threshold_ok = (matrix.n_pairs == 45
                     and matrix.corrected_threshold == 0.05 / 45
                     and repr(matrix.corrected_threshold).startswith("0.001111"))
@@ -311,14 +305,9 @@ def test_same_distribution_calibration():
     reps = 1000
     significant = 0
     for _ in range(reps):
-        values, assignments = {}, []
-        for cat, tag in (("Politics", "p"), ("Health", "h")):
-            for j in range(20):
-                tid = f"{tag}{j}"
-                values[tid] = float(rng.normal())
-                assignments.append(CategoryAssignment(tid, frozenset({cat})))
-        matrix = pairwise_category_tests(values, assignments, "alpha",
-                                         alpha_level=0.05)
+        samples = {cat: [float(rng.normal()) for _ in range(20)]
+                   for cat in ("Politics", "Health")}
+        matrix = pairwise_category_tests(samples, "alpha", alpha_level=0.05)
         significant += matrix.frac_significant() > 0
     rate = significant / reps
     band = 2.0 * (0.05 * 0.95 / reps) ** 0.5

@@ -4,11 +4,14 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import engdyn
 from engdyn import cli, topicgraph
@@ -442,31 +445,71 @@ class TestAnalyze:
                           shared + "-1.svg": shared + "b",
                           "si_vs_lh.svg": "speed index vs love-hate"}
 
-    def test_excluded_category_is_a_notice_under_error_filters(self, tmp_path, capsys):
-        # four topics in two categories of two, and one lone Health topic;
-        # warnings raised as errors must not stop the run
-        topics = [dict(SPEC_OBJ["topics"][i % 3], topic_id=f"t{i}", categories=[cat])
-                  for i, cat in enumerate(["Politics", "Politics", "Social", "Social",
-                                           "Health"])]
+    def run_with_categories(self, tmp_path, categories):
+        """Exit code and output directory of analyze on one simulated topic
+        per entry of ``categories``, each holding that entry's labels."""
+        topics = [dict(SPEC_OBJ["topics"][i % 3], topic_id=f"t{i}", categories=cats)
+                  for i, cats in enumerate(categories)]
         spec = write_spec(tmp_path, {"seed": 5, "topics": topics})
         corpus = tmp_path / "corpus"
         assert cli.main(["simulate", "--input", str(spec), "--out", str(corpus)]) == 0
         out = tmp_path / "run"
+        code = cli.main(["analyze", "--input", str(corpus / "posts.jsonl"),
+                         "--categories", str(corpus / "categories.csv"),
+                         "--out", str(out)])
+        return code, out
+
+    def test_excluded_category_is_a_notice_under_error_filters(self, tmp_path, capsys):
+        # four topics in two categories of two, and one lone Health topic;
+        # warnings raised as errors must not stop the run
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = cli.main(["analyze", "--input", str(corpus / "posts.jsonl"),
-                             "--categories", str(corpus / "categories.csv"),
-                             "--out", str(out)])
+            code, out = self.run_with_categories(
+                tmp_path, [["Politics"], ["Politics"], ["Social"], ["Social"],
+                           ["Health"]])
         assert code == 0
         matrices = [f"matrices/{name}{end}" for name in cli.MATRIX_METRICS
                     for end in (".csv", "_summary.json")]
         assert sorted(read_tree(out)) == sorted(
             ["category_summary.csv", "correlations.json", "fits.csv", "metrics.csv",
              "summary.json", "matrices/significance_summary.csv"] + matrices)
+        tests = json.loads((out / "summary.json").read_text())["tests"]
         err = capsys.readouterr().err
-        assert ("warning: category 'Health' has 1 topic(s); excluded from pairwise "
-                "alpha tests") in err.splitlines()
+        for name in cli.MATRIX_METRICS:
+            assert tests[name]["excluded_categories"] == ["Health"]
+            assert tests[name]["n_pairs"] == 1
+            assert (f"warning: category 'Health' has 1 topic(s); excluded from "
+                    f"pairwise {name} tests") in err.splitlines()
         assert "UserWarning" not in err
+
+    def test_too_few_kept_categories_give_the_error_entry(self, tmp_path, capsys):
+        code, out = self.run_with_categories(
+            tmp_path, [["Politics"], ["Politics"], ["Health"]])
+        assert code == 0
+        tests = json.loads((out / "summary.json").read_text())["tests"]
+        assert tests == {name: {"error": "need at least 2 categories with 2+ "
+                                         "topics each"}
+                         for name in cli.MATRIX_METRICS}
+        assert sorted(read_tree(out / "matrices")) == ["significance_summary.csv"]
+        # the notices come before the error entry, so they are still printed
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: category 'Health' has 1 topic(s); excluded from pairwise "
+            f"{name} tests" for name in cli.MATRIX_METRICS]
+
+    def test_multi_category_topics_count_everywhere(self, tmp_path):
+        code, out = self.run_with_categories(tmp_path, [["Politics", "Health"]] * 4)
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert [(row["category"], row["n_topics"])
+                for row in summary["per_category"]] == [("Politics", 4), ("Health", 4)]
+        correlations = json.loads((out / "correlations.json").read_text())
+        assert {cat: entry["n"] for cat, entry
+                in correlations["by_category"].items()} == {"Politics": 4, "Health": 4}
+        # both categories hold identical samples, so the test is a wash
+        with open(out / "matrices" / "alpha.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [["", "Politics", "Health"],
+                                            ["Politics", "", "1.0"],
+                                            ["Health", "1.0", ""]]
 
 
 ARTICLES = []
@@ -567,6 +610,8 @@ class TestExtractTopics:
                '{"article_id": "b", "terms": "market"}',
                '{"article_id": "b", "terms": {"market": 1}}',
                '{"text": "market goal"}',
+               '{"article_id": 7, "text": "market goal"}',
+               '{"article_id": null, "terms": ["market", "goal"]}',
                '["article_id", "text"]',
                "not json",
                '{"article_id": "b", "text": ' + "1" * 5000 + "}",
@@ -574,6 +619,17 @@ class TestExtractTopics:
         assert self.run_lines(tmp_path, "dirty", bad) == clean
         assert f"warning: {len(bad)} malformed article line(s) skipped" \
             in capsys.readouterr().err
+
+    def test_repeated_articles_counted_once(self, tmp_path, capsys):
+        clean = self.run_lines(tmp_path, "clean", [])
+        capsys.readouterr()
+        # the first copy of an id is kept, whatever the later ones hold
+        repeats = [json.dumps(ARTICLES[0]), json.dumps(ARTICLES[0]),
+                   '{"article_id": "sport1", "terms": ["market", "goal"]}']
+        assert self.run_lines(tmp_path, "repeats", repeats) == clean
+        err = capsys.readouterr().err
+        assert "warning: 3 repeated article(s) skipped" in err.splitlines()
+        assert "malformed" not in err
 
     def test_articles_without_usable_terms_counted(self, tmp_path, capsys):
         clean = self.run_lines(tmp_path, "clean", [])
@@ -773,3 +829,71 @@ def test_no_command_loads_scipy(tmp_path):
     assert report["calls"]["t_two_sided_p"] > 0
     assert report["calls"]["normal_cdf"] > 0
     assert report["scipy"] == []
+
+
+# ids and terms from text that CSV, JSON, XML and file names each treat
+# specially: controls, quotes, commas, both line ends, markup, a line
+# separator, a noncharacter and a character outside the BMP
+AWKWARD_TEXT = st.text(st.sampled_from(
+    list("ab .,;\"'<&>]\r\n\t\x00\x01\x1f\x7f\x85\u2028\ufffe\U0001f600")),
+    min_size=1, max_size=6)
+
+
+def check_outputs(out: Path) -> None:
+    """Every .svg, .json and .csv under ``out`` reads back; each CSV row has
+    its header's field count."""
+    for path in out.rglob("*"):
+        if path.suffix == ".svg":
+            ET.parse(path)
+        elif path.suffix == ".json":
+            json.loads(path.read_text(encoding="utf-8"))
+        elif path.suffix == ".csv":
+            with open(path, encoding="utf-8", newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows and all(len(row) == len(rows[0]) for row in rows), path
+
+
+@settings(max_examples=25, deadline=None)
+@given(topic_ids=st.lists(AWKWARD_TEXT, min_size=1, max_size=4, unique=True),
+       terms=st.lists(st.lists(AWKWARD_TEXT, min_size=1, max_size=4),
+                      min_size=1, max_size=4))
+@example(topic_ids=["r\rn", "plain", "x"], terms=[["x\ry", "plain"]])
+def test_every_output_reads_back_for_any_id(topic_ids, terms):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        topics = [{"topic_id": tid, "alpha_true": 0.01, "beta_true": 300.0,
+                   "horizon_days": 900.0, "n_posts": 30, "lh_target": 0.2,
+                   "categories": [("Politics", "Health")[i % 2]]}
+                  for i, tid in enumerate(topic_ids)]
+        spec = write_spec(tmp, {"seed": 1, "topics": topics})
+        corpus = tmp / "corpus"
+        code = cli.main(["simulate", "--input", str(spec), "--out", str(corpus)])
+        assert code == 0
+        check_outputs(corpus)
+
+        out = tmp / "run"
+        code = cli.main(["analyze", "--input", str(corpus / "posts.jsonl"),
+                         "--categories", str(corpus / "categories.csv"),
+                         "--out", str(out), "--plots"])
+        assert code in (0, 1, 2)
+        if code != 2:
+            check_outputs(out)
+            summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+            fitted = sorted(set(topic_ids) - set(summary["skipped"]))
+            with open(out / "fits.csv", encoding="utf-8", newline="") as fh:
+                assert [row[0] for row in csv.reader(fh)][1:] == fitted
+            with open(out / "metrics.csv", encoding="utf-8", newline="") as fh:
+                scatter = any(row[2] for row in list(csv.reader(fh))[1:])
+            assert len(list((out / "plots").iterdir())) == len(fitted) + scatter
+
+        # article ids come from the topic ids, so some repeat
+        articles = tmp / "articles.jsonl"
+        articles.write_text("".join(
+            json.dumps({"article_id": topic_ids[i % len(topic_ids)], "terms": row})
+            + "\n" for i, row in enumerate(terms)), encoding="utf-8")
+        out = tmp / "topics"
+        code = cli.main(["extract-topics", "--input", str(articles),
+                         "--out", str(out)])
+        assert code in (0, 2)
+        if code == 0:
+            check_outputs(out)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engdyn.errors import InvalidInput, UndefinedCorrelation
-from engdyn.model import CategoryAssignment
 from engdyn.stats import (_exact_p, _normal_p, mann_whitney_u, normal_cdf,
                           pairwise_category_tests, rank_average, spearman,
                           t_two_sided_p)
@@ -323,73 +322,40 @@ class TestPValueDistributions:
 
 # -------------------------------------------------- pairwise category tests
 
-def make_assignments(mapping):
-    return [CategoryAssignment(t, frozenset(cats))
-            for t, cats in mapping.items()]
-
-
 class TestPairwiseCategoryTests:
     def test_bonferroni_bookkeeping_for_ten_categories(self):
         from engdyn.model import CATEGORIES
         rng = np.random.default_rng(1)
-        values, mapping = {}, {}
-        for i, cat in enumerate(CATEGORIES):
-            for j in range(3):
-                tid = f"{cat}-{j}"
-                values[tid] = float(rng.normal())
-                mapping[tid] = [cat]
-        matrix = pairwise_category_tests(values, make_assignments(mapping),
-                                         "alpha", alpha_level=0.05)
-        assert len(matrix.categories) == 10
+        samples = {cat: [float(rng.normal()) for _ in range(3)]
+                   for cat in CATEGORIES}
+        matrix = pairwise_category_tests(samples, "alpha", alpha_level=0.05)
+        assert matrix.categories == CATEGORIES
         assert matrix.n_pairs == 45
         assert matrix.corrected_threshold == 0.05 / 45
         assert matrix.corrected_threshold == pytest.approx(0.0011111, abs=1e-6)
 
     def test_matrix_symmetric_with_empty_diagonal(self):
         rng = np.random.default_rng(2)
-        values = {f"t{i}": float(rng.normal()) for i in range(12)}
-        mapping = {f"t{i}": ["Politics" if i % 3 == 0 else
-                             "Health" if i % 3 == 1 else "Social"]
-                   for i in range(12)}
-        matrix = pairwise_category_tests(values, make_assignments(mapping),
-                                         "speed_index")
+        values = [float(rng.normal()) for _ in range(12)]
+        samples = {"Politics": values[0::3], "Health": values[1::3],
+                   "Social": values[2::3]}
+        matrix = pairwise_category_tests(samples, "speed_index")
+        assert matrix.categories == ("Politics", "Health", "Social")
         p = matrix.p_values
         assert np.allclose(p, p.T, equal_nan=True)
         assert np.all(np.isnan(np.diag(p)))
         assert np.all((p[~np.isnan(p)] >= 0) & (p[~np.isnan(p)] <= 1))
-
-    def test_multi_category_topics_count_everywhere(self):
-        values = {f"t{i}": float(i) for i in range(4)}
-        mapping = {f"t{i}": ["Politics", "Health"] for i in range(4)}
-        matrix = pairwise_category_tests(values, make_assignments(mapping),
-                                         "beta")
-        # both categories hold identical samples, so the test is a wash
-        i = matrix.categories.index("Health")
-        j = matrix.categories.index("Politics")
-        assert matrix.p_values[i, j] == 1.0
-
-    def test_small_category_excluded_with_warning(self):
-        values = {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0, "e": 5.0}
-        mapping = {"a": ["Politics"], "b": ["Politics"],
-                   "c": ["Health"], "d": ["Health"], "e": ["Economy"]}
-        with pytest.warns(UserWarning, match="Economy"):
-            matrix = pairwise_category_tests(values, make_assignments(mapping),
-                                             "alpha")
-        assert matrix.excluded == ("Economy",)
-        assert set(matrix.categories) == {"Health", "Politics"}
+        for (i, x), (j, y) in itertools.combinations(enumerate(samples.values()), 2):
+            assert p[i, j] == mann_whitney_u(x, y).p_value
 
     def test_fewer_than_two_categories_rejected(self):
-        values = {"a": 1.0, "b": 2.0}
-        mapping = {"a": ["Politics"], "b": ["Politics"]}
-        with pytest.raises(InvalidInput):
-            pairwise_category_tests(values, make_assignments(mapping), "alpha")
+        with pytest.raises(InvalidInput) as info:
+            pairwise_category_tests({"Politics": [1.0, 2.0]}, "alpha")
+        assert str(info.value) == "need at least 2 categories with 2+ topics each"
 
     def test_summary_keys(self):
-        values = {"a": 1.0, "b": 2.0, "c": 1.5, "d": 2.5}
-        mapping = {"a": ["Politics"], "b": ["Politics"],
-                   "c": ["Health"], "d": ["Health"]}
-        summary = pairwise_category_tests(
-            values, make_assignments(mapping), "love_hate").summary()
+        samples = {"Health": [1.5, 2.5], "Politics": [1.0, 2.0]}
+        summary = pairwise_category_tests(samples, "love_hate").summary()
         assert set(summary) == {"metric", "n_pairs", "threshold",
                                 "frac_significant"}
         assert summary["metric"] == "love_hate"
