@@ -1,12 +1,14 @@
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from engdyn import cli
 from engdyn.errors import InvalidInput, UndefinedCorrelation
 from engdyn.stats import (_exact_p, _normal_p, mann_whitney_u, normal_cdf,
                           pairwise_category_tests, rank_average, spearman,
@@ -347,6 +349,24 @@ class TestPairwiseCategoryTests:
         assert np.all((p[~np.isnan(p)] >= 0) & (p[~np.isnan(p)] <= 1))
         for (i, x), (j, y) in itertools.combinations(enumerate(samples.values()), 2):
             assert p[i, j] == mann_whitney_u(x, y).p_value
+
+    def test_small_category_excluded_with_warning(self, capsys):
+        # analyze drops a category with fewer than 2 topics before the
+        # pairwise tests and says so on stderr
+        values = {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0, "e": 5.0}
+        results = {tid: (None, SimpleNamespace(alpha_hat=v, beta_hat=v),
+                         SimpleNamespace(speed_index=v, lh_score=v))
+                   for tid, v in values.items()}
+        members = {"Politics": ["a", "b"], "Health": ["c", "d"], "Economy": ["e"]}
+        summaries, matrices = cli._category_tests(results, members, 0.05)
+        err = capsys.readouterr().err.splitlines()
+        for name in cli.MATRIX_METRICS:
+            assert (f"warning: category 'Economy' has 1 topic(s); excluded from "
+                    f"pairwise {name} tests") in err
+            assert summaries[name]["excluded_categories"] == ["Economy"]
+            assert matrices[name].categories == ("Politics", "Health")
+            assert matrices[name].p_values[0, 1] == mann_whitney_u(
+                [1.0, 2.0], [3.0, 4.0]).p_value
 
     def test_fewer_than_two_categories_rejected(self):
         with pytest.raises(InvalidInput) as info:
