@@ -176,16 +176,18 @@ class PostTable:
 
 
 class _Rows:
-    """The parse so far: accepted rows as int64 columns in input order, the
-    rejects, and the first line of each accepted ``post_id``."""
+    """The parse so far: rows as int64 columns in input order, the rejects, and
+    per row the hash, line and text of its post_id for :meth:`drop_repeats`."""
 
     def __init__(self):
         self.codes: dict[str, int] = {}  # topic id -> first-seen code
-        self.first_line: dict[str, int] = {}  # accepted post_id -> its line
         self.rejects: list[tuple[int, str]] = []
         self.row_codes = array("q")
         self.counts = array("q")
         self.stamps = array("q")
+        self.hashes, self.lines = array("q"), array("q")  # per row: hash(post_id), line
+        self.id_texts: list[str] = []  # per chunk: its rows' post_ids, joined
+        self.id_ends = array("q", [0])  # row r's id: [r]:[r + 1] of the joined texts
 
     def add_chunk(self, start: int, lines: list[str]) -> None:
         """Add ``lines``, the first of which is line ``start``, in three
@@ -203,8 +205,8 @@ class _Rows:
         row whose stamp it does not read, or whose count read by the pattern
         exceeds :data:`MAX_COUNT`, goes alone through :func:`_check_line` again.
 
-        Keep: in one pass in line order, a row whose topic id is not UTF-8
-        or whose ``post_id`` was already kept is rejected; the others are kept.
+        Keep: in line order, a row whose topic id is not UTF-8 is rejected;
+        the others are kept, and their post_ids go to the id columns.
         """
         # read
         matches = list(takewhile(bool, map(_CANONICAL.fullmatch, lines)))
@@ -279,17 +281,13 @@ class _Rows:
                         if topic_ids[row] == topic_id:
                             keep[row] = False
                             rejects.append((linenos[row], "topic_id holds a lone surrogate"))
-        # only the rows that passed every other check register their post_id
         ok = keep.tolist()
-        kept_lines = list(compress(linenos, ok))
-        seen = list(map(self.first_line.setdefault, compress(post_ids, ok), kept_lines))
-        if seen != kept_lines:  # a repeat: only such a chunk pays for the scan
-            rows = np.flatnonzero(keep)
-            for j in compress(range(len(seen)), map(operator.ne, seen, kept_lines)):
-                keep[rows[j]] = False
-                rejects.append((kept_lines[j], f"duplicate post_id {post_ids[rows[j]]!r} "
-                                               f"(first seen on line {seen[j]})"))
-            ok = keep.tolist()
+        kept_ids = list(compress(post_ids, ok))
+        self.hashes.frombytes(np.fromiter(map(hash, kept_ids), np.int64, len(kept_ids)).tobytes())
+        self.lines.frombytes(np.array(linenos, dtype=np.int64)[keep].tobytes())
+        self.id_texts.append("".join(kept_ids))
+        ends = np.cumsum(np.fromiter(map(len, kept_ids), np.int64, len(kept_ids)))
+        self.id_ends.frombytes((ends + self.id_ends[-1]).tobytes())
         kept_topics = list(compress(topic_ids, ok))
         for topic_id in dict.fromkeys(kept_topics):
             codes.setdefault(topic_id, len(codes))
@@ -298,14 +296,40 @@ class _Rows:
         self.stamps.frombytes(stamps.compress(keep).tobytes())
         self.rejects.extend(sorted(rejects))
 
+    def drop_repeats(self) -> None:
+        """Reject each row whose post_id an earlier row holds (only rows of equal
+        hash are compared), give it the code ``len(codes)``, which names no
+        topic, and free the id columns."""
+        hashes = np.frombuffer(self.hashes, dtype=np.int64)
+        order = np.argsort(hashes, kind="stable")  # the rows of a hash in line order
+        hashes = hashes[order]
+        later = np.flatnonzero(hashes[1:] == hashes[:-1]) + 1  # sorted: the previous's hash
+        rows, firsts = order[later], order[np.searchsorted(hashes, hashes[later])]
+        by_line = np.argsort(rows)
+        rows, firsts = rows[by_line].tolist(), firsts[by_line].tolist()
+        text, ends, lines = "".join(self.id_texts) if rows else "", self.id_ends, self.lines
+        ids = [text[ends[r]:ends[r + 1]] for r in rows]
+        if ids != [text[ends[f]:ends[f + 1]] for f in firsts]:  # a collision: first per id
+            seen = {(f, text[ends[f]:ends[f + 1]]): f for f in firsts}
+            firsts = [seen.setdefault((f, i), r) for f, i, r in zip(firsts, ids, rows)]
+            rows, ids, firsts = [list(compress(c, map(operator.ne, rows, firsts)))
+                                 for c in (rows, ids, firsts)]
+        self.rejects += [(lines[r], f"duplicate post_id {i!r} (first seen on line {lines[f]})")
+                         for r, i, f in zip(rows, ids, firsts)]
+        self.rejects.sort()  # two runs in line order, merged
+        np.frombuffer(self.row_codes, dtype=np.int64)[rows] = len(self.codes)
+        del self.hashes, self.lines, self.id_texts, self.id_ends
+
     def table(self) -> PostTable:
-        names = sorted(self.codes)
-        rank = np.empty(len(names), dtype=np.int64)
-        rank[[self.codes[name] for name in names]] = np.arange(len(names))
-        keys = rank[np.frombuffer(self.row_codes, dtype=np.int64)]
-        order = np.argsort(keys, kind="stable")  # keeps input order in a topic
+        row_codes = np.frombuffer(self.row_codes, dtype=np.int64)
+        n_rows = np.bincount(row_codes, minlength=len(self.codes) + 1)  # per code
+        names = sorted(compress(self.codes, n_rows.tolist()))  # the topics with a row
+        codes = [self.codes[name] for name in names]
+        rank = np.full(len(n_rows), len(names))  # the rows of no name sort last
+        rank[codes] = np.arange(len(names))
         bounds = np.zeros(len(names) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys, minlength=len(names)), out=bounds[1:])
+        np.cumsum(n_rows[codes], out=bounds[1:])
+        order = np.argsort(rank[row_codes], kind="stable")[:bounds[-1]]  # input order in a topic
         counts = np.frombuffer(self.counts, dtype=np.int64).reshape(-1, len(COUNT_FIELDS))
         return PostTable(tuple(names), bounds,
                          np.frombuffer(self.stamps, dtype=np.int64)[order],
@@ -432,14 +456,15 @@ def parse_posts(stream: Iterable[str]) -> ParseResult:
     cannot count its engagement twice; the first one is kept.
 
     The stream is read in chunks of lines, and each chunk goes once through
-    :meth:`_Rows.add_chunk`: its lines are read (the lines at the head of a
-    chunk that have the layout ``simulate`` writes by one regular
-    expression, :data:`_CANONICAL`; the others decoded and checked with a
-    few type tests), its stamps converted at once, and its rows kept in line
-    order. A line none of these reads, and a row one of them flags, goes
-    alone through the per-line checks, :func:`_check_record`. What is
-    accepted, the rejects, their order and their reasons are therefore those
-    of the per-line path on every input.
+    :meth:`_Rows.add_chunk`: its lines are read (those at the head of a chunk
+    in the layout ``simulate`` writes by one regular expression,
+    :data:`_CANONICAL`; the others decoded and checked with a few type
+    tests), its stamps converted at once, and its rows kept in line order. A
+    line none of these reads, and a row one of them flags, goes alone through
+    the per-line checks, :func:`_check_record`. Once the stream ends,
+    :meth:`_Rows.drop_repeats` finds the repeated post_ids by their hashes.
+    What is accepted, the rejects, their order and their reasons are
+    therefore those of the per-line path on every input.
     """
     rows = _Rows()
     stream = iter(stream)
@@ -447,7 +472,7 @@ def parse_posts(stream: Iterable[str]) -> ParseResult:
     while lines := list(islice(stream, _CHUNK_LINES)):
         rows.add_chunk(start, lines)
         start += len(lines)
-    rows.first_line.clear()  # the largest part of the parse; freed before table()
+    rows.drop_repeats()  # frees the id columns before table()
     return ParseResult(rows.table(), tuple(rows.rejects))
 
 
