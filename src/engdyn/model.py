@@ -307,9 +307,12 @@ class _Rows:
         rows, firsts = order[later], order[np.searchsorted(hashes, hashes[later])]
         by_line = np.argsort(rows)
         rows, firsts = rows[by_line].tolist(), firsts[by_line].tolist()
-        text, ends, lines = "".join(self.id_texts) if rows else "", self.id_ends, self.lines
+        text = "".join(self.id_texts) if rows else ""
+        del self.id_texts  # the chunks' texts, once joined
+        ends, lines = self.id_ends, self.lines
         ids = [text[ends[r]:ends[r + 1]] for r in rows]
-        if ids != [text[ends[f]:ends[f + 1]] for f in firsts]:  # a collision: first per id
+        # compared lazily; a mismatch is a hash collision: find the first row per id
+        if not all(map(operator.eq, ids, (text[ends[f]:ends[f + 1]] for f in firsts))):
             seen = {(f, text[ends[f]:ends[f + 1]]): f for f in firsts}
             firsts = [seen.setdefault((f, i), r) for f, i, r in zip(firsts, ids, rows)]
             rows, ids, firsts = [list(compress(c, map(operator.ne, rows, firsts)))
@@ -318,7 +321,7 @@ class _Rows:
                          for r, i, f in zip(rows, ids, firsts)]
         self.rejects.sort()  # two runs in line order, merged
         np.frombuffer(self.row_codes, dtype=np.int64)[rows] = len(self.codes)
-        del self.hashes, self.lines, self.id_texts, self.id_ends
+        del self.hashes, self.lines, self.id_ends
 
     def table(self) -> PostTable:
         row_codes = np.frombuffer(self.row_codes, dtype=np.int64)

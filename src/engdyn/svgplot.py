@@ -27,11 +27,61 @@ def _scale(values, lo, hi, out_lo, out_hi):
     return out_lo + (np.asarray(values, dtype=float) - lo) * (out_hi - out_lo) / span
 
 
+def _tables() -> tuple[np.ndarray, np.ndarray]:
+    """The 4-byte ASCII pieces that :func:`_points` gathers, each read as one
+    little-endian uint32: the integer parts 0-9999 right-aligned with NUL
+    padding, and at ``2 * cents + k`` the ``.``, the two digits of the cents
+    00-99 and the separator after an x (k = 0, ``,``) or a y (k = 1, `` ``)."""
+    ints = np.arange(10000)[:, None]
+    place = 10 ** np.arange(3, -1, -1)
+    digits = np.where((ints >= place) | (place == 1), ints // place % 10 + 48, 0)
+    tails = np.empty((100, 2, 4), dtype=np.uint8)
+    tails[..., 0] = ord(".")
+    tails[..., 1:3] = (ints[:100] // np.array([10, 1]) % 10 + 48)[:, None]
+    tails[..., 3] = [ord(","), ord(" ")]
+    return digits.astype(np.uint8).view("<u4").ravel(), tails.view("<u4").ravel()
+
+
+_INTS, _TAILS = _tables()
+# 100 times the values that _points writes with 4 integer digits at most
+_LIMIT = 999999.0
+
+
+def _points(xy: np.ndarray) -> str:
+    """``("%.2f,%.2f " * (len(xy) // 2) % tuple(xy))[:-1]`` for a flat float
+    array of x, y pairs, byte for byte.
+
+    A value in [0, 9999.99] becomes its count of hundredths, and that count's
+    integer part and cents are looked up in :data:`_INTS` and :data:`_TAILS`.
+    ``%.2f`` rounds the exact binary value half to even. The float ``100 * v``
+    is within 6e-11 of the exact product below :data:`_LIMIT`, so the rounding
+    is read from it, except within 1e-6 of a half, where ``%.2f`` itself
+    writes the value. A polyline with a negative (``-0.0`` too), non-finite or
+    larger value is written by the %-format.
+    """
+    s = xy * 100.0
+    if not xy.size or np.signbit(xy).any() or not (s < _LIMIT).all():  # nan fails <
+        values = xy.tolist()  # Python floats: numpy scalars format about half as fast
+        return ("%.2f,%.2f " * (len(values) // 2) % tuple(values))[:-1]
+    low = np.floor(s)
+    frac = s - low
+    n = low.astype(np.int64) + (frac > 0.5)
+    near = np.flatnonzero(np.abs(frac - 0.5) < 1e-6)
+    if near.size:
+        n[near] = [int(("%.2f" % v).replace(".", "")) for v in xy[near].tolist()]
+    whole, cents = np.divmod(n, 100)
+    cents *= 2
+    cents[1::2] += 1  # the piece of a y ends in " ", that of an x in ","
+    text = np.empty((len(n), 2), dtype="<u4")
+    text[:, 0] = _INTS[whole]
+    text[:, 1] = _TAILS[cents]
+    text = text.view(np.uint8).ravel()
+    text[-1] = 0  # no separator after the last value
+    return text[text != 0].tobytes().decode("ascii")
+
+
 def _polyline(xs, ys, color: str, width: float = 1.5, dash: str = "") -> str:
-    # one %-format over all the points, on Python floats (numpy scalars
-    # format about half as fast)
-    xy = np.column_stack([xs, ys]).ravel().tolist()
-    pts = ("%.2f,%.2f " * (len(xy) // 2) % tuple(xy))[:-1]
+    pts = _points(np.column_stack([xs, ys]).ravel())
     extra = f' stroke-dasharray="{dash}"' if dash else ""
     return (f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{width}"{extra}/>')
