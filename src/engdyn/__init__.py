@@ -18,7 +18,7 @@ from .stats import (CorrelationResult, MannWhitneyResult, PairwiseTestMatrix,
 from .synth import SynthSpec, generate_corpus, generate_topic, sample_times
 from .topicgraph import (ArticleTerms, TermGraph, cluster_report,
                          extract_terms, load_stopwords, louvain, modularity,
-                         project)
+                         project, term_columns)
 
 __version__ = "0.1.0"
 
@@ -33,5 +33,5 @@ __all__ = [
     "initial_guess", "load_posts", "load_stopwords", "louvain", "love_hate",
     "mann_whitney_u", "modularity", "pairwise_category_tests", "parse_posts",
     "project", "read_categories", "sample_times", "sigmoid", "spearman",
-    "speed_index", "topic_metrics",
+    "speed_index", "term_columns", "topic_metrics",
 ]

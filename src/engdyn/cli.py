@@ -288,19 +288,30 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------- extract-topics
 
 def _read_articles(lines, stopwords: frozenset[str]):
-    """(articles, malformed line count, repeated article count, count of
-    articles without terms).
+    """(terms, term counts, malformed line count, repeated article count):
+    the columns ``topicgraph.project`` takes, with a term count of 0 for
+    each article without usable terms.
 
     The first article of each id is kept and every later one skipped. Text
     articles go through the term kernel a chunk at a time, so they land
     after the pre-tokenized ones read with them; no output depends on the
     order of the articles.
     """
-    articles: list = []
+    terms: list[str] = []
+    sizes: list[int] = []
     seen: set[str] = set()
     ids: list[str] = []
     texts: list[str] = []
-    bad_lines = repeats = empty_articles = 0
+    bad_lines = repeats = 0
+
+    def count_chunk() -> None:
+        chunk_sizes, chunk_terms, _ = topicgraph.extract_terms_chunk(
+            ids, texts, stopwords)
+        terms.extend(chunk_terms)
+        sizes.extend(chunk_sizes.tolist())
+        ids.clear()
+        texts.clear()
+
     for line in lines:
         if not line.strip():
             continue
@@ -310,15 +321,15 @@ def _read_articles(lines, stopwords: frozenset[str]):
             if not isinstance(article_id, str):
                 raise TypeError("article_id must be a string")
             if "terms" in obj:
-                terms = obj["terms"]
-                if not (isinstance(terms, list)
-                        and all(isinstance(t, str) for t in terms)):
+                tokens = obj["terms"]
+                if not (isinstance(tokens, list)
+                        and all(isinstance(t, str) for t in tokens)):
                     raise TypeError("terms must be a list of strings")
                 # a lone surrogate, which the UTF-8 outputs cannot hold,
                 # raises a ValueError
-                "".join(terms).encode("utf-8")
+                "".join(tokens).encode("utf-8")
             else:
-                terms, text = None, obj["text"]
+                tokens, text = None, obj["text"]
                 if not isinstance(text, str):
                     raise TypeError("text must be a string")
         # ValueError covers invalid JSON and integers past the digit limit;
@@ -330,22 +341,22 @@ def _read_articles(lines, stopwords: frozenset[str]):
             repeats += 1
             continue
         seen.add(article_id)
-        if terms is not None:
+        if tokens is not None:
             try:
-                articles.append(topicgraph.count_terms(article_id, terms, stopwords))
+                top = topicgraph.count_terms(article_id, tokens, stopwords)
             except EmptyArticle:
-                empty_articles += 1
+                sizes.append(0)
+                continue
+            terms += top.terms
+            sizes.append(len(top.top_terms))
             continue
         ids.append(article_id)
         texts.append(text)
         if len(ids) == topicgraph.CHUNK_ARTICLES:
-            articles += topicgraph.extract_terms_chunk(ids, texts, stopwords)
-            ids, texts = [], []
+            count_chunk()
     if ids:
-        articles += topicgraph.extract_terms_chunk(ids, texts, stopwords)
-    usable = [article for article in articles if article is not None]
-    return (usable, bad_lines, repeats,
-            empty_articles + len(articles) - len(usable))
+        count_chunk()
+    return terms, sizes, bad_lines, repeats
 
 
 def cmd_extract_topics(args) -> int:
@@ -355,8 +366,7 @@ def cmd_extract_topics(args) -> int:
     try:
         stopwords = topicgraph.load_stopwords(args.stopwords)
         with open(args.input, encoding="utf-8-sig") as fh:
-            articles, bad_lines, repeats, empty_articles = _read_articles(
-                fh, stopwords)
+            terms, sizes, bad_lines, repeats = _read_articles(fh, stopwords)
     except OSError as exc:
         return _fail(str(exc))
     if bad_lines:
@@ -364,13 +374,14 @@ def cmd_extract_topics(args) -> int:
               file=sys.stderr)
     if repeats:
         print(f"warning: {repeats} repeated article(s) skipped", file=sys.stderr)
+    empty_articles = sizes.count(0)
     if empty_articles:
         print(f"warning: {empty_articles} article(s) without usable terms "
               "skipped", file=sys.stderr)
-    if not articles:
+    if empty_articles == len(sizes):
         return _fail("empty corpus")
 
-    graph = topicgraph.louvain(topicgraph.project(articles), seed=args.seed)
+    graph = topicgraph.louvain(topicgraph.project(terms, sizes), seed=args.seed)
     try:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -12,7 +12,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from importlib import resources
-from itertools import islice, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -106,23 +106,27 @@ def extract_terms(article_id: str, text: str, stopwords: frozenset[str],
     and punctuation never survive; stopwords are dropped. Ties at the
     frequency cutoff break lexicographically.
     """
-    terms, = extract_terms_chunk([article_id], [text], stopwords, k)
-    if terms is None:
+    sizes, terms, counts = extract_terms_chunk([article_id], [text], stopwords, k)
+    if not sizes[0]:
         raise EmptyArticle(f"article {article_id!r} has no usable tokens")
-    return terms
+    return ArticleTerms(article_id, tuple(zip(terms, counts.tolist())))
 
 
 def extract_terms_chunk(article_ids: Sequence[str], texts: Sequence[str],
                         stopwords: frozenset[str], k: int = 10
-                        ) -> list[ArticleTerms | None]:
-    """:func:`extract_terms` of many articles at once, ``None`` for each
-    article without usable tokens.
+                        ) -> tuple[np.ndarray, list[str], np.ndarray]:
+    """:func:`extract_terms` of many articles at once, as columns: each
+    article's term count in the order of ``article_ids`` (0 for an article
+    without usable tokens), then every article's ranked terms one after the
+    other, and their counts.
 
     Words are counted and ranked as packed integer keys, with one sort each
     over the whole chunk: a word of up to ``_KEY_LETTERS`` letters is its
     own key, and a longer one is keyed by its place among the chunk's longer
     words, which one decode cuts out of the chunk.
     """
+    if k < 1:
+        raise InvalidInput(f"k must be at least 1, got {k}")
     n = len(texts)
     # every code point outside a-z becomes one separator byte ("?" for
     # non-ASCII, lone surrogates included, then a space), so the words are
@@ -136,8 +140,10 @@ def extract_terms_chunk(article_ids: Sequence[str], texts: Sequence[str],
     if n > 1 and (n - 1).bit_length() + max(
             _KEY_BITS, 2 * sum(map(len, parts)).bit_length()) > 64:
         half = n // 2
-        return (extract_terms_chunk(article_ids[:half], texts[:half], stopwords, k)
-                + extract_terms_chunk(article_ids[half:], texts[half:], stopwords, k))
+        first = extract_terms_chunk(article_ids[:half], texts[:half], stopwords, k)
+        second = extract_terms_chunk(article_ids[half:], texts[half:], stopwords, k)
+        return (np.concatenate([first[0], second[0]]), first[1] + second[1],
+                np.concatenate([first[2], second[2]]))
     run_article, counts, words, long_words = _count_words(parts, stopwords)
 
     # rank by (article, -count, word) with one sort: runs are in (article,
@@ -154,11 +160,8 @@ def extract_terms_chunk(article_ids: Sequence[str], texts: Sequence[str],
     per_article = np.bincount(run_article, minlength=n)
     place = np.arange(m) - (np.cumsum(per_article) - per_article)[run_article]
     kept = order[place < k]
-    kept_per_article = np.bincount(run_article[kept], minlength=n).tolist()
-    ranked = iter(zip(_decode_terms(words[kept], long_words), counts[kept].tolist()))
-    return [ArticleTerms(article_id, tuple(islice(ranked, size))) if usable else None
-            for article_id, size, usable
-            in zip(article_ids, kept_per_article, per_article.tolist())]
+    return (np.minimum(per_article, k), _decode_terms(words[kept], long_words),
+            counts[kept])
 
 
 def _count_words(parts: list[bytes], stopwords: frozenset[str]
@@ -310,15 +313,10 @@ def _stopword_keys(stopwords: frozenset[str]) -> np.ndarray:
 def count_terms(article_id: str, tokens: Sequence[str],
                 stopwords: frozenset[str], k: int = 10) -> ArticleTerms:
     """Same selection as :func:`extract_terms` for pre-tokenized input."""
+    if k < 1:
+        raise InvalidInput(f"k must be at least 1, got {k}")
     counts = Counter(token.lower() for token in tokens)
     counts.pop("", None)
-    return _top_terms(article_id, counts, stopwords, k)
-
-
-def _top_terms(article_id: str, counts: Counter, stopwords: frozenset[str],
-               k: int) -> ArticleTerms:
-    """Drop stopwords from ``counts`` and keep the k largest, ranked by
-    (-count, term)."""
     for word in counts.keys() & stopwords:
         counts.pop(word)  # dict.pop; Counter's own __delitem__ runs in Python
     if not counts:
@@ -334,40 +332,63 @@ def _top_terms(article_id: str, counts: Counter, stopwords: frozenset[str],
     return ArticleTerms(article_id=article_id, top_terms=tuple(ranked[:k]))
 
 
-def project(articles: Sequence[ArticleTerms]) -> TermGraph:
+def term_columns(articles: Sequence[ArticleTerms]) -> tuple[list[str], list[int]]:
+    """The columns :func:`project` takes, from single-article results: every
+    article's terms one after the other, and each article's term count."""
+    return ([term for article in articles for term, _ in article.top_terms],
+            [len(article.top_terms) for article in articles])
+
+
+def project(terms: Sequence[str], sizes: Sequence[int]) -> TermGraph:
     """Collapse the article-term relation onto terms.
 
-    Two terms are connected iff they share at least one article; the edge
-    weight counts the shared articles.
+    The articles come as columns: ``terms`` holds every article's terms one
+    after the other, the first ``sizes[0]`` of them the first article's and
+    so on, as :func:`extract_terms_chunk` returns them (or
+    :func:`term_columns` from :class:`ArticleTerms`). Two terms are
+    connected iff they share at least one article; the edge weight counts
+    the shared articles, so a term repeated within an article counts once.
     """
-    if not articles:
+    sizes = np.asarray(sizes, dtype=np.intp)
+    if not len(sizes):
         raise InvalidInput("need at least one article")
-    term_sets = [sorted(set(article.terms)) for article in articles]
-    nodes = sorted(set().union(*term_sets))
-    index = {term: i for i, term in enumerate(nodes)}
+    if sizes.min() < 0 or sizes.sum() != len(terms):
+        raise InvalidInput(f"{len(terms)} terms do not split into articles "
+                           "of the term counts given")
+    # python's str order, which a numpy string array would not keep: its
+    # fixed-width elements drop trailing NULs
+    nodes = sorted(set(terms))
+    index = dict(zip(nodes, range(len(nodes))))
     n = len(nodes)
-    # articles grouped by term count, as rows of term ids; ids follow the
-    # sorted term order, so each row is ascending
-    by_size: dict[int, list[list[int]]] = {}
-    for terms in term_sets:
-        if len(terms) > 1:
-            by_size.setdefault(len(terms), []).append([index[t] for t in terms])
-    # pair key a * n + b with a < b sorts as the pair (a, b); every group
-    # writes its keys into one preallocated array, so no list of per-group
-    # arrays and no concatenated copy of them is ever held. The keys are the
-    # memory peak of extract-topics: int32 when they fit
+    # one key a row, article * n + term id, so one sort puts each article's
+    # ids in ascending order; repeated rows are dropped
+    keys = np.repeat(np.arange(len(sizes)) * n, sizes)
+    keys += np.fromiter(map(index.__getitem__, terms), dtype=np.intp,
+                        count=len(terms))
+    keys.sort()
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    article, ids = np.divmod(keys, n)
+    sizes = np.bincount(article, minlength=len(sizes))
+    starts = np.cumsum(sizes) - sizes
+    # articles grouped by term count, each group as a matrix of its rows of
+    # term ids; pair key a * n + b with a < b sorts as the pair (a, b).
+    # Every group writes its keys into one preallocated array, so no list of
+    # per-group arrays and no concatenated copy of them is ever held; int32
+    # keys when they fit
     dtype = np.int32 if n * n < _INT32_KEYS else np.int64
-    keys = np.empty(sum(len(rows) * size * (size - 1) // 2
-                        for size, rows in by_size.items()), dtype=dtype)
+    ids = ids.astype(dtype)
+    group_sizes, members = np.unique(sizes, return_counts=True)
+    pairs = np.empty(int(members @ (group_sizes * (group_sizes - 1) // 2)), dtype=dtype)
     at = 0
-    for size, rows in by_size.items():
-        ids = np.array(rows, dtype=dtype)
-        i, j = np.triu_indices(size, 1)
-        block = keys[at:at + len(rows) * len(i)].reshape(len(rows), len(i))
-        np.multiply(ids[:, i], n, out=block)
-        block += ids[:, j]
-        at += block.size
-    pairs, weights = np.unique(keys, return_counts=True)
+    for size in group_sizes[group_sizes > 1].tolist():
+        rows = ids[starts[sizes == size][:, None] + np.arange(size)]
+        # the pairs of each row's a-th id with every later id
+        for a in range(size - 1):
+            block = pairs[at:at + len(rows) * (size - 1 - a)].reshape(len(rows), -1)
+            np.multiply(rows[:, a:a + 1], n, out=block)
+            block += rows[:, a + 1:]
+            at += block.size
+    pairs, weights = np.unique(pairs, return_counts=True)
     return TermGraph(nodes=tuple(nodes), edges=np.column_stack(np.divmod(pairs, n)),
                      weights=weights)
 

@@ -584,6 +584,20 @@ class TestExtractTopics:
         assert "alpha,beta,1" in edges
         assert "beta,gamma,1" in edges
 
+    def test_terms_differing_by_a_trailing_nul_stay_apart(self, tmp_path):
+        # a fixed-width numpy string would drop the NUL and merge the two
+        rows = [{"article_id": "a", "terms": ["vote", "vote\u0000", "x"]},
+                {"article_id": "b", "terms": ["vote\u0000", "x"]}]
+        path = self.write_articles(tmp_path, rows)
+        out = tmp_path / "o"
+        assert cli.main(["extract-topics", "--input", str(path),
+                         "--out", str(out)]) == 0
+        with open(out / "partition.csv", newline="", encoding="utf-8") as fh:
+            terms = [term for term, _ in list(csv.reader(fh))[1:]]
+        assert terms == ["vote", "vote\x00", "x"]
+        edges = (out / "edges.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert edges == ["vote,vote\x00,1", "vote,x,1", "vote\x00,x,2"]
+
     def test_missing_input_exits_two(self, tmp_path):
         assert cli.main(["extract-topics", "--input", str(tmp_path / "x"),
                          "--out", str(tmp_path / "o")]) == 2

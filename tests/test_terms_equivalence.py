@@ -9,13 +9,15 @@ ranked terms and of the edges, or both must raise the same exception type.
 
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engdyn.errors import EmptyArticle, InvalidInput
 from engdyn.topicgraph import (ArticleTerms, TermGraph, count_terms,
-                               extract_terms, extract_terms_chunk, project)
+                               extract_terms, extract_terms_chunk, project,
+                               term_columns)
 
 from conftest import edge_rows
 
@@ -74,6 +76,20 @@ def oracle_project(articles):
                 pair = (terms[i], terms[j])
                 edges[pair] = edges.get(pair, 0) + 1
     return tuple(sorted(nodes)), {pair: edges[pair] for pair in sorted(edges)}
+
+
+def chunk_articles(article_ids, texts, stopwords, k=10):
+    """The kernel's columns as per-article results, ``None`` where the
+    article has no terms, for comparison with the oracle's."""
+    sizes, terms, counts = extract_terms_chunk(article_ids, texts, stopwords, k)
+    ends = np.cumsum(sizes).tolist()
+    ranked = list(zip(terms, counts.tolist()))
+    return [ArticleTerms(article_id, tuple(ranked[end - size:end])) if size else None
+            for article_id, size, end in zip(article_ids, sizes.tolist(), ends)]
+
+
+def project_articles(articles):
+    return project(*term_columns(articles))
 
 
 def outcome(fn, *args):
@@ -148,21 +164,21 @@ class TestExtractTermsChunk:
     @settings(max_examples=500, deadline=None)
     def test_matches_regex_tokenizer_per_article(self, texts, stopwords, k):
         ids = [f"a{i}" for i in range(len(texts))]
-        assert extract_terms_chunk(ids, texts, stopwords, k) == \
+        assert chunk_articles(ids, texts, stopwords, k) == \
             oracle_extract_terms_chunk(ids, texts, stopwords, k)
 
     @pytest.mark.parametrize("texts", [
         [], [""], ["", "123 ...", "the a"], ["\u00e9\u00df 42", "the the"]])
     def test_chunk_without_usable_tokens(self, texts):
         stopwords = frozenset({"the", "a"})
-        assert extract_terms_chunk([f"a{i}" for i in range(len(texts))], texts,
-                                   stopwords) == [None] * len(texts)
+        assert chunk_articles([f"a{i}" for i in range(len(texts))], texts,
+                              stopwords) == [None] * len(texts)
 
     def test_long_words_only(self):
         texts = [PREFIX + "k " + PREFIX + "a " + PREFIX + "k", "the", PREFIX * 3]
         ids = ["a", "b", "c"]
         for k in (1, 2, 10):
-            assert extract_terms_chunk(ids, texts, frozenset({"the"}), k) == \
+            assert chunk_articles(ids, texts, frozenset({"the"}), k) == \
                 oracle_extract_terms_chunk(ids, texts, frozenset({"the"}), k)
 
     def test_long_and_short_words_share_one_ranking(self):
@@ -175,7 +191,7 @@ class TestExtractTermsChunk:
                  "yy " + PREFIX + "aa",
                  "the " + PREFIX + "a"]
         ids = ["a", "b", "c"]
-        got = extract_terms_chunk(ids, texts, frozenset({"the", PREFIX + "b"}), 6)
+        got = chunk_articles(ids, texts, frozenset({"the", PREFIX + "b"}), 6)
         assert got == oracle_extract_terms_chunk(
             ids, texts, frozenset({"the", PREFIX + "b"}), 6)
         assert got[0].top_terms == ((PREFIX + "a", 3), ("zz", 2), (PREFIX[:9], 1),
@@ -190,7 +206,7 @@ class TestExtractTermsChunk:
         # second article's only if none of those bits spill into its index
         texts = ["delta delta epsilon",
                  "alpha " * 300_001 + "beta beta gamma " + PREFIX + "k"]
-        got = extract_terms_chunk(["small", "big"], texts, frozenset(), 3)
+        got = chunk_articles(["small", "big"], texts, frozenset(), 3)
         assert got == oracle_extract_terms_chunk(["small", "big"], texts,
                                                  frozenset(), 3)
         assert got[1].top_terms == (("alpha", 300_001), ("beta", 2),
@@ -202,7 +218,7 @@ class TestExtractTermsChunk:
         texts = [f"w{'abc'[i % 3]} {'xyz'[i % 3]}{'xyz'[i % 2]} the"
                  for i in range(2**14 + 1)]
         ids = [str(i) for i in range(len(texts))]
-        assert extract_terms_chunk(ids, texts, frozenset({"the"}), 2) == \
+        assert chunk_articles(ids, texts, frozenset({"the"}), 2) == \
             oracle_extract_terms_chunk(ids, texts, frozenset({"the"}), 2)
 
 
@@ -233,7 +249,7 @@ class TestProject:
     @given(article_lists)
     @settings(max_examples=600, deadline=None)
     def test_matches_pair_loop(self, articles):
-        got = outcome(project, articles)
+        got = outcome(project_articles, articles)
         want = outcome(oracle_project, articles)
         if isinstance(got, TermGraph):
             nodes, edges = want
@@ -247,9 +263,49 @@ class TestProject:
     def test_articles_of_very_different_sizes(self):
         big = ArticleTerms("big", tuple((f"t{i:03d}", 1) for i in range(300)))
         small = ArticleTerms("small", (("t000", 1), ("t001", 1)))
-        graph = project([big, small])
+        graph = project_articles([big, small])
         nodes, edges = oracle_project([big, small])
         assert graph.nodes == nodes
         assert edge_rows(graph) == [(a, b, w) for (a, b), w in edges.items()]
         assert len(graph.edges) == 300 * 299 // 2
         assert edge_rows(graph)[0] == ("t000", "t001", 2)
+
+
+# whole chunks of text articles and single pre-tokenized articles, in any mix
+pieces = st.lists(st.one_of(chunks.map(lambda texts: ("texts", texts)),
+                            tokens.map(lambda toks: ("tokens", toks))),
+                  min_size=1, max_size=5)
+
+
+class TestColumnsAcrossChunks:
+    @given(pieces, chunk_stopword_sets, ks)
+    @settings(max_examples=300, deadline=None)
+    def test_concatenated_columns_match_per_article_oracle(self, pieces, stopwords, k):
+        # the columns of every kernel call and every pre-tokenized article
+        # laid end to end, a term count of 0 for each article without terms,
+        # as cli._read_articles builds them; so each chunk's terms must start
+        # where the previous chunk's end
+        terms, sizes, oracle = [], [], []
+        for at, (kind, batch) in enumerate(pieces):
+            if kind == "texts":
+                ids = [f"c{at}-{i}" for i in range(len(batch))]
+                chunk_sizes, chunk_terms, _ = extract_terms_chunk(ids, batch, stopwords, k)
+                terms += chunk_terms
+                sizes += chunk_sizes.tolist()
+                oracle += [article for article in oracle_extract_terms_chunk(
+                    ids, batch, stopwords, k) if article is not None]
+                continue
+            try:
+                top = count_terms(f"t{at}", batch, stopwords, k)
+            except EmptyArticle:
+                sizes.append(0)
+                continue
+            terms += top.terms
+            sizes.append(len(top.top_terms))
+            oracle.append(oracle_count_terms(f"t{at}", batch, stopwords, k))
+        graph = project(terms, sizes)
+        # articles without terms add nothing, so an all-empty input is a
+        # graph without nodes (the CLI stops at "empty corpus" before it)
+        nodes, edges = oracle_project(oracle) if oracle else ((), {})
+        assert graph.nodes == nodes
+        assert edge_rows(graph) == [(a, b, w) for (a, b), w in edges.items()]

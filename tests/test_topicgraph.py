@@ -6,8 +6,9 @@ import pytest
 from engdyn import topicgraph
 from engdyn.errors import EmptyArticle, InvalidInput
 from engdyn.topicgraph import (ArticleTerms, cluster_report, count_terms,
-                               extract_terms, load_stopwords, louvain,
-                               modularity, project)
+                               extract_terms, extract_terms_chunk,
+                               load_stopwords, louvain, modularity, project,
+                               term_columns)
 
 from conftest import TWO_CLIQUE, edge_rows, graph_of
 
@@ -112,6 +113,23 @@ class TestExtractTerms:
                             frozenset({"the"}))
         assert terms.top_terms == (("news", 2), ("vote", 1))
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected_on_both_paths(self, k):
+        with pytest.raises(InvalidInput, match="k must be at least 1"):
+            extract_terms("a", "river vote vote ballot", frozenset(), k)
+        with pytest.raises(InvalidInput, match="k must be at least 1"):
+            extract_terms_chunk(["a", "b"], ["river vote", ""], frozenset(), k)
+        with pytest.raises(InvalidInput, match="k must be at least 1"):
+            count_terms("a", ["river", "vote", "vote", "ballot"], frozenset(), k)
+
+    def test_chunk_columns(self):
+        sizes, terms, counts = extract_terms_chunk(
+            ["a1", "a2", "a3"], ["vote vote ballot", "the 42", "river"],
+            frozenset({"the"}))
+        assert sizes.tolist() == [2, 0, 1]
+        assert terms == ["vote", "ballot", "river"]
+        assert counts.tolist() == [2, 1, 1]
+
     def test_bundled_stopwords(self):
         stop = load_stopwords()
         assert {"the", "on", "and", "is"} <= stop
@@ -126,14 +144,14 @@ class TestProject:
     def test_two_articles_share_one_term(self):
         arts = [ArticleTerms("a1", (("a", 2), ("b", 1))),
                 ArticleTerms("a2", (("b", 3), ("c", 1)))]
-        graph = project(arts)
+        graph = project(*term_columns(arts))
         assert edge_rows(graph) == [("a", "b", 1), ("b", "c", 1)]
         assert graph.nodes == ("a", "b", "c")
 
     def test_repeated_cooccurrence_accumulates(self):
         arts = [ArticleTerms("a1", (("a", 1), ("b", 1))),
                 ArticleTerms("a2", (("a", 1), ("b", 1)))]
-        assert edge_rows(project(arts)) == [("a", "b", 2)]
+        assert edge_rows(project(*term_columns(arts))) == [("a", "b", 2)]
 
     def test_weights_match_bruteforce_intersections(self):
         rng = np.random.default_rng(12)
@@ -143,7 +161,7 @@ class TestProject:
             picks = rng.choice(vocab, size=rng.integers(2, 9), replace=False)
             arts.append(ArticleTerms(f"a{i}",
                                      tuple((w, 1) for w in sorted(picks))))
-        weights = {(a, b): w for a, b, w in edge_rows(project(arts))}
+        weights = {(a, b): w for a, b, w in edge_rows(project(*term_columns(arts)))}
         for t1, t2 in itertools.combinations(sorted({t for a in arts
                                                      for t in a.terms}), 2):
             expected = sum(1 for a in arts
@@ -154,13 +172,26 @@ class TestProject:
         arts = [ArticleTerms("a1", (("a", 1), ("b", 1))),
                 ArticleTerms("a2", (("b", 1), ("c", 1))),
                 ArticleTerms("a3", (("a", 1), ("c", 1)))]
-        forward, backward = project(arts), project(list(reversed(arts)))
+        forward = project(*term_columns(arts))
+        backward = project(*term_columns(list(reversed(arts))))
         assert forward.nodes == backward.nodes
         assert edge_rows(forward) == edge_rows(backward)
 
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidInput):
-            project([])
+            project(*term_columns([]))
+
+    def test_columns_with_repeated_terms_and_empty_articles(self):
+        # a term repeated within an article counts that article once, and an
+        # article without terms adds nothing
+        graph = project(["a", "b", "a", "b", "c", "b"], [4, 0, 2])
+        assert graph.nodes == ("a", "b", "c")
+        assert edge_rows(graph) == [("a", "b", 1), ("b", "c", 1)]
+
+    @pytest.mark.parametrize("sizes", [[1, 1], [2, 2], [4, -1]])
+    def test_sizes_that_do_not_cover_the_terms_rejected(self, sizes):
+        with pytest.raises(InvalidInput, match="do not split"):
+            project(["a", "b", "c"], sizes)
 
     def test_int32_and_int64_keys_give_the_same_graph(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -168,9 +199,9 @@ class TestProject:
         arts = [ArticleTerms(f"a{i}", tuple((w, 1) for w in sorted(
                     rng.choice(vocab, size=rng.integers(1, 11), replace=False))))
                 for i in range(200)]
-        narrow = project(arts)
+        narrow = project(*term_columns(arts))
         monkeypatch.setattr(topicgraph, "_INT32_KEYS", 0)
-        wide = project(arts)
+        wide = project(*term_columns(arts))
         assert narrow.nodes == wide.nodes and len(narrow.edges) > 1000
         assert edge_rows(narrow) == edge_rows(wide)
         assert narrow.weights.dtype == wide.weights.dtype
