@@ -247,14 +247,16 @@ def _category_table(results, members) -> list[dict]:
 def _write_plots(plot_dir: Path, results) -> None:
     plot_dir.mkdir(exist_ok=True)
     used = {SCATTER_NAME}
+    free = {}  # base -> a suffix no higher than its first free one
     for tid, (series, fr, _) in results.items():
         svg = svgplot.fit_overlay_svg(series.times, series.fractions,
                                       fr.alpha_hat, fr.beta_hat, tid)
         name = base = _safe_name(tid)
-        suffix = 1
+        suffix = free.get(base, 1)
         while name in used:  # distinct ids can sanitize or cut identically
             name = f"{base}-{suffix}"
             suffix += 1
+        free[base] = suffix  # names are only added, so the lower ones stay taken
         used.add(name)
         (plot_dir / f"{name}.svg").write_text(svg, encoding="utf-8")
     points = [(tm.speed_index, tm.lh_score)

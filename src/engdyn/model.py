@@ -9,16 +9,22 @@ material for the growth-curve fit.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import mmap
 import operator
+import os
+import pickle
 import re
+import signal
+import threading
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import chain, compress, islice, takewhile
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -45,6 +51,9 @@ _post_fields = operator.itemgetter(*POST_FIELDS)
 # (+2 MiB at 4096 lines on 190k posts); at 256 lines the fixed cost of each
 # conversion slows decoded corpora by about 6%
 _CHUNK_LINES = 1024
+# load_posts parses a file this large in two processes; on smaller ones the
+# fork and merge cost more than half a parse saves (break-even 0.75-1 MiB)
+_SPLIT_MIN_BYTES = 1 << 20
 # the stamps converted in bulk: the RFC 3339 spellings of a whole second in
 # UTC, with "T", "t" or a space between date and time and "Z", "z", "+00:00"
 # or "-00:00" last
@@ -296,6 +305,13 @@ class _Rows:
         self.stamps.frombytes(stamps.compress(keep).tobytes())
         self.rejects.extend(sorted(rejects))
 
+    def columns(self) -> tuple[array, ...]:
+        return self.row_codes, self.counts, self.stamps, self.hashes, self.lines, self.id_ends
+
+    def result(self) -> ParseResult:
+        self.drop_repeats()  # frees the id columns before table()
+        return ParseResult(self.table(), tuple(self.rejects))
+
     def drop_repeats(self) -> None:
         """Reject each row whose post_id an earlier row holds (only rows of equal
         hash are compared), give it the code ``len(codes)``, which names no
@@ -469,17 +485,101 @@ def parse_posts(stream: Iterable[str]) -> ParseResult:
     What is accepted, the rejects, their order and their reasons are
     therefore those of the per-line path on every input.
     """
-    rows = _Rows()
-    stream = iter(stream)
-    start = 1  # the line number of the chunk's first line
-    while lines := list(islice(stream, _CHUNK_LINES)):
-        rows.add_chunk(start, lines)
-        start += len(lines)
-    rows.drop_repeats()  # frees the id columns before table()
-    return ParseResult(rows.table(), tuple(rows.rejects))
+    return _read_rows(iter(stream))[0].result()
+
+
+def _read_rows(lines: Iterator[str]) -> tuple[_Rows, int]:
+    """The rows of ``lines``, numbered from 1, and the number of lines."""
+    rows, start = _Rows(), 1  # start: the line number of the chunk's first line
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        rows.add_chunk(start, chunk)
+        start += len(chunk)
+    return rows, start - 1
+
+
+class _Head(io.RawIOBase):
+    """The first ``left`` bytes of the binary file ``fh``."""
+
+    def __init__(self, fh, left: int):
+        self.fh, self.left = fh, left
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self.fh.readinto(memoryview(buffer)[:self.left])
+        self.left -= n
+        return n
+
+
+def _parse_halves(path) -> _Rows | None:
+    """The rows of the file at ``path``, the lines after the first newline
+    past its middle parsed in a forked child; None when the file is not
+    split (see :func:`load_posts`) or either half fails."""
+    pid = 0
+    try:
+        size = os.path.getsize(path)
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        if (size < _SPLIT_MIN_BYTES or not hasattr(os, "fork") or cpus < 2
+                or threading.active_count() != 1):
+            return None
+        with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as m:
+            split = m.find(b"\n", size // 2, size - 1) + 1  # 0: no line after the middle
+        if not split:
+            return None
+        rfd, wfd = os.pipe()
+        with open(rfd, "rb") as pipe, open(wfd, "wb") as out:
+            pid = os.fork()
+            if pid == 0:  # the child: parse the second half, send its rows, exit
+                try:
+                    pipe.close()
+                    fh = open(path, "rb")  # its own file offset
+                    fh.seek(split)
+                    with io.TextIOWrapper(fh, encoding="utf-8") as text:
+                        rows = _read_rows(text)[0]
+                    pickle.dump((rows.codes, rows.rejects, rows.id_texts,
+                                 len(rows.row_codes)), out)
+                    for column in rows.columns():
+                        out.write(column)
+                    out.close()
+                    os._exit(0)
+                finally:  # reached only when the above raised
+                    os._exit(1)
+            out.close()
+            with open(path, "rb", buffering=0) as fh:
+                rows, n1 = _read_rows(io.TextIOWrapper(
+                    io.BufferedReader(_Head(fh, split)), encoding="utf-8-sig"))
+            # merge: the child's topics, rows, ids and rejects follow this half's
+            codes, rejects, id_texts, n = pickle.load(pipe)
+            recode = np.array([rows.codes.setdefault(topic_id, len(rows.codes))
+                               for topic_id in codes], dtype=np.int64)
+            for column, k, shift in zip(rows.columns(), (n, 5 * n, n, n, n, n + 1),
+                                        (None, 0, 0, 0, n1, rows.id_ends.pop())):
+                # a short read fails the reshape
+                data = np.frombuffer(pipe.read(8 * k), dtype=np.int64).reshape(k)
+                column.frombytes((recode[data] if shift is None else data + shift).view(np.uint8))
+            rows.id_texts += id_texts
+            rows.rejects += [(n1 + lineno, reason) for lineno, reason in rejects]
+        status, pid = os.waitpid(pid, 0)[1], 0
+        return None if status else rows
+    except Exception:
+        return None
+    finally:
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def load_posts(path: str | Path) -> ParseResult:
+    """:func:`parse_posts` of the UTF-8 file at ``path``, a BOM skipped. Where
+    ``os.fork`` exists, two CPUs are allowed and no other thread runs, a file
+    of :data:`_SPLIT_MIN_BYTES` or more is parsed in two processes, each
+    half's rows merged before the repeat check; if either fails, here again
+    in one, so errors read as those of the one-process parse."""
+    rows = _parse_halves(path)
+    if rows is not None:
+        return rows.result()
     with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_posts(fh)
 

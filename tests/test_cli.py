@@ -8,6 +8,8 @@ import tempfile
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -444,6 +446,31 @@ class TestAnalyze:
                           shared + ".svg": shared + "a",
                           shared + "-1.svg": shared + "b",
                           "si_vs_lh.svg": "speed index vs love-hate"}
+
+    def test_many_ids_that_sanitize_alike_keep_their_plot_names(self, tmp_path):
+        # 3,000 two-character CJK ids all sanitize to "__"; ids that already
+        # read as a suffixed name, or as the scatter's, take names the
+        # suffixes of "__" reach later
+        ids = [chr(0x4E00 + i // 60) + chr(0x4E00 + i % 60) for i in range(3000)]
+        ids[10:10] = ["__-12", "si_vs_lh", "__-1"]
+        ids.insert(2000, "__-2500")
+        used, want = {cli.SCATTER_NAME}, {}
+        for tid in ids:  # the loop that tried every suffix from 1 on each collision
+            name = base = cli._safe_name(tid)
+            suffix = 1
+            while name in used:
+                name = f"{base}-{suffix}"
+                suffix += 1
+            used.add(name)
+            want[name] = tid
+        assert [want[name] for name in ("__-12", "si_vs_lh-1", "__-1-1")] == ids[10:13]
+        stub = SimpleNamespace(times=None, fractions=None, alpha_hat=0.0, beta_hat=0.0,
+                               lh_score=None)  # no love-hate score: no scatter
+        with mock.patch.object(cli.svgplot, "fit_overlay_svg",
+                               side_effect=lambda *args: args[-1]):  # the plot holds its id
+            cli._write_plots(tmp_path, {tid: (stub, stub, stub) for tid in ids})
+        assert {svg.stem: svg.read_text(encoding="utf-8")
+                for svg in tmp_path.glob("*.svg")} == want
 
     def run_with_categories(self, tmp_path, categories):
         """Exit code and output directory of analyze on one simulated topic

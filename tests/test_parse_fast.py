@@ -265,6 +265,23 @@ class TestRepeatCheck:
         assert n == 19746
         assert peak / n <= 185
 
+    def test_parse_posts_peak_memory_per_post(self, tmp_path):
+        # load_posts parses a file this large in two processes, and tracemalloc
+        # sees only this process's half and the merge; parse_posts is the
+        # whole parse in one process
+        specs, categories = synth.default_corpus_specs(20, seed=5, n_posts=(900, 1100))
+        posts = tmp_path / "posts.jsonl"
+        synth.generate_corpus(specs, categories, posts, tmp_path / "categories.csv")
+        tracemalloc.start()
+        try:
+            with open(posts, encoding="utf-8-sig") as fh:
+                n = len(model.parse_posts(fh).records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == 19746
+        assert peak / n <= 185
+
 
 def common_shape_lines(shape):
     """Lines of ``shape`` with every readable stamp and 0 and MAX_COUNT in
