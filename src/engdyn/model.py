@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InsufficientData, InvalidInput, TooManyBins, ZeroEngagement
 
@@ -43,7 +44,6 @@ MAX_COUNT = 2**32 - 1
 MAX_BINS = 1_000_000
 
 UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_ONE_US = timedelta(microseconds=1)
 _raw_decode = json.JSONDecoder().raw_decode
 _post_fields = operator.itemgetter(*POST_FIELDS)
 # lines per chunk; each chunk is read, its stamps converted at once, and its
@@ -54,14 +54,18 @@ _CHUNK_LINES = 1024
 # load_posts parses a file this large in two processes; on smaller ones the
 # fork and merge cost more than half a parse saves (break-even 0.75-1 MiB)
 _SPLIT_MIN_BYTES = 1 << 20
-# the stamps converted in bulk: the RFC 3339 spellings of a whole second in
-# UTC, with "T", "t" or a space between date and time and "Z", "z", "+00:00"
-# or "-00:00" last
-_STAMP_SHAPE = np.frombuffer(b"0000-00-00T00:00:00Z", dtype=np.uint8)
-_STAMP_DIGITS = _STAMP_SHAPE == ord("0")
-_STAMP_PUNCTUATION = (_STAMP_SHAPE == ord("-")) | (_STAMP_SHAPE == ord(":"))
-_UTC_OFFSETS = ("+00:00", "-00:00")
-_STAMP_PLACEHOLDER = "1970-01-01T00:00:00Z"  # overwritten after conversion
+# _stamps_us's results: read, or the reason a stamp is rejected
+_STAMP_REJECTS = (None, "timestamp is not RFC 3339", "timestamp out of range")
+# a stamp's bytes with each ASCII digit written as "0", "t" and " " as "T"
+# and "z" as "Z": its shape
+_SHAPES = bytes.maketrans(b"123456789tz ", b"000000000TZT")
+_ZULU = b"0000-00-00T00:00:00Z\n"  # the shape of a whole second in UTC, and its "\n"
+_PUNCTUATION = np.array([4, 7, 10, 13, 16])[:, None]  # of "YYYY-MM-DDTHH:MM:SS"
+_PUNCTUATION_MARKS = np.frombuffer(_ZULU, dtype=np.uint8)[_PUNCTUATION]
+_OFFSET_DIGITS = np.array([-5, -4, -2, -1])[:, None]  # of "+HH:MM", from its end
+_PLACES = np.arange(6)  # of the fraction digits read, up to microseconds
+_MICROS = 10 ** np.arange(5, -1, -1)  # the weight of each of 6 fraction digits
+_FIRST_US, _LAST_US = -62_135_596_800_000_000, 253_402_300_799_999_999  # years 1-9999
 _UNDECODED = object()  # _check_line's default: the line is still to decode
 # the line json.dumps writes for a record with its keys in POST_FIELDS order
 # and the default separators, as simulate writes it. Strings hold no escape
@@ -69,12 +73,15 @@ _UNDECODED = object()  # _check_line's default: the line is still to decode
 # counts have no sign, no leading zero and at most 10 digits
 _CHAR = r'[^"\\\x00-\x1f]'
 _CANONICAL = re.compile(
-    rf'\{{"post_id": "({_CHAR}+)", "topic_id": "({_CHAR}+)", '
-    # 20 characters, or 25 that end in a zero UTC offset
-    rf'"timestamp": "({_CHAR}{{19}}(?:{_CHAR}|[+-]00:00))", '
+    rf'\{{"post_id": "({_CHAR}+)", "topic_id": "({_CHAR}+)", "timestamp": "({_CHAR}*)", '
     + ", ".join(f'"{name}": (0|[1-9][0-9]{{0,9}})' for name in COUNT_FIELDS)
     + r"\}\n?")
-_DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+# days from the start of a 400-year Gregorian cycle to the first of each of
+# its 4,800 months, and to its end (146,097)
+_YEARS = np.arange(400)[:, None]
+_MONTH_STARTS = np.concatenate(([0], np.cumsum(
+    np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+    + (((_YEARS % 4 == 0) & ((_YEARS % 100 != 0) | (_YEARS % 400 == 0))) & (np.arange(12) == 1)))))
 
 CATEGORIES = (
     "Art_Culture_Sport",
@@ -206,13 +213,14 @@ class _Rows:
         line). The lines at the head of the chunk that match
         :data:`_CANONICAL` are split by it. Every other line is decoded, and
         one of the common shape (one JSON object and at most a newline,
-        non-empty string ids, five integer counts in range and a stamp of 20
-        characters, or 25 ending in a zero UTC offset) is checked with a few
-        C-level tests; the rest go through :func:`_check_line`.
+        non-empty string ids, five integer counts in range and a string
+        stamp) is checked with a few C-level tests; the rest go through
+        :func:`_check_line`.
 
-        Convert: the stamps are converted at once by :func:`_stamps_us`. A
-        row whose stamp it does not read, or whose count read by the pattern
-        exceeds :data:`MAX_COUNT`, goes alone through :func:`_check_line` again.
+        Convert: the stamps of all rows are read at once by
+        :func:`_stamps_us`. A row whose count read by the pattern exceeds
+        :data:`MAX_COUNT` goes alone through :func:`_check_line` again; a
+        row whose stamp is not read takes the reader's reason.
 
         Keep: in line order, a row whose topic id is not UTF-8 is rejected;
         the others are kept, and their post_ids go to the id columns.
@@ -229,7 +237,6 @@ class _Rows:
         linenos = list(range(start, start + n))  # per row: its line number
         rejects = []  # (line number, reason), at most one a line
         tail = array("q")  # the counts of the rows after the head
-        known, known_stamps = [], []  # the rows the per-line checks read
         top = MAX_COUNT  # a local: read five times a line
         obj = None
         for lineno, line in enumerate(islice(lines, n, None), start + n):
@@ -246,8 +253,7 @@ class _Rows:
                         and int is type(a) is type(b) is type(c) is type(d) is type(e)
                         and 0 <= a <= top and 0 <= b <= top and 0 <= c <= top
                         and 0 <= d <= top and 0 <= e <= top
-                        and type(stamp) is str
-                        and (len(stamp) == 20 or stamp[19:] in _UTC_OFFSETS))
+                        and type(stamp) is str)
             if fast:
                 tail.extend((a, b, c, d, e))
             else:
@@ -256,27 +262,20 @@ class _Rows:
                     if found is not None:
                         rejects.append((lineno, found))
                     continue
-                post_id, topic_id, stamp_us, five = found
-                known.append(len(texts))
-                known_stamps.append(stamp_us)
-                stamp = _STAMP_PLACEHOLDER
+                post_id, topic_id, stamp, five = found
                 tail.extend(five)
             linenos.append(lineno)
             post_ids.append(post_id)
             topic_ids.append(topic_id)
             texts.append(stamp)
         # convert
-        stamps, readable = _stamps_us(texts)
-        stamps[known] = known_stamps
-        again = ~readable
-        again[:n] |= (head > MAX_COUNT).any(axis=0)
-        keep = ~again  # a row flagged here is kept once its line passes
-        for row in np.flatnonzero(again).tolist():
-            found = _check_line(lines[linenos[row] - start])
-            if type(found) is tuple:
-                stamps[row], keep[row] = found[2], True
-            else:
-                rejects.append((linenos[row], found))
+        stamps, status = _stamps_us(texts)
+        over = np.zeros(len(texts), dtype=bool)
+        over[:n] = (head > MAX_COUNT).any(axis=0)
+        keep = (status == 0) & ~over  # counts are checked before stamps
+        for row in np.flatnonzero(~keep).tolist():
+            rejects.append((linenos[row], _check_line(lines[linenos[row] - start]) if over[row]
+                            else _STAMP_REJECTS[status[row]]))
         counts = np.concatenate(
             (head.T, np.frombuffer(tail, dtype=np.int64).reshape(-1, len(COUNT_FIELDS))))
         # keep
@@ -365,25 +364,6 @@ class ParseResult:
         return len(self.rejects)
 
 
-def _parse_timestamp(raw) -> datetime:
-    if not isinstance(raw, str):
-        raise ValueError("timestamp must be a string")
-    text = raw.strip()
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
-    ts = datetime.fromisoformat(text)
-    if ts.tzinfo is None:
-        raise ValueError("timestamp lacks a UTC offset")
-    try:
-        return ts.astimezone(timezone.utc)
-    except OverflowError:  # the UTC instant falls outside years 1-9999
-        raise ValueError("timestamp out of range") from None
-
-
-def _stamp_us(ts: datetime) -> int:
-    return (ts - UNIX_EPOCH) // _ONE_US
-
-
 def _parse_count(obj, name) -> int:
     value = obj[name]
     if isinstance(value, bool) or not isinstance(value, int):
@@ -397,7 +377,9 @@ def _parse_count(obj, name) -> int:
 
 def _check_record(obj) -> tuple[str, str, int, list[int]]:
     """Check one decoded JSON-lines record; returns (post_id, topic_id,
-    stamp_us, counts) or raises ValueError with the reject reason."""
+    timestamp, counts) or raises ValueError with the reject reason. The
+    timestamp is only checked to be a string: :func:`_stamps_us` reads it,
+    after these checks."""
     if not isinstance(obj, dict):
         raise ValueError("record is not a JSON object")
     missing = [f for f in POST_FIELDS if f not in obj]
@@ -406,13 +388,14 @@ def _check_record(obj) -> tuple[str, str, int, list[int]]:
     for name in ("post_id", "topic_id"):
         if not isinstance(obj[name], str) or not obj[name]:
             raise ValueError(f"{name} must be a non-empty string")
-    stamp = _stamp_us(_parse_timestamp(obj["timestamp"]))
-    return (obj["post_id"], obj["topic_id"], stamp,
+    if not isinstance(obj["timestamp"], str):
+        raise ValueError("timestamp must be a string")
+    return (obj["post_id"], obj["topic_id"], obj["timestamp"],
             [_parse_count(obj, name) for name in COUNT_FIELDS])
 
 
 def _check_line(line: str, obj=_UNDECODED):
-    """The per-line checks: ``(post_id, topic_id, stamp_us, counts)`` of
+    """The per-line checks: ``(post_id, topic_id, timestamp, counts)`` of
     ``line``, the reason it is rejected, or None when it is blank. ``obj``,
     when given, is what ``json.loads(line)`` returns, so the line is not
     decoded again."""
@@ -429,41 +412,71 @@ def _check_line(line: str, obj=_UNDECODED):
         return str(exc)
 
 
+def _whole_seconds_us(head: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Microseconds since the Unix epoch of ``YYYY-MM-DD?HH:MM:SS``, each
+    column of ``head`` the 19 ASCII codes of one stamp, and per stamp whether
+    it names a real second of years 1-9999. A column of another shape gives
+    values that mean nothing."""
+    digits = head.astype(np.int64) - ord("0")
+    year = digits[0] * 1000 + digits[1] * 100 + digits[2] * 10 + digits[3]
+    month, day, hour, minute, second = digits[5::3] * 10 + digits[6::3]
+    cycles, year_of_cycle = np.divmod(year, 400)
+    next_month = 12 * year_of_cycle + np.clip(month, 1, 12)  # in _MONTH_STARTS
+    first = _MONTH_STARTS[next_month - 1]
+    in_range = ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+                & (day <= _MONTH_STARTS[next_month] - first)
+                & (hour < 24) & (minute < 60) & (second < 60))
+    days = cycles * 146097 + first + day - 719529  # 0000-01-01 is day -719528
+    return (((days * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000, in_range
+
+
 def _stamps_us(texts) -> tuple[np.ndarray, np.ndarray]:
-    """int64 microseconds since the Unix epoch of ``texts``, stamps of 20
-    characters or of 25 that end in a zero UTC offset, and per stamp
-    whether it was read. Read are the stamps of the shape
-    ``YYYY-MM-DDTHH:MM:SSZ`` (ASCII digits, "T" also "t" or a space, "Z"
-    also "z" or the offset) that name a real second of years 1-9999: stamps
-    that :func:`_parse_timestamp` accepts, read to the same instant. The
-    value of a stamp not read means nothing."""
-    joined = "".join(texts)
-    if len(joined) != 20 * len(texts):  # write the zero offsets as "Z"
-        joined = "".join(t if len(t) == 20 else t[:19] + "Z" for t in texts)
-    chars = np.frombuffer(joined.encode("ascii", "replace"),
-                          dtype=np.uint8).reshape(-1, 20)
-    between = chars[:, 10]
-    digits = chars[:, _STAMP_DIGITS].astype(np.int64) - ord("0")
-    year = digits[:, :4] @ np.array([1000, 100, 10, 1])
-    month, day, hour, minute, second = (digits[:, 4::2] * 10 + digits[:, 5::2]).T
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_days = _DAYS_IN_MONTH[np.clip(month, 0, 12)] + (leap & (month == 2))
-    # OR-ing 0x20 lowercases an ASCII letter; only "Z" and "z" give "z"
-    readable = ((chars[:, 19] | 0x20 == ord("z"))
-                & (chars[:, _STAMP_PUNCTUATION] == _STAMP_SHAPE[_STAMP_PUNCTUATION]).all(axis=1)
-                & ((between | 0x20 == ord("t")) | (between == ord(" ")))
-                & ((digits >= 0) & (digits <= 9)).all(axis=1)
-                & (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
-                & (day <= month_days) & (hour < 24) & (minute < 60) & (second < 60))
-    # days since 1970-01-01 in the proleptic Gregorian calendar, counted
-    # from 0000-03-01 in 400-year eras (Hinnant's days_from_civil); y >= 0
-    y = year - (month <= 2)
-    era = y // 400
-    year_of_era = y - era * 400
-    day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
-    days = (era * 146097 + year_of_era * 365 + year_of_era // 4
-            - year_of_era // 100 + day_of_year - 719468)
-    return (((days * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000, readable
+    """int64 microseconds since the Unix epoch of the strings ``texts``, and
+    per stamp an index into :data:`_STAMP_REJECTS`: 0 when it was read, 1
+    when it is not an RFC 3339 ``date-time``, 2 when it names no real
+    instant of years 1-9999 UTC. The value of a stamp not read means nothing.
+
+    Read are ``YYYY-MM-DD``, "T", "t" or a space, ``HH:MM:SS``, optionally
+    "." and one or more digits (truncated to microseconds), then "Z", "z"
+    or ``+HH:MM``/``-HH:MM``, the offset subtracted from the local time, all
+    in ASCII. A field past its range (a day not in its month, an hour of 24,
+    a minute or a second of 60, so a leap second too, an offset of 24 hours
+    or more) is out of range.
+    """
+    n = len(texts)
+    raw = ("\n".join(texts) + "\n").encode("ascii", "replace")  # one byte a character
+    if len(raw) == 21 * n and raw.translate(_SHAPES).count(_ZULU) == n:
+        # every stamp has the shape of _ZULU, so stamp i is row i
+        us, in_range = _whole_seconds_us(
+            np.frombuffer(raw, dtype=np.uint8).reshape(n, 21)[:, :19].T)
+        return us, np.where(in_range, 0, 2)
+    lengths = np.fromiter(map(len, texts), np.int64, n)
+    ends = np.cumsum(lengths + 1) - 1  # the "\n" after each stamp
+    starts = ends - lengths
+    padded = raw + bytes(32)  # so that every index below lies in the buffers
+    chars = np.frombuffer(padded, dtype=np.uint8)
+    marks = np.frombuffer(padded.translate(_SHAPES), dtype=np.uint8)
+    zulu = marks[ends - 1] == ord("Z")
+    sign = marks[ends - 6]  # of "+HH:MM" unless zulu
+    decimals = lengths - 20 - np.where(zulu, 1, 6)  # the fraction's digits; -1: no fraction
+    # the characters the grammar fixes (punctuation, "T", ".", the zone's
+    # letters) hold their marks, and the stamp has as many digits as it has
+    # characters left, so every other character is a digit
+    grammar = ((lengths >= 20) & (marks[starts + _PUNCTUATION] == _PUNCTUATION_MARKS).all(axis=0)
+               & (zulu | (((sign == ord("+")) | (sign == ord("-"))) & (marks[ends - 3] == ord(":"))))
+               & ((decimals == -1) | ((decimals >= 1) & (marks[starts + 19] == ord("."))))
+               & (np.add.reduceat(marks == ord("0"), starts, dtype=np.int64)
+                  == 14 + np.maximum(decimals, 0) + np.where(zulu, 0, 4)))
+    text = sliding_window_view(chars, 26)[starts]  # head, ".", 6 fraction digits
+    us, in_range = _whole_seconds_us(text[:, :19].T)
+    us += np.where(_PLACES < decimals[:, None], text[:, 20:] - ord("0"), 0) @ _MICROS
+    zone = chars[ends + _OFFSET_DIGITS].astype(np.int64) - ord("0")
+    hours, minutes = zone[0] * 10 + zone[1], zone[2] * 10 + zone[3]
+    us -= np.where(zulu, 0, (hours * 60 + minutes)
+                   * np.where(sign == ord("-"), -60_000_000, 60_000_000))
+    in_range &= ((zulu | ((hours < 24) & (minutes < 60)))
+                 & (us >= _FIRST_US) & (us <= _LAST_US))
+    return us, np.where(grammar, np.where(in_range, 0, 2), 1)
 
 
 def parse_posts(stream: Iterable[str]) -> ParseResult:
@@ -478,12 +491,14 @@ def parse_posts(stream: Iterable[str]) -> ParseResult:
     :meth:`_Rows.add_chunk`: its lines are read (those at the head of a chunk
     in the layout ``simulate`` writes by one regular expression,
     :data:`_CANONICAL`; the others decoded and checked with a few type
-    tests), its stamps converted at once, and its rows kept in line order. A
-    line none of these reads, and a row one of them flags, goes alone through
-    the per-line checks, :func:`_check_record`. Once the stream ends,
+    tests), its stamps read at once by :func:`_stamps_us`, and its rows kept
+    in line order. A line neither reads, and a row whose count the pattern
+    flags, goes alone through the per-line checks, :func:`_check_record`,
+    which judge everything but the stamp's text. Once the stream ends,
     :meth:`_Rows.drop_repeats` finds the repeated post_ids by their hashes.
     What is accepted, the rejects, their order and their reasons are
-    therefore those of the per-line path on every input.
+    therefore those of the per-line checks followed by the stamp reader on
+    every input.
     """
     return _read_rows(iter(stream))[0].result()
 

@@ -7,22 +7,53 @@ writer that built one ``PostRecord`` and one ``datetime`` per post;
 ``parse_posts`` is the parser that sent every line through ``json.loads``
 and ``model._check_record`` and appended rows one method call at a time;
 ``model.parse_posts`` must accept the same rows and report the same
-rejects on every stream.
+rejects on every stream. It reads each stamp with :func:`read_stamp`, a
+regular expression and ``datetime`` arithmetic, and not with the columnar
+reader ``model._stamps_us``.
 """
 
 import json
 import math
+import re
 from array import array
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from unittest import mock
 
 import numpy as np
 
 from engdyn import model
-from engdyn.model import (COUNT_FIELDS, ParseResult, PostTable, _check_record,
-                          _stamp_us)
+from engdyn.model import COUNT_FIELDS, ParseResult, PostTable, _check_record
 from engdyn.synth import CORPUS_EPOCH, SynthSpec, _sample_times, rng_for
+
+UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+# RFC 3339 section 5.6 date-time
+RFC3339 = re.compile(r"(\d{4})-(\d\d)-(\d\d)[Tt ](\d\d):(\d\d):(\d\d)(?:\.(\d+))?"
+                     r"(?:[Zz]|([+-])(\d\d):(\d\d))", re.ASCII)
+
+
+def read_stamp(text: str) -> datetime:
+    """The UTC instant of the RFC 3339 date-time ``text``, its fraction
+    truncated to microseconds, or ValueError with the parser's reason."""
+    match = RFC3339.fullmatch(text)
+    if match is None:
+        raise ValueError("timestamp is not RFC 3339")
+    *fields, fraction, sign, hours, minutes = match.groups()
+    hours, minutes = int(hours or 0), int(minutes or 0)
+    try:
+        if hours > 23 or minutes > 59:
+            raise ValueError
+        local = datetime(*map(int, fields), int((fraction or "0").ljust(6, "0")[:6]),
+                         tzinfo=timezone.utc)
+        offset = timedelta(hours=hours, minutes=minutes)
+        return local - offset if sign == "+" else local + offset
+    except (ValueError, OverflowError):  # no such day or second, or not in years 1-9999
+        raise ValueError("timestamp out of range") from None
+
+
+def epoch_us(ts: datetime) -> int:
+    """Microseconds since the Unix epoch of the aware ``ts``."""
+    return (ts - UNIX_EPOCH) // timedelta(microseconds=1)
 
 
 @dataclass(frozen=True)
@@ -73,7 +104,8 @@ class TableBuilder:
 
 
 def parse_posts(stream) -> ParseResult:
-    """The per-line post parser: every line through ``_check_record``."""
+    """The per-line post parser: every line through ``_check_record`` and
+    :func:`read_stamp`."""
     builder = TableBuilder()
     first_line: dict[str, int] = {}  # accepted post_id -> its line
     rejects: list[tuple[int, str]] = []
@@ -82,6 +114,7 @@ def parse_posts(stream) -> ParseResult:
             continue
         try:
             post_id, topic_id, stamp, counts = _check_record(json.loads(line))
+            stamp = epoch_us(read_stamp(stamp))
         except (ValueError, RecursionError) as exc:  # incl. too-deep JSON
             rejects.append((lineno, str(exc)))
             continue
@@ -121,7 +154,7 @@ def table_of(records) -> PostTable:
     """A list of records as the library's post table."""
     builder = TableBuilder()
     for p in records:
-        builder.add(p.topic_id, _stamp_us(p.timestamp),
+        builder.add(p.topic_id, epoch_us(p.timestamp),
                     (p.likes, p.shares, p.comments, p.love, p.angry))
     return builder.table()
 

@@ -137,14 +137,14 @@ class TestParsePosts:
     def test_timestamp_outside_utc_range_rejected(self):
         lines = [post_line(post_id="early", timestamp="0001-01-01T00:30:00+01:00"),
                  post_line(post_id="late", timestamp="9999-12-31T23:30:00-01:00"),
-                 # timestamps are checked before counts, as for other errors
+                 # a stamp's text is judged after the counts
                  post_line(post_id="both", timestamp="0001-01-01T00:00:00+00:01",
                            likes=-1),
                  post_line(post_id="edge", timestamp="0001-01-01T00:30:00+00:30")]
         result = parse_posts(lines)
         assert result.rejects == ((1, "timestamp out of range"),
                                   (2, "timestamp out of range"),
-                                  (3, "timestamp out of range"))
+                                  (3, "likes is negative"))
         assert len(result.records) == 1
 
 

@@ -1,26 +1,26 @@
 """``parse_posts``'s fast path against the per-line parser it replaced.
 
 The oracle, ``record_oracle.parse_posts``, sends every line through
-``model._check_record`` and appends rows one at a time. On every stream the
-fast path must build an equal table and report the same rejects, in the
-same order with the same reasons, whatever the chunk size.
+``model._check_record`` and its own stamp reader, ``record_oracle.read_stamp``,
+and appends rows one at a time. On every stream the fast path must build an
+equal table and report the same rejects, in the same order with the same
+reasons, whatever the chunk size.
 """
 
 import json
 import tracemalloc
-from datetime import datetime, timezone
+from datetime import datetime
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import record_oracle
 from engdyn import model, synth
-from engdyn.model import (COUNT_FIELDS, MAX_COUNT, _parse_timestamp, _stamp_us,
-                          _stamps_us, parse_posts)
-from record_oracle import assert_same_parse
+from engdyn.model import COUNT_FIELDS, MAX_COUNT, _stamps_us, parse_posts
+from record_oracle import assert_same_parse, epoch_us, read_stamp
 
 
 def post(post_id="p", topic_id="t", timestamp="2018-01-05T12:00:00Z", **counts):
@@ -38,7 +38,7 @@ def line(obj, end="\n"):
 
 COUNTS = [0, 1, 7, MAX_COUNT, 2**32, -1, True, False, 1.5, 2.0, "3", None, 10**30]
 
-# read by the bulk conversion
+# RFC 3339 stamps of years 1-9999 UTC
 READABLE_STAMPS = [
     "2018-01-05T12:00:00Z", "2020-02-29T23:59:59Z", "2000-02-29T00:00:00Z",
     "2400-02-29T00:00:00Z", "0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z",
@@ -46,31 +46,60 @@ READABLE_STAMPS = [
     "2020-01-01 00:00:00Z", "2020-01-01t00:00:00z", "2020-01-01T00:00:00z",
     "2020-01-01T00:00:00+00:00", "0001-01-01T00:00:00-00:00",
     "9999-12-31t23:59:59+00:00",
+    # offsets, fractions of 1-9 digits, and both at the year edges
+    "2020-01-01T00:00:00+23:59", "2020-01-01T00:00:00-23:59", "2018-01-05T14:00:00+02:00",
+    "2018-01-05T06:30:00-05:30", "2019-12-31T23:00:00-01:00", "2020-03-01T00:00:00+00:01",
+    "2018-01-05T12:00:00.5Z", "2018-01-05T12:00:00.05z", "2018-01-05 12:00:00.123+02:00",
+    "2018-01-05T12:00:00.1234-00:00", "1969-12-31T23:59:59.12345Z",
+    "2018-01-05T12:00:00.123456Z", "2018-01-05T12:00:00.9999999Z",
+    "2018-01-05T12:00:00.00000001-23:59", "2018-01-05T12:00:00.123456789+14:00",
+    "0001-01-01T00:30:00+00:30", "0001-01-01T00:00:00.000001-00:01",
+    "9999-12-31T23:59:59.999999999+00:00", "9999-12-31T22:59:59.5-01:00",
 ]
 STAMPS = READABLE_STAMPS + [
-    # 20 or 25 characters, not read by it
-    "0000-01-01T00:00:00Z", "+020-01-01T00:00:00Z", "2020-01-01_00:00:00Z",
-    "2020-02-30T00:00:00Z", "2100-02-29T00:00:00Z", "1900-02-29T00:00:00Z",
-    "2020-04-31T00:00:00Z", "2020-13-01T00:00:00Z", "2020-00-10T00:00:00Z",
-    "2020-01-00T00:00:00Z", "2020-01-01T24:00:00Z", "2020-01-01T23:60:00Z",
-    "2020-01-01T23:59:60Z", "2020-01-01\u00e900:00:00Z", "\uff12020-01-01T00:00:00Z",
-    "2020-01-01T00:00:0\u0665Z", "2020-01-01T00:00:0\ud800Z", "2020/01/01T00:00:00Z",
-    " 020-01-01T00:00:00Z", "2020-01-01T00:00:00 ", "2020-01-01T00:00:00+00:01",
-    "2020-01-01T00:00:00+02:00", "2020-02-30T00:00:00+00:00", "2020-01-01T00:00:00Z+0:00",
-    # other lengths
-    "+2020-01-01T00:00:00Z", "2020-01-01T00:00:00+00:00 ", "2020-01-01T00:00:00.5Z",
-    "0001-01-01T00:30:00+01:00", "2020-01-01", "", 1577836800, None,
+    # the shape of RFC 3339, naming no instant of years 1-9999 UTC
+    "0000-01-01T00:00:00Z", "2020-02-30T00:00:00Z", "2100-02-29T00:00:00Z",
+    "1900-02-29T00:00:00Z", "2020-04-31T00:00:00Z", "2020-13-01T00:00:00Z",
+    "2020-00-10T00:00:00Z", "2020-01-00T00:00:00Z", "2020-01-01T24:00:00Z",
+    "2020-01-01T23:60:00Z", "2020-01-01T23:59:60Z", "2016-12-31T23:59:60Z",
+    "2020-01-01T00:00:00+24:00", "2020-01-01T00:00:00-00:60", "2020-02-30T00:00:00+00:00",
+    "0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00",
+    "0001-01-01T00:00:00.999999+00:01", "0000-12-31T23:30:00-01:00",
+    # not RFC 3339
+    "+020-01-01T00:00:00Z", "2020-01-01_00:00:00Z", "2020-01-01\u00e900:00:00Z",
+    "\uff12020-01-01T00:00:00Z", "2020-01-01T00:00:0\u0665Z", "2020-01-01T00:00:0\ud800Z",
+    "2020/01/01T00:00:00Z", " 020-01-01T00:00:00Z", "2020-01-01T00:00:00 ",
+    "2020-01-01T00:00:00Z+0:00", "+2020-01-01T00:00:00Z", "2020-01-01T00:00:00+00:00 ",
+    "2020-01-01", "", "2020-01-01T00:00:00", "2020-01-01T00:00:00.5", "2020-01-01T00:00:00.Z",
+    "2020-01-01T00:00:00.+02:00", "2020-01-01T00:00:00.5.5Z", "2020-01-01T00:00:00+02:00Z",
+    "2020-01-01T00:00:00Z\x00", "2020-01-01T00:00:00Z\n", "2020-01-01T00:00:00\nZ",
+    # surrounding whitespace
+    " 2020-01-01T00:00:00Z", "2020-01-01T00:00:00Z ", "\t2020-01-01T00:00:00Z\n",
+    "2020-01-01T00:00:00+02:00\u3000",
+    # the ISO 8601 spellings that datetime.fromisoformat reads on Python 3.11
+    "20180105T120000Z", "2018-W01-5T12:00:00Z", "2018W015T12:00:00Z", "2018-01-05T120000Z",
+    "2018-01-05T1200Z", "2018-01-05T12:00Z", "2018-01-05T12Z", "2018-01-05T12:00:00,5Z",
+    "2018-01-05T12:00:00+0200", "2018-01-05T12:00:00+02", "2018-01-05T12:00:00-0530",
+    "2018-01-05T12:00:00.5+02", "2018-01-05T12:00:00+02:00:30", "2018-01-05T12:00:00+02:00:30.5",
+    "2018-01-05T12:00:00+00:00:00",
+    # not strings
+    1577836800, None,
 ]
 
-# fields drawn a little beyond their ranges, joined by the letters and zones
-# the bulk conversion reads ("T", "t", " " and "Z", "z", "+00:00", "-00:00")
-# and others the per-line path reads or rejects
+# fields drawn a little beyond their ranges, joined by the letters the reader
+# takes ("T", "t", " ") and others, with 0-9 fraction digits or a bare ".",
+# and zones it takes ("Z", "z", offsets) or not
 template_stamps = st.builds(
-    "{:04d}-{:02d}-{:02d}{}{:02d}:{:02d}:{:02d}{}".format,
+    "{:04d}-{:02d}-{:02d}{}{:02d}:{:02d}:{:02d}{}{}".format,
     st.integers(0, 9999) | st.sampled_from([0, 1, 4, 1900, 2000, 2100, 9999]),
     st.integers(0, 13), st.integers(0, 32),
     st.sampled_from("TTt _x\u00e9\ud800"), st.integers(0, 24), st.integers(0, 60),
-    st.integers(0, 60), st.sampled_from(["Z", "Z", "z", "_", "+00:00", "-00:00", "+00:01"]))
+    st.integers(0, 60),
+    st.sampled_from(["", "", ".", ","]) | st.integers(0, 10**9 - 1).flatmap(
+        lambda value: st.integers(1, 9).map(lambda k: f".{value % 10**k:0{k}d}")),
+    st.sampled_from(["Z", "Z", "z", "_", "", "+00:00", "-00:00", "+0200", "+02"])
+    | st.builds("{}{:02d}:{:02d}".format, st.sampled_from("+-"),
+                st.integers(0, 24), st.integers(0, 60)))
 
 
 def reordered(obj):
@@ -138,9 +167,8 @@ class TestSameAsPerLineParser:
 
     def test_unreadable_stamp_of_a_new_topic_and_a_reused_post_id(self):
         # chunks of four lines: in the first, the only line of topic "new"
-        # has a stamp the bulk conversion cannot read, and its post_id comes
-        # back two lines later; the per-line checks reject that line alone,
-        # so neither its topic nor its post_id is kept
+        # has a stamp the reader rejects, and its post_id comes back two
+        # lines later; neither its topic nor its post_id is kept
         lines = [line(post(post_id="p1", topic_id="a")),
                  line(post(post_id="p9", topic_id="new",
                            timestamp="2020-02-30T00:00:00Z")),
@@ -150,7 +178,7 @@ class TestSameAsPerLineParser:
                  line(post(post_id="p9", topic_id="b"))]
         got = assert_same_parse(lines, chunk_lines=4)
         assert got.rejects == (
-            (2, "day is out of range for month"),
+            (2, "timestamp out of range"),
             (6, "duplicate post_id 'p9' (first seen on line 4)"))
         assert got.records.topic_ids == ("a", "b")
         assert got.records.column("likes").tolist() == [3, 3, 8, 3]
@@ -176,10 +204,10 @@ class TestSameAsPerLineParser:
     def test_rejects_of_every_step_merged_in_line_order(self):
         # the second chunk of 16 lines opens with pattern rows (a repeat of
         # the first chunk, an over-range count), then decoded lines: a blank,
-        # a non-JSON line, a stamp the bulk conversion cannot read, a
-        # lone-surrogate topic, a repeat of the same chunk and a repeat in
-        # topic "gone", which only rejected lines name. "bad" comes back on a
-        # kept line, since its first line was rejected
+        # a non-JSON line, a stamp the reader rejects, a lone-surrogate
+        # topic, a repeat of the same chunk and a repeat in topic "gone",
+        # which only rejected lines name. "bad" comes back on a kept line,
+        # since its first line was rejected
         lines = [line(post(post_id=f"p{i}")) for i in range(1, 17)]
         lines += [line(post(post_id="p1")),
                   line(post(post_id="big", likes=MAX_COUNT + 1)),
@@ -322,23 +350,19 @@ class TestFastPath:
         assert [lineno for lineno, _ in got.rejects] == [4, 21, 41]
         assert check.call_args_list == [mock.call(lines[20])]
 
-    def test_unreadable_stamp_alone_is_checked_per_line(self):
-        # the per-line checks accept any separator between date and time,
-        # the bulk conversion only "T", "t" and a space
-        lines = [line(post(post_id=f"p{i}", timestamp="2020-01-01T00:00:00Z"))
-                 for i in range(64)]
-        lines[17] = line(post(post_id="p17", timestamp="2020-01-01_00:00:00Z"))
-        check = mock.Mock(wraps=model._check_record)
-        convert = model._stamps_us
-
-        def unread_as_zero(texts):  # the value of a stamp not read means nothing
-            values, readable = convert(texts)
-            return np.where(readable, values, 0), readable
-
-        got = assert_same_parse(lines, chunk_lines=64, _check_record=check,
-                                _stamps_us=unread_as_zero)
-        assert len(got.records) == 64 and not got.rejects
-        assert check.call_count == 1
+    def test_flagged_stamp_is_rejected_without_the_per_line_checks(self):
+        # the reader's reason is the line's: stamps it rejects, read by the
+        # pattern and decoded, take no per-line check
+        stamps = ["2020-01-01T00:00:00Z", "2020-01-01_00:00:00Z", "2020-02-30T00:00:00+02:00",
+                  "2018-01-05T12:00Z"]
+        lines = [shape(post(post_id=f"p{i}{shape.__name__}", timestamp=stamp))
+                 for shape in (line, reordered) for i, stamp in enumerate(stamps)]
+        got = assert_same_parse(lines, chunk_lines=64,
+                                _check_record=mock.Mock(side_effect=AssertionError))
+        assert got.rejects == tuple(
+            (lineno, reason) for start in (1, 5) for lineno, reason in (
+                (start + 1, "timestamp is not RFC 3339"), (start + 2, "timestamp out of range"),
+                (start + 3, "timestamp is not RFC 3339")))
 
     def test_other_layouts_try_the_pattern_once_a_chunk(self):
         lines = common_shape_lines(reordered)
@@ -350,20 +374,22 @@ class TestFastPath:
     @example("0000-12-31T23:59:59Z")
     @example("1900-02-29T00:00:00Z")
     @example("2000-02-29T00:00:00Z")
+    @example("0001-01-01T00:59:59.999999+01:00")
     @settings(max_examples=500, deadline=None)
     def test_templated_stamp_read_as_the_per_line_path_reads_it(self, text):
         try:
-            want = _stamp_us(_parse_timestamp(text))
-        except ValueError:
-            want = None
-        # the readers pass stamps of 20 characters or 25 in a zero offset
-        assume(len(text) == 20 or text[19:] in ("+00:00", "-00:00"))
-        values, readable = _stamps_us([text])
-        assert readable.dtype == bool and readable.shape == values.shape == (1,)
-        if text[10] in "Tt ":
-            assert readable[0] == (want is not None)
-        if readable[0]:
-            assert values.tolist() == [want]
+            want = (0, epoch_us(read_stamp(text)))
+        except ValueError as exc:
+            want = (model._STAMP_REJECTS.index(str(exc)), None)
+        # alone, and in a chunk whose other stamps take the all-"Z" path
+        for texts in ([text], [text] + READABLE_STAMPS[:3], READABLE_STAMPS[:3] + [text]):
+            values, status = _stamps_us(texts)
+            assert values.dtype == status.dtype == np.int64
+            assert values.shape == status.shape == (len(texts),)
+            at = texts.index(text)
+            assert status[at] == want[0]
+            if want[1] is not None:
+                assert values[at] == want[1]
 
     @given(st.lists(st.tuples(st.datetimes(min_value=datetime(1, 1, 1),
                                            max_value=datetime(9999, 12, 31, 23, 59, 59)),
@@ -373,13 +399,12 @@ class TestFastPath:
     @settings(max_examples=200, deadline=None)
     def test_every_second_of_years_1_to_9999(self, stamps, data):
         texts = [ts.isoformat(timespec="seconds") + zone for ts, zone in stamps]
-        want = [_stamp_us(ts.replace(microsecond=0, tzinfo=timezone.utc))
-                for ts, _ in stamps]
-        values, readable = _stamps_us(texts)
+        want = [epoch_us(read_stamp(text)) for text in texts]
+        values, status = _stamps_us(texts)
         assert values.dtype == np.int64 and values.tolist() == want
-        assert readable.tolist() == [True] * len(texts)
+        assert status.tolist() == [0] * len(texts)
         # a stamp that cannot be read flags itself alone
         at = data.draw(st.integers(0, len(texts)))
-        values, readable = _stamps_us(texts[:at] + ["2020-02-30T00:00:00Z"] + texts[at:])
-        assert readable.tolist() == [True] * at + [False] + [True] * (len(texts) - at)
+        values, status = _stamps_us(texts[:at] + ["2020-02-30T00:00:00Z"] + texts[at:])
+        assert status.tolist() == [0] * at + [2] + [0] * (len(texts) - at)
         assert np.delete(values, at).tolist() == want

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 from engdyn import model
 from engdyn.model import MAX_COUNT
 
-STAMPS = ["2018-01-05T12:00:00Z", "2018-01-06 08:30:00+00:00",  # read in bulk
-          "2018-01-07T00:00:00+02:00",  # read by the per-line checks
-          "2018-02-30T00:00:00Z"]  # rejected
+STAMPS = ["2018-01-05T12:00:00Z", "2018-01-06 08:30:00+00:00", "2018-01-07T00:00:00+02:00",
+          "2018-01-08T12:00:00.5Z", "2018-01-09T06:30:00-05:30",  # read
+          "2018-02-30T00:00:00Z", "2018-01-07T00:00:00+0200"]  # rejected, for two reasons
 REJECTED = ["{", "[1]", '{"post_id": "x"}', "not json", "\ufeff{}"]  # a BOM mid-file is text
 BLANK = ["", "   "]
 ENDS = ["\n", "\r\n", "\r"]
@@ -120,9 +120,12 @@ def halves(first, second, end="\n"):
 
 
 def test_repeats_rejects_and_topics_across_the_split(tmp_path, split_all):
-    first = [post("p1", "a"), "{", post("p2", "b", likes=7), post("ab", "a")]
-    second = [post("p1", "late"), post("p3", "late"), "[1]", post("ba", "b"),
-              post("p2", "a"), post("x", "\ud800")]
+    # each half reads stamps of every spelling, and rejects one
+    first = [post("p1", "a"), "{", post("p2", "b", likes=7), post("ab", "a", timestamp=STAMPS[4]),
+             post("s1", "a", timestamp=STAMPS[6])]
+    second = [post("p1", "late"), post("p3", "late", timestamp=STAMPS[2]), "[1]",
+              post("ba", "b", timestamp=STAMPS[3]), post("p2", "a"), post("x", "\ud800"),
+              post("s2", "b", timestamp=STAMPS[5])]
     path = tmp_path / "posts.jsonl"
     path.write_bytes(halves(first, second, end="\r\n"))
     for collide in (hash, len):
@@ -132,10 +135,12 @@ def test_repeats_rejects_and_topics_across_the_split(tmp_path, split_all):
         assert got.records.topic_ids == ("a", "b", "late")
         assert got.rejects == (
             (2, "Expecting property name enclosed in double quotes: line 2 column 1 (char 2)"),
-            (6, "duplicate post_id 'p1' (first seen on line 1)"),
-            (8, "record is not a JSON object"),
-            (10, "duplicate post_id 'p2' (first seen on line 3)"),
-            (11, "topic_id holds a lone surrogate"))
+            (5, "timestamp is not RFC 3339"),
+            (7, "duplicate post_id 'p1' (first seen on line 1)"),
+            (9, "record is not a JSON object"),
+            (11, "duplicate post_id 'p2' (first seen on line 3)"),
+            (12, "topic_id holds a lone surrogate"),
+            (13, "timestamp out of range"))
 
 
 def test_no_newline_after_the_middle_is_one_parse(tmp_path, split_all):

@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 
 from engdyn.errors import InsufficientData, ZeroEngagement
 from engdyn.metrics import love_hate, reaction_totals
-from engdyn.model import (POST_FIELDS, TopicSeries, _parse_count,
-                          _parse_timestamp, build_series, parse_posts)
+from engdyn.model import (COUNT_FIELDS, POST_FIELDS, TopicSeries, _parse_count,
+                          build_series, parse_posts)
 
 from conftest import EPOCH, make_post, series_fields, table_of
-from record_oracle import PostRecord, assert_same_parse
+from record_oracle import PostRecord, assert_same_parse, read_stamp
 
 
 # ----------------------------------------------------------------- oracles
@@ -43,14 +43,12 @@ def oracle_parse(stream):
             for name in ("post_id", "topic_id"):
                 if not isinstance(obj[name], str) or not obj[name]:
                     raise ValueError(f"{name} must be a non-empty string")
+            if not isinstance(obj["timestamp"], str):
+                raise ValueError("timestamp must be a string")
+            counts = {name: _parse_count(obj, name) for name in COUNT_FIELDS}
             records.append(PostRecord(
                 post_id=obj["post_id"], topic_id=obj["topic_id"],
-                timestamp=_parse_timestamp(obj["timestamp"]),
-                likes=_parse_count(obj, "likes"),
-                shares=_parse_count(obj, "shares"),
-                comments=_parse_count(obj, "comments"),
-                love=_parse_count(obj, "love"),
-                angry=_parse_count(obj, "angry")))
+                timestamp=read_stamp(obj["timestamp"]), **counts))
         except ValueError as exc:
             rejects.append((lineno, str(exc)))
     return records, rejects
@@ -133,7 +131,9 @@ def mixed_stream():
            post_line(timestamp=1515153600), post_line(timestamp="yesterday"),
            post_line(timestamp="2018-01-05T12:00:00"),
            post_line(likes=True), post_line(shares=1.5), post_line(comments="2"),
-           post_line(love=-1), post_line(angry=-3)]
+           post_line(love=-1), post_line(angry=-3),
+           # the stamp's text is judged after the counts
+           post_line(timestamp="yesterday", likes=-1)]
     for k, line in enumerate(bad):
         lines.insert(5 * k + 1, line)
     return lines
@@ -150,13 +150,14 @@ RECORD_PARSER_REJECTS = [
     (37, "post_id must be a non-empty string"),
     (42, "topic_id must be a non-empty string"),
     (47, "timestamp must be a string"),
-    (52, "Invalid isoformat string: 'yesterday'"),
-    (57, "timestamp lacks a UTC offset"),
+    (52, "timestamp is not RFC 3339"),
+    (57, "timestamp is not RFC 3339"),
     (62, "likes must be an integer"),
     (67, "shares must be an integer"),
     (72, "comments must be an integer"),
     (77, "love is negative"),
     (82, "angry is negative"),
+    (87, "likes is negative"),
 ]
 
 
