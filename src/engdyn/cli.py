@@ -8,8 +8,10 @@ codes: 0 success, 1 partial (some topics skipped), 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import pickle
 import re
 import sys
 from pathlib import Path
@@ -289,10 +291,10 @@ def cmd_analyze(args) -> int:
 
 # ---------------------------------------------------------- extract-topics
 
-def _read_articles(lines, stopwords: frozenset[str]):
-    """(terms, term counts, malformed line count, repeated article count):
-    the columns ``topicgraph.project`` takes, with a term count of 0 for
-    each article without usable terms.
+def _read_articles(stopwords: frozenset[str], lines):
+    """(terms, term counts, malformed line count, repeated article count,
+    ids): the columns ``topicgraph.project`` takes, with a term count of 0
+    for each article without usable terms, and the kept ids in that order.
 
     The first article of each id is kept and every later one skipped. Text
     articles go through the term kernel a chunk at a time, so they land
@@ -302,6 +304,7 @@ def _read_articles(lines, stopwords: frozenset[str]):
     terms: list[str] = []
     sizes: list[int] = []
     seen: set[str] = set()
+    kept: list[str] = []
     ids: list[str] = []
     texts: list[str] = []
     bad_lines = repeats = 0
@@ -311,6 +314,7 @@ def _read_articles(lines, stopwords: frozenset[str]):
             ids, texts, stopwords)
         terms.extend(chunk_terms)
         sizes.extend(chunk_sizes.tolist())
+        kept.extend(ids)
         ids.clear()
         texts.clear()
 
@@ -344,6 +348,7 @@ def _read_articles(lines, stopwords: frozenset[str]):
             continue
         seen.add(article_id)
         if tokens is not None:
+            kept.append(article_id)
             try:
                 top = topicgraph.count_terms(article_id, tokens, stopwords)
             except EmptyArticle:
@@ -358,19 +363,44 @@ def _read_articles(lines, stopwords: frozenset[str]):
             count_chunk()
     if ids:
         count_chunk()
-    return terms, sizes, bad_lines, repeats
+    return terms, sizes, bad_lines, repeats, kept
+
+
+def _send_articles(articles, out) -> None:
+    """Pickle :func:`_read_articles`' result, its terms as a vocabulary and int32 indices."""
+    terms, *rest = articles
+    vocabulary = sorted(set(terms))
+    index = dict(zip(vocabulary, range(len(vocabulary))))
+    pickle.dump((vocabulary, np.fromiter(map(index.__getitem__, terms), np.int32, len(terms)),
+                 *rest), out)
+
+
+def _merge_articles(first, pipe):
+    """The articles of ``first``, then those :func:`_send_articles` wrote to
+    ``pipe`` but the ones of an id ``first`` kept, which are repeats."""
+    terms, sizes, bad_lines, repeats, kept = first
+    vocabulary, term_ids, later_sizes, later_bad, later_repeats, later_kept = pickle.load(pipe)
+    seen = set(kept)
+    new = np.array([article_id not in seen for article_id in later_kept], dtype=bool)
+    terms += np.array(vocabulary, dtype=object)[term_ids[np.repeat(new, later_sizes)]].tolist()
+    sizes += np.compress(new, later_sizes).tolist()
+    kept += [article_id for article_id in later_kept if article_id not in seen]
+    return terms, sizes, bad_lines + later_bad, repeats + later_repeats + int((~new).sum()), kept
 
 
 def cmd_extract_topics(args) -> int:
-    # the file is read line by line, so the whole text is never held at
-    # once; universal newlines split only at \n, \r and \r\n, never at
-    # U+2028 and the like, which JSON strings may hold raw
+    # each half of the file is read line by line, so the whole text is never
+    # held at once; universal newlines split only at \n, \r and \r\n, never
+    # at U+2028 and the like, which JSON strings may hold raw
     try:
-        stopwords = topicgraph.load_stopwords(args.stopwords)
-        with open(args.input, encoding="utf-8-sig") as fh:
-            terms, sizes, bad_lines, repeats = _read_articles(fh, stopwords)
+        read = functools.partial(_read_articles, topicgraph.load_stopwords(args.stopwords))
+        articles = model.read_halves(args.input, read, _send_articles, _merge_articles)
+        if articles is None:
+            with open(args.input, encoding="utf-8-sig") as fh:
+                articles = read(fh)
     except OSError as exc:
         return _fail(str(exc))
+    terms, sizes, bad_lines, repeats, _ = articles
     if bad_lines:
         print(f"warning: {bad_lines} malformed article line(s) skipped",
               file=sys.stderr)
@@ -388,10 +418,9 @@ def cmd_extract_topics(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
 
+        ends = np.array(graph.nodes, dtype=object)[graph.edges.T].tolist()  # no list an edge
         write_csv(out / "edges.csv", ["term1", "term2", "weight"],
-                  ([graph.nodes[a], graph.nodes[b], weight] for (a, b), weight
-                   in zip(graph.edges.tolist(), graph.weights.tolist())),
-                  texts=graph.nodes)
+                  zip(*ends, graph.weights.tolist()), texts=graph.nodes)
         write_csv(out / "partition.csv", ["term", "community"],
                   ([term, graph.partition[term]] for term in graph.nodes),
                   texts=graph.nodes)

@@ -21,7 +21,7 @@ import signal
 import threading
 from array import array
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from itertools import chain, compress, islice, takewhile
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -51,8 +51,8 @@ _post_fields = operator.itemgetter(*POST_FIELDS)
 # (+2 MiB at 4096 lines on 190k posts); at 256 lines the fixed cost of each
 # conversion slows decoded corpora by about 6%
 _CHUNK_LINES = 1024
-# load_posts parses a file this large in two processes; on smaller ones the
-# fork and merge cost more than half a parse saves (break-even 0.75-1 MiB)
+# read_halves splits a file this large; on smaller ones the fork and merge
+# cost more than half a read saves (break-even 0.75-1 MiB, posts and articles)
 _SPLIT_MIN_BYTES = 1 << 20
 # _stamps_us's results: read, or the reason a stamp is rejected
 _STAMP_REJECTS = (None, "timestamp is not RFC 3339", "timestamp out of range")
@@ -76,12 +76,10 @@ _CANONICAL = re.compile(
     rf'\{{"post_id": "({_CHAR}+)", "topic_id": "({_CHAR}+)", "timestamp": "({_CHAR}*)", '
     + ", ".join(f'"{name}": (0|[1-9][0-9]{{0,9}})' for name in COUNT_FIELDS)
     + r"\}\n?")
-# days from the start of a 400-year Gregorian cycle to the first of each of
-# its 4,800 months, and to its end (146,097)
-_YEARS = np.arange(400)[:, None]
-_MONTH_STARTS = np.concatenate(([0], np.cumsum(
-    np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-    + (((_YEARS % 4 == 0) & ((_YEARS % 100 != 0) | (_YEARS % 400 == 0))) & (np.arange(12) == 1)))))
+# days from 2000-01-01 (ordinal 730120), the start of a 400-year Gregorian cycle, to the
+# first of each of its 4,800 months and to its end (146,097); a list, to spare memory
+_MONTH_STARTS = np.array([date(2000 + m // 12, m % 12 + 1, 1).toordinal() - 730120
+                          for m in range(4801)])
 
 CATEGORIES = (
     "Art_Culture_Sport",
@@ -204,6 +202,7 @@ class _Rows:
         self.hashes, self.lines = array("q"), array("q")  # per row: hash(post_id), line
         self.id_texts: list[str] = []  # per chunk: its rows' post_ids, joined
         self.id_ends = array("q", [0])  # row r's id: [r]:[r + 1] of the joined texts
+        self.n_lines = 0  # the lines read
 
     def add_chunk(self, start: int, lines: list[str]) -> None:
         """Add ``lines``, the first of which is line ``start``, in three
@@ -306,6 +305,28 @@ class _Rows:
 
     def columns(self) -> tuple[array, ...]:
         return self.row_codes, self.counts, self.stamps, self.hashes, self.lines, self.id_ends
+
+    def send(self, out) -> None:
+        """Write the rows to ``out`` for :meth:`extend`: a pickle, then the columns raw."""
+        pickle.dump((self.codes, self.rejects, self.id_texts, self.n_lines, len(self.stamps)), out)
+        for column in self.columns():
+            out.write(column)
+
+    def extend(self, pipe) -> _Rows:
+        """These rows followed by those :meth:`send` wrote to ``pipe`` for the
+        lines after them, whose topics join ``codes`` in first-seen order."""
+        codes, rejects, id_texts, n_lines, n = pickle.load(pipe)
+        recode = np.array([self.codes.setdefault(topic_id, len(self.codes))
+                           for topic_id in codes], dtype=np.int64)
+        for column, k, shift in zip(self.columns(), (n, 5 * n, n, n, n, n + 1),
+                                    (None, 0, 0, 0, self.n_lines, self.id_ends.pop())):
+            # a short read fails the reshape
+            data = np.frombuffer(pipe.read(8 * k), dtype=np.int64).reshape(k)
+            column.frombytes((recode[data] if shift is None else data + shift).view(np.uint8))
+        self.id_texts += id_texts
+        self.rejects += [(self.n_lines + lineno, reason) for lineno, reason in rejects]
+        self.n_lines += n_lines
+        return self
 
     def result(self) -> ParseResult:
         self.drop_repeats()  # frees the id columns before table()
@@ -500,16 +521,16 @@ def parse_posts(stream: Iterable[str]) -> ParseResult:
     therefore those of the per-line checks followed by the stamp reader on
     every input.
     """
-    return _read_rows(iter(stream))[0].result()
+    return _read_rows(iter(stream)).result()
 
 
-def _read_rows(lines: Iterator[str]) -> tuple[_Rows, int]:
-    """The rows of ``lines``, numbered from 1, and the number of lines."""
-    rows, start = _Rows(), 1  # start: the line number of the chunk's first line
+def _read_rows(lines: Iterator[str]) -> _Rows:
+    """The rows of ``lines``, numbered from 1."""
+    rows = _Rows()
     while chunk := list(islice(lines, _CHUNK_LINES)):
-        rows.add_chunk(start, chunk)
-        start += len(chunk)
-    return rows, start - 1
+        rows.add_chunk(rows.n_lines + 1, chunk)
+        rows.n_lines += len(chunk)
+    return rows
 
 
 class _Head(io.RawIOBase):
@@ -527,10 +548,12 @@ class _Head(io.RawIOBase):
         return n
 
 
-def _parse_halves(path) -> _Rows | None:
-    """The rows of the file at ``path``, the lines after the first newline
-    past its middle parsed in a forked child; None when the file is not
-    split (see :func:`load_posts`) or either half fails."""
+def read_halves(path, read, send, merge):
+    """``merge(read(head), pipe)``, where a forked child ran ``send(read(tail),
+    out)`` into the pipe: the tail, the lines of the file at ``path`` after the
+    first newline past its middle, and the head, the rest, a BOM skipped, as
+    text. None when the file is not split (see :func:`load_posts`) or either
+    half fails, so that the caller reads it again in one process."""
     pid = 0
     try:
         size = os.path.getsize(path)
@@ -546,38 +569,24 @@ def _parse_halves(path) -> _Rows | None:
         rfd, wfd = os.pipe()
         with open(rfd, "rb") as pipe, open(wfd, "wb") as out:
             pid = os.fork()
-            if pid == 0:  # the child: parse the second half, send its rows, exit
+            if pid == 0:  # the child: read the tail, send it, exit
                 try:
                     pipe.close()
                     fh = open(path, "rb")  # its own file offset
                     fh.seek(split)
                     with io.TextIOWrapper(fh, encoding="utf-8") as text:
-                        rows = _read_rows(text)[0]
-                    pickle.dump((rows.codes, rows.rejects, rows.id_texts,
-                                 len(rows.row_codes)), out)
-                    for column in rows.columns():
-                        out.write(column)
+                        send(read(text), out)
                     out.close()
                     os._exit(0)
                 finally:  # reached only when the above raised
                     os._exit(1)
             out.close()
             with open(path, "rb", buffering=0) as fh:
-                rows, n1 = _read_rows(io.TextIOWrapper(
-                    io.BufferedReader(_Head(fh, split)), encoding="utf-8-sig"))
-            # merge: the child's topics, rows, ids and rejects follow this half's
-            codes, rejects, id_texts, n = pickle.load(pipe)
-            recode = np.array([rows.codes.setdefault(topic_id, len(rows.codes))
-                               for topic_id in codes], dtype=np.int64)
-            for column, k, shift in zip(rows.columns(), (n, 5 * n, n, n, n, n + 1),
-                                        (None, 0, 0, 0, n1, rows.id_ends.pop())):
-                # a short read fails the reshape
-                data = np.frombuffer(pipe.read(8 * k), dtype=np.int64).reshape(k)
-                column.frombytes((recode[data] if shift is None else data + shift).view(np.uint8))
-            rows.id_texts += id_texts
-            rows.rejects += [(n1 + lineno, reason) for lineno, reason in rejects]
+                head = read(io.TextIOWrapper(io.BufferedReader(_Head(fh, split)),
+                                             encoding="utf-8-sig"))
+            result = merge(head, pipe)
         status, pid = os.waitpid(pid, 0)[1], 0
-        return None if status else rows
+        return None if status else result
     except Exception:
         return None
     finally:
@@ -588,11 +597,11 @@ def _parse_halves(path) -> _Rows | None:
 
 def load_posts(path: str | Path) -> ParseResult:
     """:func:`parse_posts` of the UTF-8 file at ``path``, a BOM skipped. Where
-    ``os.fork`` exists, two CPUs are allowed and no other thread runs, a file
-    of :data:`_SPLIT_MIN_BYTES` or more is parsed in two processes, each
-    half's rows merged before the repeat check; if either fails, here again
-    in one, so errors read as those of the one-process parse."""
-    rows = _parse_halves(path)
+    the platform can fork, two CPUs are allowed and no other thread runs, a
+    file of :data:`_SPLIT_MIN_BYTES` or more is parsed in two processes by
+    :func:`read_halves`, each half's rows merged before the repeat check; if
+    either fails, here again in one, so errors read as those of one process."""
+    rows = read_halves(path, _read_rows, _Rows.send, _Rows.extend)
     if rows is not None:
         return rows.result()
     with open(path, "r", encoding="utf-8-sig") as fh:

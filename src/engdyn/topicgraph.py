@@ -449,6 +449,7 @@ def louvain(graph: TermGraph, seed: int) -> TermGraph:
     nodes = graph.nodes
     n = len(nodes)
     level = base = _level(graph)
+    ints = np.asarray(graph.weights).dtype.kind in "iu"  # level 0 goes as ints
 
     rng = random.Random(seed)
     assign = np.arange(n)  # original node -> current level node
@@ -457,7 +458,7 @@ def louvain(graph: TermGraph, seed: int) -> TermGraph:
     history: list[float] = []
 
     while True:
-        local = np.array(_one_level(level, rng))
+        local = np.array(_one_level(level, rng, ints and level is base))
         projected = local[assign].tolist()
         q = _modularity(base, projected)
         history.append(q)
@@ -483,7 +484,7 @@ def louvain(graph: TermGraph, seed: int) -> TermGraph:
                    history=tuple(history))
 
 
-def _one_level(level: tuple[np.ndarray, ...], rng: random.Random) -> list[int]:
+def _one_level(level: tuple[np.ndarray, ...], rng: random.Random, ints: bool) -> list[int]:
     src, dst, w, k = level
     n = len(k)
     comm = list(range(n))
@@ -494,7 +495,8 @@ def _one_level(level: tuple[np.ndarray, ...], rng: random.Random) -> list[int]:
     # bounds[v]:bounds[v + 1] of dst and w; sliced per visit, since a tuple
     # per edge would set the peak memory of extract-topics
     bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
-    dst, w, k = dst.tolist(), w.tolist(), k.tolist()
+    # whole weights as ints, which add up as their floats do: most share cached ints
+    dst, w, k = dst.tolist(), (w.astype(np.int64) if ints else w).tolist(), k.tolist()
     tot = k.copy()
     order = list(range(n))
     rng.shuffle(order)

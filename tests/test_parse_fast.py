@@ -9,7 +9,7 @@ reasons, whatever the chunk size.
 
 import json
 import tracemalloc
-from datetime import datetime
+from datetime import date, datetime
 from unittest import mock
 
 import numpy as np
@@ -408,3 +408,10 @@ class TestFastPath:
         values, status = _stamps_us(texts[:at] + ["2020-02-30T00:00:00Z"] + texts[at:])
         assert status.tolist() == [0] * at + [2] + [0] * (len(texts) - at)
         assert np.delete(values, at).tolist() == want
+
+    def test_month_starts_are_first_of_month_ordinals(self):
+        # the cycle that starts in 1600, not the one the table is built from
+        first = date(1600, 1, 1).toordinal()
+        want = [date(1600 + m // 12, m % 12 + 1, 1).toordinal() - first for m in range(4800)]
+        assert model._MONTH_STARTS.dtype == np.int64
+        assert model._MONTH_STARTS.tolist() == want + [date(2000, 1, 1).toordinal() - first]
