@@ -27,6 +27,13 @@ from .model import write_csv
 MATRIX_METRICS = ("alpha", "beta", "speed_index", "love_hate")
 ROUNDED_THRESHOLD = 0.001  # the conventional rounding of 0.05 / 45
 SCATTER_NAME = "si_vs_lh"  # plots/ stem of the scatter; no topic plot takes it
+# _fit_all fits the topics in two processes from this many posts on. Split
+# against one process, with plots, on the first N sorted topics of the
+# benchmark's seed-3 analyze-deep corpus (medians of 40 alternating calls;
+# 2-vCPU Xeon): 7.7k posts 16.1 vs 8.6 ms (split won 1/40), 9.8k 14.7 vs
+# 11.3 (8/40), 12.3k 17.2 vs 19.6 (27/40), 13.5k 21.2 vs 24.2 (40/40), 15.6k
+# 22.0 vs 26.2 (33/40), 30.1k 38.5 vs 56.1 (36/40)
+_SPLIT_MIN_POSTS = 16_000
 
 
 def _fail(message: str) -> int:
@@ -75,18 +82,12 @@ def run_analysis(args) -> dict:
     # topics in sorted order, so ``results`` lists the fitted ones sorted
     results: dict[str, tuple] = {}
     skipped: dict[str, str] = {}
-    for tid in sorted(grouped):
-        posts = grouped[tid]
-        try:
-            series = model.build_series(posts, tid, args.bin_width_days)
-            fit_result = curvefit.fit(series)
-            topic_metrics = metrics.topic_metrics(
-                tid, posts, fit_result.alpha_hat, fit_result.beta_hat,
-                series.horizon_days, args.lh_mode)
-        except (InsufficientData, TooManyBins, ZeroEngagement, DegenerateFit) as exc:
-            skipped[tid] = type(exc).__name__
+    tids = sorted(grouped)
+    for tid, outcome in zip(tids, _fit_all(grouped, tids, args)):
+        if isinstance(outcome, str):
+            skipped[tid] = outcome
         else:
-            results[tid] = series, fit_result, topic_metrics
+            results[tid] = outcome
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -95,14 +96,14 @@ def run_analysis(args) -> dict:
                "n_points", "converged", "iterations"],
               ([tid, _fmt(fr.alpha_hat), _fmt(fr.beta_hat), _fmt(fr.se_alpha),
                 _fmt(fr.se_beta), _fmt(fr.rss), fr.n_points, _fmt(fr.converged),
-                fr.iterations] for tid, (_, fr, _) in results.items()),
+                fr.iterations] for tid, (_, fr, _, _) in results.items()),
               texts=results)
     write_csv(out / "metrics.csv",
               ["topic_id", "speed_index", "lh_score", "lh_mode", "total_love",
                "total_angry", "n_posts"],
               ([tid, _fmt(tm.speed_index), _fmt(tm.lh_score), args.lh_mode,
-                tm.total_love, tm.total_angry, series.n_posts]
-               for tid, (series, _, tm) in results.items()),
+                tm.total_love, tm.total_angry, n_posts]
+               for tid, (n_posts, _, tm, _) in results.items()),
               texts=results)
 
     # each category's fitted topics in sorted order, categories in
@@ -143,7 +144,7 @@ def run_analysis(args) -> dict:
         },
         "n_input_topics": len(grouped),
         "n_fitted": len(results),
-        "n_converged": sum(1 for _, fr, _ in results.values() if fr.converged),
+        "n_converged": sum(1 for _, fr, _, _ in results.values() if fr.converged),
         "n_rejected_lines": parse_result.n_rejected,
         "skipped": skipped,
         "per_category": category_table,
@@ -153,10 +154,49 @@ def run_analysis(args) -> dict:
     return summary
 
 
+def _fit_topics(grouped, tids, args) -> list:
+    """For each of ``tids``, its (post count, fit, metrics, SVG plot or None
+    without ``--plots``), or the name of the error that skips it."""
+    outcomes = []
+    for tid in tids:
+        posts = grouped[tid]
+        try:
+            series = model.build_series(posts, tid, args.bin_width_days)
+            fit_result = curvefit.fit(series)
+            topic_metrics = metrics.topic_metrics(
+                tid, posts, fit_result.alpha_hat, fit_result.beta_hat,
+                series.horizon_days, args.lh_mode)
+        except (InsufficientData, TooManyBins, ZeroEngagement, DegenerateFit) as exc:
+            outcomes.append(type(exc).__name__)
+            continue
+        svg = (svgplot.fit_overlay_svg(series.times, series.fractions, fit_result.alpha_hat,
+                                       fit_result.beta_hat, tid) if args.plots else None)
+        outcomes.append((series.n_posts, fit_result, topic_metrics, svg))
+    return outcomes
+
+
+def _fit_all(grouped, tids, args) -> list:
+    """:func:`_fit_topics` of ``tids``. With :data:`_SPLIT_MIN_POSTS` posts or
+    more, ``tids`` is cut where the running post count passes half its
+    total, and a forked child fits the topics after the cut (see
+    ``model.fork_halves``); if either half fails, all are fitted here again,
+    so errors read as those of one process."""
+    running = np.cumsum([len(grouped[tid]) for tid in tids])
+    if len(tids) > 1 and running[-1] >= _SPLIT_MIN_POSTS:
+        cut = min(int(np.searchsorted(running, running[-1] / 2)) + 1, len(tids) - 1)
+        outcomes = model.fork_halves(
+            lambda: _fit_topics(grouped, tids[:cut], args),
+            lambda: _fit_topics(grouped, tids[cut:], args),
+            pickle.dump, lambda first, pipe: first + pickle.load(pipe))
+        if outcomes is not None:
+            return outcomes
+    return _fit_topics(grouped, tids, args)
+
+
 def _correlation_report(results, members) -> dict:
     """Speed Index vs Love-Hate rank correlation, overall and per category."""
     pairs = {tid: (tm.speed_index, tm.lh_score)
-             for tid, (_, _, tm) in results.items() if tm.lh_score is not None}
+             for tid, (_, _, tm, _) in results.items() if tm.lh_score is not None}
 
     def corr(ids):
         xs = [pairs[t][0] for t in ids]
@@ -182,7 +222,7 @@ def _category_tests(results, members, alpha_level):
     # each topic's values in MATRIX_METRICS order; a topic without
     # reactions has no love-hate score
     values = {tid: (fr.alpha_hat, fr.beta_hat, tm.speed_index, tm.lh_score)
-              for tid, (_, fr, tm) in results.items()}
+              for tid, (_, fr, tm, _) in results.items()}
     summaries: dict[str, dict] = {}
     matrices: dict[str, stats.PairwiseTestMatrix] = {}
     for i, name in enumerate(MATRIX_METRICS):
@@ -250,9 +290,7 @@ def _write_plots(plot_dir: Path, results) -> None:
     plot_dir.mkdir(exist_ok=True)
     used = {SCATTER_NAME}
     free = {}  # base -> a suffix no higher than its first free one
-    for tid, (series, fr, _) in results.items():
-        svg = svgplot.fit_overlay_svg(series.times, series.fractions,
-                                      fr.alpha_hat, fr.beta_hat, tid)
+    for tid, (_, _, _, svg) in results.items():
         name = base = _safe_name(tid)
         suffix = free.get(base, 1)
         while name in used:  # distinct ids can sanitize or cut identically
@@ -262,7 +300,7 @@ def _write_plots(plot_dir: Path, results) -> None:
         used.add(name)
         (plot_dir / f"{name}.svg").write_text(svg, encoding="utf-8")
     points = [(tm.speed_index, tm.lh_score)
-              for _, _, tm in results.values() if tm.lh_score is not None]
+              for _, _, tm, _ in results.values() if tm.lh_score is not None]
     if points:
         svg = svgplot.scatter_svg([p[0] for p in points], [p[1] for p in points],
                                   "speed index", "love-hate score",

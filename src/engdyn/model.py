@@ -548,43 +548,30 @@ class _Head(io.RawIOBase):
         return n
 
 
-def read_halves(path, read, send, merge):
-    """``merge(read(head), pipe)``, where a forked child ran ``send(read(tail),
-    out)`` into the pipe: the tail, the lines of the file at ``path`` after the
-    first newline past its middle, and the head, the rest, a BOM skipped, as
-    text. None when the file is not split (see :func:`load_posts`) or either
-    half fails, so that the caller reads it again in one process."""
+def fork_halves(head, tail, send, merge):
+    """``merge(head(), pipe)``, where a forked child ran ``send(tail(), out)``
+    into the pipe. None where the platform cannot fork, fewer than two CPUs
+    are allowed or another thread runs, and when either half fails, so that
+    the caller does the whole work again in one process."""
     pid = 0
     try:
-        size = os.path.getsize(path)
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
-        if (size < _SPLIT_MIN_BYTES or not hasattr(os, "fork") or cpus < 2
-                or threading.active_count() != 1):
-            return None
-        with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as m:
-            split = m.find(b"\n", size // 2, size - 1) + 1  # 0: no line after the middle
-        if not split:
+        if not hasattr(os, "fork") or cpus < 2 or threading.active_count() != 1:
             return None
         rfd, wfd = os.pipe()
         with open(rfd, "rb") as pipe, open(wfd, "wb") as out:
             pid = os.fork()
-            if pid == 0:  # the child: read the tail, send it, exit
+            if pid == 0:  # the child: do the tail, send it, exit
                 try:
                     pipe.close()
-                    fh = open(path, "rb")  # its own file offset
-                    fh.seek(split)
-                    with io.TextIOWrapper(fh, encoding="utf-8") as text:
-                        send(read(text), out)
+                    send(tail(), out)
                     out.close()
                     os._exit(0)
                 finally:  # reached only when the above raised
                     os._exit(1)
             out.close()
-            with open(path, "rb", buffering=0) as fh:
-                head = read(io.TextIOWrapper(io.BufferedReader(_Head(fh, split)),
-                                             encoding="utf-8-sig"))
-            result = merge(head, pipe)
+            result = merge(head(), pipe)
         status, pid = os.waitpid(pid, 0)[1], 0
         return None if status else result
     except Exception:
@@ -593,6 +580,36 @@ def read_halves(path, read, send, merge):
         if pid:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+
+def read_halves(path, read, send, merge):
+    """:func:`fork_halves` of ``read`` on the head and the tail of the file at
+    ``path``: the tail, the lines after the first newline past its middle, as
+    UTF-8, and the head, the rest, a BOM skipped. None when the file is
+    smaller than :data:`_SPLIT_MIN_BYTES`, has no such newline or is not
+    split (see :func:`fork_halves`)."""
+    try:
+        size = os.path.getsize(path)
+        if size < _SPLIT_MIN_BYTES:
+            return None
+        with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as m:
+            split = m.find(b"\n", size // 2, size - 1) + 1  # 0: no line after the middle
+    except (OSError, ValueError):  # ValueError: an empty file cannot be mapped
+        return None
+    if not split:
+        return None
+
+    def head():
+        with open(path, "rb", buffering=0) as fh:
+            return read(io.TextIOWrapper(io.BufferedReader(_Head(fh, split)),
+                                         encoding="utf-8-sig"))
+
+    def tail():
+        with open(path, "rb") as fh:  # its own file offset
+            fh.seek(split)
+            return read(io.TextIOWrapper(fh, encoding="utf-8"))
+
+    return fork_halves(head, tail, send, merge)
 
 
 def load_posts(path: str | Path) -> ParseResult:

@@ -464,11 +464,9 @@ class TestAnalyze:
             used.add(name)
             want[name] = tid
         assert [want[name] for name in ("__-12", "si_vs_lh-1", "__-1-1")] == ids[10:13]
-        stub = SimpleNamespace(times=None, fractions=None, alpha_hat=0.0, beta_hat=0.0,
-                               lh_score=None)  # no love-hate score: no scatter
-        with mock.patch.object(cli.svgplot, "fit_overlay_svg",
-                               side_effect=lambda *args: args[-1]):  # the plot holds its id
-            cli._write_plots(tmp_path, {tid: (stub, stub, stub) for tid in ids})
+        stub = SimpleNamespace(lh_score=None)  # no love-hate score: no scatter
+        # each topic's plot holds its id
+        cli._write_plots(tmp_path, {tid: (2, stub, stub, tid) for tid in ids})
         assert {svg.stem: svg.read_text(encoding="utf-8")
                 for svg in tmp_path.glob("*.svg")} == want
 

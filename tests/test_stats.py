@@ -355,7 +355,7 @@ class TestPairwiseCategoryTests:
         # pairwise tests and says so on stderr
         values = {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0, "e": 5.0}
         results = {tid: (None, SimpleNamespace(alpha_hat=v, beta_hat=v),
-                         SimpleNamespace(speed_index=v, lh_score=v))
+                         SimpleNamespace(speed_index=v, lh_score=v), None)
                    for tid, v in values.items()}
         members = {"Politics": ["a", "b"], "Health": ["c", "d"], "Economy": ["e"]}
         summaries, matrices = cli._category_tests(results, members, 0.05)
