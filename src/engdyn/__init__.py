@@ -10,9 +10,8 @@ from .errors import (DegenerateFit, DomainError, EmptyArticle, EngdynError,
                      InsufficientData, InvalidInput, TooManyBins,
                      UndefinedCorrelation, ZeroEngagement)
 from .metrics import TopicMetrics, love_hate, speed_index, topic_metrics
-from .model import (CATEGORIES, CategoryAssignment, ParseResult, PostTable,
-                    TopicSeries, build_series, load_posts, parse_posts,
-                    read_categories)
+from .model import (CATEGORIES, ParseResult, PostTable, TopicSeries,
+                    build_series, load_posts, parse_posts, read_categories)
 from .stats import (CorrelationResult, MannWhitneyResult, PairwiseTestMatrix,
                     mann_whitney_u, pairwise_category_tests, spearman)
 from .synth import SynthSpec, generate_corpus, generate_topic, sample_times
@@ -23,7 +22,7 @@ from .topicgraph import (ArticleTerms, TermGraph, cluster_report,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArticleTerms", "CATEGORIES", "CategoryAssignment", "CorrelationResult",
+    "ArticleTerms", "CATEGORIES", "CorrelationResult",
     "DegenerateFit", "DomainError", "EmptyArticle", "EngdynError",
     "FitOptions", "FitResult", "InsufficientData", "InvalidInput",
     "MannWhitneyResult", "PairwiseTestMatrix", "ParseResult", "PostTable",

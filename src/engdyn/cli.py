@@ -110,8 +110,7 @@ def run_analysis(args) -> dict:
     # CATEGORIES order; a topic counts in each of its categories
     members = {}
     for cat in model.CATEGORIES:
-        ids = [tid for tid in results
-               if tid in assignments and cat in assignments[tid].categories]
+        ids = [tid for tid in results if cat in assignments.get(tid, ())]
         if ids:
             members[cat] = ids
 

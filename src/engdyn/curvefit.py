@@ -29,7 +29,8 @@ from .errors import DegenerateFit, InsufficientData, InvalidInput
 from .model import TopicSeries
 
 _STALL_DAMPING = 1e16
-# the Levenberg-Marquardt loop's tolerances and damping schedule
+# the Levenberg-Marquardt loop's iteration cap, tolerances and damping schedule
+_MAX_ITER = 200
 _GRAD_TOL = 1e-10
 _STEP_TOL = 1e-12
 _DAMPING_INIT = 1e-3
@@ -41,10 +42,8 @@ _FLAT = 16.0 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Dials of the Levenberg-Marquardt loop."""
+    """The curve to fit."""
 
-    max_iter: int = 200
-    initial: tuple[float, float] | None = None  # (alpha0, beta0); None = heuristic
     # (start, end) of the observation window in series days; None = the
     # paper's full 0 -> 1 sigmoid with iid-residual standard errors
     window: tuple[float, float] | None = None
@@ -150,8 +149,9 @@ def initial_guess(series: TopicSeries) -> tuple[float, float]:
 def fit(series: TopicSeries, options: FitOptions = FitOptions()) -> FitResult:
     """Fit the logistic curve to a series by damped Gauss-Newton.
 
-    Non-convergence within ``max_iter`` is reported through the result
-    (``converged=False``), not raised; a singular J'J raises DegenerateFit.
+    Non-convergence within ``_MAX_ITER`` (200) iterations is reported
+    through the result (``converged=False``), not raised; a singular J'J
+    raises DegenerateFit.
     ``converged=True`` guarantees the gradient infinity-norm is below
     ``_GRAD_TOL`` (1e-10) and both standard errors are finite.
 
@@ -171,10 +171,7 @@ def fit(series: TopicSeries, options: FitOptions = FitOptions()) -> FitResult:
             and window[0] < window[1]):
         raise InvalidInput(f"window must be finite with start < end, got {window}")
 
-    alpha0, beta0 = options.initial if options.initial is not None \
-        else initial_guess(series)
-    if alpha0 <= 0:
-        raise DegenerateFit("initial alpha must be positive")
+    alpha0, beta0 = initial_guess(series)
     theta = np.array([math.log(alpha0), beta0])
 
     # one evaluation of the curve and its Jacobian per trial point
@@ -201,7 +198,7 @@ def fit(series: TopicSeries, options: FitOptions = FitOptions()) -> FitResult:
     best_norm = math.inf
     no_progress = 0
 
-    while iterations < options.max_iter:
+    while iterations < _MAX_ITER:
         A = J.T @ J
         a00, a01, a10, a11 = A.ravel().tolist()
         # a non-finite entry or a diagonal entry <= 0 leaves no usable

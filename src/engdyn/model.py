@@ -66,7 +66,6 @@ _OFFSET_DIGITS = np.array([-5, -4, -2, -1])[:, None]  # of "+HH:MM", from its en
 _PLACES = np.arange(6)  # of the fraction digits read, up to microseconds
 _MICROS = 10 ** np.arange(5, -1, -1)  # the weight of each of 6 fraction digits
 _FIRST_US, _LAST_US = -62_135_596_800_000_000, 253_402_300_799_999_999  # years 1-9999
-_UNDECODED = object()  # _check_line's default: the line is still to decode
 # the line json.dumps writes for a record with its keys in POST_FIELDS order
 # and the default separators, as simulate writes it. Strings hold no escape
 # and no control character, so each group is the text json.loads returns;
@@ -125,22 +124,6 @@ class TopicSeries:
             column = np.array(getattr(self, name), dtype=float)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-
-
-@dataclass(frozen=True)
-class CategoryAssignment:
-    """Hand-assigned category labels for one topic."""
-
-    topic_id: str
-    categories: frozenset[str]
-
-    def __post_init__(self):
-        if not self.categories:
-            raise InvalidInput(f"topic {self.topic_id!r} has no categories")
-        unknown = self.categories - set(CATEGORIES)
-        if unknown:
-            raise InvalidInput(
-                f"topic {self.topic_id!r} has unknown categories {sorted(unknown)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,10 +193,7 @@ class _Rows:
 
         Read: each line becomes a row, a reject reason or nothing (a blank
         line). The lines at the head of the chunk that match
-        :data:`_CANONICAL` are split by it. Every other line is decoded, and
-        one of the common shape (one JSON object and at most a newline,
-        non-empty string ids, five integer counts in range and a string
-        stamp) is checked with a few C-level tests; the rest go through
+        :data:`_CANONICAL` are split by it; every other line goes through
         :func:`_check_line`.
 
         Convert: the stamps of all rows are read at once by
@@ -236,33 +216,14 @@ class _Rows:
         linenos = list(range(start, start + n))  # per row: its line number
         rejects = []  # (line number, reason), at most one a line
         tail = array("q")  # the counts of the rows after the head
-        top = MAX_COUNT  # a local: read five times a line
-        obj = None
         for lineno, line in enumerate(islice(lines, n, None), start + n):
-            decoded = False  # whether obj is what json.loads(line) returns
-            try:
-                obj, end = _raw_decode(line)
-                decoded = line[end:] == "\n" or end == len(line)
-                post_id, topic_id, stamp, a, b, c, d, e = _post_fields(obj)
-            except (ValueError, KeyError, TypeError, RecursionError):
-                fast = False
-            else:
-                fast = (decoded and type(post_id) is str and type(topic_id) is str
-                        and post_id and topic_id
-                        and int is type(a) is type(b) is type(c) is type(d) is type(e)
-                        and 0 <= a <= top and 0 <= b <= top and 0 <= c <= top
-                        and 0 <= d <= top and 0 <= e <= top
-                        and type(stamp) is str)
-            if fast:
-                tail.extend((a, b, c, d, e))
-            else:
-                found = _check_line(line, obj) if decoded else _check_line(line)
-                if type(found) is not tuple:
-                    if found is not None:
-                        rejects.append((lineno, found))
-                    continue
-                post_id, topic_id, stamp, five = found
-                tail.extend(five)
+            found = _check_line(line)
+            if type(found) is not tuple:
+                if found is not None:
+                    rejects.append((lineno, found))
+                continue
+            post_id, topic_id, stamp, a, b, c, d, e = found
+            tail.extend((a, b, c, d, e))
             linenos.append(lineno)
             post_ids.append(post_id)
             topic_ids.append(topic_id)
@@ -385,52 +346,55 @@ class ParseResult:
         return len(self.rejects)
 
 
-def _parse_count(obj, name) -> int:
-    value = obj[name]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer")
-    if value < 0:
-        raise ValueError(f"{name} is negative")
-    if value > MAX_COUNT:
-        raise ValueError(f"{name} exceeds {MAX_COUNT}")
-    return value
+def _check_line(line: str):
+    """The per-line checks: the fields of ``line`` in :data:`POST_FIELDS`
+    order, the reason it is rejected, or None when it is blank. The timestamp
+    is only checked to be a string: :func:`_stamps_us` reads it, after these
+    checks.
 
-
-def _check_record(obj) -> tuple[str, str, int, list[int]]:
-    """Check one decoded JSON-lines record; returns (post_id, topic_id,
-    timestamp, counts) or raises ValueError with the reject reason. The
-    timestamp is only checked to be a string: :func:`_stamps_us` reads it,
-    after these checks."""
+    A line of the common shape (one JSON object and at most a newline,
+    non-empty string ids, five integer counts in range and a string stamp)
+    passes a few C-level tests and returns at once. Any other line is decoded
+    again by ``json.loads`` and judged check by check; the first that fails
+    gives the reason."""
+    try:
+        obj, end = _raw_decode(line)
+        fields = post_id, topic_id, stamp, a, b, c, d, e = _post_fields(obj)
+    except (ValueError, KeyError, TypeError, RecursionError):
+        pass
+    else:
+        if ((line[end:] == "\n" or end == len(line))
+                and type(post_id) is str and type(topic_id) is str and post_id and topic_id
+                and int is type(a) is type(b) is type(c) is type(d) is type(e)
+                and 0 <= a <= MAX_COUNT and 0 <= b <= MAX_COUNT and 0 <= c <= MAX_COUNT
+                and 0 <= d <= MAX_COUNT and 0 <= e <= MAX_COUNT
+                and type(stamp) is str):
+            return fields
+    if not line.strip():
+        return None
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:  # incl. too-deep JSON
+        return str(exc)
     if not isinstance(obj, dict):
-        raise ValueError("record is not a JSON object")
+        return "record is not a JSON object"
     missing = [f for f in POST_FIELDS if f not in obj]
     if missing:
-        raise ValueError(f"missing fields: {', '.join(missing)}")
+        return f"missing fields: {', '.join(missing)}"
     for name in ("post_id", "topic_id"):
         if not isinstance(obj[name], str) or not obj[name]:
-            raise ValueError(f"{name} must be a non-empty string")
+            return f"{name} must be a non-empty string"
     if not isinstance(obj["timestamp"], str):
-        raise ValueError("timestamp must be a string")
-    return (obj["post_id"], obj["topic_id"], obj["timestamp"],
-            [_parse_count(obj, name) for name in COUNT_FIELDS])
-
-
-def _check_line(line: str, obj=_UNDECODED):
-    """The per-line checks: ``(post_id, topic_id, timestamp, counts)`` of
-    ``line``, the reason it is rejected, or None when it is blank. ``obj``,
-    when given, is what ``json.loads(line)`` returns, so the line is not
-    decoded again."""
-    if obj is _UNDECODED:
-        if not line.strip():
-            return None
-        try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # incl. too-deep JSON
-            return str(exc)
-    try:
-        return _check_record(obj)
-    except ValueError as exc:
-        return str(exc)
+        return "timestamp must be a string"
+    for name in COUNT_FIELDS:
+        value = obj[name]
+        if isinstance(value, bool) or not isinstance(value, int):
+            return f"{name} must be an integer"
+        if value < 0:
+            return f"{name} is negative"
+        if value > MAX_COUNT:
+            return f"{name} exceeds {MAX_COUNT}"
+    return _post_fields(obj)
 
 
 def _whole_seconds_us(head: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -511,11 +475,10 @@ def parse_posts(stream: Iterable[str]) -> ParseResult:
     The stream is read in chunks of lines, and each chunk goes once through
     :meth:`_Rows.add_chunk`: its lines are read (those at the head of a chunk
     in the layout ``simulate`` writes by one regular expression,
-    :data:`_CANONICAL`; the others decoded and checked with a few type
-    tests), its stamps read at once by :func:`_stamps_us`, and its rows kept
-    in line order. A line neither reads, and a row whose count the pattern
-    flags, goes alone through the per-line checks, :func:`_check_record`,
-    which judge everything but the stamp's text. Once the stream ends,
+    :data:`_CANONICAL`; the others, and a row whose count the pattern flags,
+    by the per-line check :func:`_check_line`, which judges everything but
+    the stamp's text), its stamps read at once by :func:`_stamps_us`, and its
+    rows kept in line order. Once the stream ends,
     :meth:`_Rows.drop_repeats` finds the repeated post_ids by their hashes.
     What is accepted, the rejects, their order and their reasons are
     therefore those of the per-line checks followed by the stamp reader on
@@ -607,7 +570,8 @@ def read_halves(path, read, send, merge):
     def tail():
         with open(path, "rb") as fh:  # its own file offset
             fh.seek(split)
-            return read(io.TextIOWrapper(fh, encoding="utf-8"))
+            with io.TextIOWrapper(fh, encoding="utf-8") as text:
+                return read(text)
 
     return fork_halves(head, tail, send, merge)
 
@@ -690,8 +654,9 @@ def group_by_topic(posts: PostTable) -> dict[str, PostTable]:
     return {tid: posts.topic(tid) for tid in posts.topic_ids}
 
 
-def read_categories(path: str | Path) -> dict[str, CategoryAssignment]:
-    """Read the ``topic_id,category`` CSV (one row per pair)."""
+def read_categories(path: str | Path) -> dict[str, frozenset[str]]:
+    """Each topic's categories, from the ``topic_id,category`` CSV (one row
+    per pair); InvalidInput on a label not in :data:`CATEGORIES`."""
     pairs: dict[str, set[str]] = {}
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
@@ -708,10 +673,11 @@ def read_categories(path: str | Path) -> dict[str, CategoryAssignment]:
             if not row[0]:
                 raise InvalidInput(f"{path}: line {reader.line_num}: empty topic_id")
             pairs.setdefault(row[0], set()).add(row[1])
-    return {
-        topic: CategoryAssignment(topic, frozenset(cats))
-        for topic, cats in pairs.items()
-    }
+    for topic, cats in pairs.items():
+        unknown = cats.difference(CATEGORIES)
+        if unknown:
+            raise InvalidInput(f"topic {topic!r} has unknown categories {sorted(unknown)}")
+    return {topic: frozenset(cats) for topic, cats in pairs.items()}
 
 
 def write_csv(path: str | Path, header: Iterable[str], rows: Iterable,

@@ -370,6 +370,7 @@ def project(terms: Sequence[str], sizes: Sequence[int]) -> TermGraph:
     article, ids = np.divmod(keys, n)
     sizes = np.bincount(article, minlength=len(sizes))
     starts = np.cumsum(sizes) - sizes
+    del keys, article  # not held while the pairs are built and sorted
     # articles grouped by term count, each group as a matrix of its rows of
     # term ids; pair key a * n + b with a < b sorts as the pair (a, b).
     # Every group writes its keys into one preallocated array, so no list of
@@ -388,7 +389,7 @@ def project(terms: Sequence[str], sizes: Sequence[int]) -> TermGraph:
             np.multiply(rows[:, a:a + 1], n, out=block)
             block += rows[:, a + 1:]
             at += block.size
-    pairs, weights = np.unique(pairs, return_counts=True)
+    pairs, weights = _runs(pairs)
     return TermGraph(nodes=tuple(nodes), edges=np.column_stack(np.divmod(pairs, n)),
                      weights=weights)
 

@@ -4,8 +4,8 @@ as it was for tests to compare against and to build small tables by hand.
 ``generate_topic`` and ``post_to_json`` are the generator and the JSON-lines
 writer that built one ``PostRecord`` and one ``datetime`` per post;
 ``table_of`` is the converter from records to a :class:`PostTable`.
-``parse_posts`` is the parser that sent every line through ``json.loads``
-and ``model._check_record`` and appended rows one method call at a time;
+``parse_posts`` is the parser that sent every line through the per-line
+check, ``model._check_line``, and appended rows one method call at a time;
 ``model.parse_posts`` must accept the same rows and report the same
 rejects on every stream. It reads each stamp with :func:`read_stamp`, a
 regular expression and ``datetime`` arithmetic, and not with the columnar
@@ -23,7 +23,7 @@ from unittest import mock
 import numpy as np
 
 from engdyn import model
-from engdyn.model import COUNT_FIELDS, ParseResult, PostTable, _check_record
+from engdyn.model import COUNT_FIELDS, ParseResult, PostTable
 from engdyn.synth import CORPUS_EPOCH, SynthSpec, _sample_times, rng_for
 
 UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -104,18 +104,22 @@ class TableBuilder:
 
 
 def parse_posts(stream) -> ParseResult:
-    """The per-line post parser: every line through ``_check_record`` and
-    :func:`read_stamp`."""
+    """The per-line post parser: every line through ``model._check_line``
+    and :func:`read_stamp`."""
     builder = TableBuilder()
     first_line: dict[str, int] = {}  # accepted post_id -> its line
     rejects: list[tuple[int, str]] = []
     for lineno, line in enumerate(stream, start=1):
-        if not line.strip():
+        found = model._check_line(line)
+        if found is None:  # a blank line
             continue
+        if isinstance(found, str):
+            rejects.append((lineno, found))
+            continue
+        post_id, topic_id, stamp, *counts = found
         try:
-            post_id, topic_id, stamp, counts = _check_record(json.loads(line))
             stamp = epoch_us(read_stamp(stamp))
-        except (ValueError, RecursionError) as exc:  # incl. too-deep JSON
+        except ValueError as exc:
             rejects.append((lineno, str(exc)))
             continue
         if topic_id not in builder.codes:  # checked once per topic id

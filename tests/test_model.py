@@ -262,15 +262,15 @@ class TestCategories:
     def test_read_categories(self, tmp_path):
         path = tmp_path / "cats.csv"
         path.write_text("topic_id,category\nt1,Politics\n\nt1,Social\nt2,Health\n")
-        table = read_categories(path)
-        assert table["t1"].categories == frozenset({"Politics", "Social"})
-        assert table["t2"].categories == frozenset({"Health"})
+        assert read_categories(path) == {"t1": frozenset({"Politics", "Social"}),
+                                         "t2": frozenset({"Health"})}
 
     def test_unknown_label_rejected(self, tmp_path):
         path = tmp_path / "cats.csv"
-        path.write_text("topic_id,category\nt1,Sports\n")
-        with pytest.raises(InvalidInput):
+        path.write_text("topic_id,category\nt1,Politics\nt1,Sports\nt1,Arts\nt2,Golf\n")
+        with pytest.raises(InvalidInput) as err:
             read_categories(path)
+        assert str(err.value) == "topic 't1' has unknown categories ['Arts', 'Sports']"
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "cats.csv"

@@ -1,7 +1,7 @@
 """``parse_posts``'s fast path against the per-line parser it replaced.
 
 The oracle, ``record_oracle.parse_posts``, sends every line through
-``model._check_record`` and its own stamp reader, ``record_oracle.read_stamp``,
+``model._check_line`` and its own stamp reader, ``record_oracle.read_stamp``,
 and appends rows one at a time. On every stream the fast path must build an
 equal table and report the same rejects, in the same order with the same
 reasons, whatever the chunk size.
@@ -321,44 +321,45 @@ def common_shape_lines(shape):
                 for name in COUNT_FIELDS for count in (0, MAX_COUNT))]
 
 
+# model's json, whose loads raises: only the reasoned step of _check_line
+# calls it, after the fast test fails
+REASONED_STEP_FAILS = mock.Mock(loads=mock.Mock(side_effect=AssertionError))
+
+
 class TestFastPath:
     def test_common_shape_never_takes_the_per_line_path(self):
         for shape in (line, reordered):  # read by the pattern, and decoded
             lines = common_shape_lines(shape)
-            got = assert_same_parse(lines, chunk_lines=16,
-                                    _check_record=mock.Mock(side_effect=AssertionError))
+            got = assert_same_parse(lines, chunk_lines=16, json=REASONED_STEP_FAILS)
             assert len(got.records) == len(lines)
 
     def test_simulate_layout_is_never_decoded(self):
         lines = common_shape_lines(line)
         got = assert_same_parse(lines, chunk_lines=16,
-                                _raw_decode=mock.Mock(side_effect=AssertionError),
-                                _check_record=mock.Mock(side_effect=AssertionError))
+                                _check_line=mock.Mock(side_effect=AssertionError))
         assert len(got.records) == len(lines)
 
     def test_rejected_lines_alone_are_decoded(self):
         # a repeat and a lone-surrogate topic among the pattern's rows are
         # rejected without decoding; only the over-range count goes through
-        # the per-line checks
+        # the per-line check
         lines = common_shape_lines(line)
         lines[3] = line(post(post_id="p1"))  # line 2's post_id
         lines[20] = line(post(post_id="x", likes=MAX_COUNT + 1))
         lines[40] = SHAPES["unescaped non-ASCII"](post(post_id="y", topic_id="t\ud800"))
         check = mock.Mock(wraps=model._check_line)
-        got = assert_same_parse(lines, chunk_lines=64, _check_line=check,
-                                _raw_decode=mock.Mock(side_effect=AssertionError))
+        got = assert_same_parse(lines, chunk_lines=64, _check_line=check)
         assert [lineno for lineno, _ in got.rejects] == [4, 21, 41]
         assert check.call_args_list == [mock.call(lines[20])]
 
     def test_flagged_stamp_is_rejected_without_the_per_line_checks(self):
         # the reader's reason is the line's: stamps it rejects, read by the
-        # pattern and decoded, take no per-line check
+        # pattern and decoded, take no reasoned check
         stamps = ["2020-01-01T00:00:00Z", "2020-01-01_00:00:00Z", "2020-02-30T00:00:00+02:00",
                   "2018-01-05T12:00Z"]
         lines = [shape(post(post_id=f"p{i}{shape.__name__}", timestamp=stamp))
                  for shape in (line, reordered) for i, stamp in enumerate(stamps)]
-        got = assert_same_parse(lines, chunk_lines=64,
-                                _check_record=mock.Mock(side_effect=AssertionError))
+        got = assert_same_parse(lines, chunk_lines=64, json=REASONED_STEP_FAILS)
         assert got.rejects == tuple(
             (lineno, reason) for start in (1, 5) for lineno, reason in (
                 (start + 1, "timestamp is not RFC 3339"), (start + 2, "timestamp out of range"),

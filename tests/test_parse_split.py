@@ -9,13 +9,17 @@ file opened as text, and no child may be left behind.
 import json
 import os
 import pickle
+import subprocess
+import sys
 import threading
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import engdyn
 from engdyn import model
 from engdyn.model import MAX_COUNT
 
@@ -205,3 +209,19 @@ def test_one_cpu_or_another_thread_gives_one_parse(tmp_path, split_all):
 
 def test_small_files_are_one_parse(tmp_path):
     assert not load_and_compare(one_file(tmp_path))[1]
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2 if hasattr(os, "sched_getaffinity")
+                    else (os.cpu_count() or 1) < 2, reason="a split parse needs two CPUs")
+def test_split_parse_leaves_no_file_open(tmp_path):
+    # under -X dev a file object left open prints a ResourceWarning, from
+    # whichever half held it; parse_posts, the one-process path, must not run
+    code = ("from engdyn import model\n"
+            "model._SPLIT_MIN_BYTES, model.parse_posts = 0, None\n"
+            f"print(model.load_posts({str(one_file(tmp_path))!r}).rejects)\n")
+    src = str(Path(engdyn.__file__).resolve().parents[1])
+    child = subprocess.run([sys.executable, "-X", "dev", "-c", code],
+                           env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                           text=True, timeout=120)
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout == "((4, \"duplicate post_id 'p1' (first seen on line 1)\"),)\n"

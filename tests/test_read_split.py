@@ -12,6 +12,8 @@ import io
 import json
 import os
 import pickle
+import subprocess
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import engdyn
 from engdyn import cli, model, topicgraph
 
 WORDS = ["vote", "ballot", "party", "goal", "team", "coach", "the", "and", "42"]
@@ -202,3 +205,34 @@ def test_one_cpu_or_another_thread_gives_one_read(tmp_path, split_all):
 
 def test_small_files_are_one_read(tmp_path):
     assert not extract_and_compare(one_file(tmp_path))[1]
+
+
+CHILD = """
+import sys
+from engdyn import cli, model
+
+def read_halves(*args, _read_halves=model.read_halves):
+    articles = _read_halves(*args)
+    print("split", articles is not None)
+    return articles
+
+model._SPLIT_MIN_BYTES, model.read_halves = 0, read_halves
+sys.exit(cli.main(["extract-topics", "--input", sys.argv[1], "--out", sys.argv[2]]))
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2 if hasattr(os, "sched_getaffinity")
+                    else (os.cpu_count() or 1) < 2, reason="a split read needs two CPUs")
+def test_split_read_leaves_no_file_open(tmp_path):
+    # under -X dev a file object left open prints a ResourceWarning, from
+    # whichever half held it
+    path = tmp_path / "articles.jsonl"
+    path.write_bytes(halves([article("a", "vote party"), article("b", terms=["goal", "team"])],
+                            [article("c", "coach vote"), article("d", "vote goal coach team")]))
+    src = str(Path(engdyn.__file__).resolve().parents[1])
+    child = subprocess.run([sys.executable, "-X", "dev", "-c", CHILD, str(path),
+                            str(tmp_path / "out")],
+                           env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                           text=True, timeout=120)
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout.startswith("split True\n")

@@ -218,8 +218,8 @@ class TestGenerateCorpus:
         path = tmp_path / "c.csv"
         generate_corpus(specs, cats, tmp_path / "p.jsonl", path)
         assert path.read_text().startswith("topic_id,category\nplain,Health\n")
-        assert {tid: sorted(a.categories)
-                for tid, a in read_categories(path).items()} == cats
+        assert {tid: sorted(labels)
+                for tid, labels in read_categories(path).items()} == cats
 
     def test_counts_preserved(self, tmp_path):
         specs = [SynthSpec(f"s{i}", 0.01, 400.0, 1000.0, 10 + i, noise_seed=1)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from engdyn.errors import InsufficientData, ZeroEngagement
 from engdyn.metrics import love_hate, reaction_totals
-from engdyn.model import (COUNT_FIELDS, POST_FIELDS, TopicSeries, _parse_count,
+from engdyn.model import (COUNT_FIELDS, MAX_COUNT, POST_FIELDS, TopicSeries,
                           build_series, parse_posts)
 
 from conftest import EPOCH, make_post, series_fields, table_of
@@ -45,7 +45,15 @@ def oracle_parse(stream):
                     raise ValueError(f"{name} must be a non-empty string")
             if not isinstance(obj["timestamp"], str):
                 raise ValueError("timestamp must be a string")
-            counts = {name: _parse_count(obj, name) for name in COUNT_FIELDS}
+            for name in COUNT_FIELDS:
+                value = obj[name]
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ValueError(f"{name} must be an integer")
+                if value < 0:
+                    raise ValueError(f"{name} is negative")
+                if value > MAX_COUNT:
+                    raise ValueError(f"{name} exceeds {MAX_COUNT}")
+            counts = {name: obj[name] for name in COUNT_FIELDS}
             records.append(PostRecord(
                 post_id=obj["post_id"], topic_id=obj["topic_id"],
                 timestamp=read_stamp(obj["timestamp"]), **counts))

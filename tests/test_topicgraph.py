@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,23 @@ class TestProject:
         assert narrow.nodes == wide.nodes and len(narrow.edges) > 1000
         assert edge_rows(narrow) == edge_rows(wide)
         assert narrow.weights.dtype == wide.weights.dtype
+
+    def test_peak_memory_per_term_row(self):
+        # 10,000 articles of 10 distinct terms among 60 topics of 50 terms:
+        # the row keys are freed before the 450,000 pairs are built, and the
+        # pairs are counted in place, not in a sorted copy
+        rng = np.random.default_rng(7)
+        n = 10_000
+        ids = np.argsort(rng.random((n, 50)), axis=1)[:, :10] + 50 * rng.integers(60, size=(n, 1))
+        terms = [f"w{i}" for i in ids.ravel().tolist()]
+        tracemalloc.start()
+        try:
+            graph = project(terms, [10] * n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(graph.nodes), len(graph.edges)) == (3000, 73325)
+        assert peak / len(terms) <= 64
 
 
 class TestLouvain:
