@@ -15,22 +15,22 @@ from .model import (CATEGORIES, ParseResult, PostTable, TopicSeries,
 from .stats import (CorrelationResult, MannWhitneyResult, PairwiseTestMatrix,
                     mann_whitney_u, pairwise_category_tests, spearman)
 from .synth import SynthSpec, generate_corpus, generate_topic, sample_times
-from .topicgraph import (ArticleTerms, TermGraph, cluster_report,
-                         extract_terms, load_stopwords, louvain, modularity,
-                         project, term_columns)
+from .topicgraph import (TermGraph, cluster_report, extract_terms,
+                         extract_terms_chunk, load_stopwords, louvain,
+                         modularity, project)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArticleTerms", "CATEGORIES", "CorrelationResult",
-    "DegenerateFit", "DomainError", "EmptyArticle", "EngdynError",
-    "FitOptions", "FitResult", "InsufficientData", "InvalidInput",
-    "MannWhitneyResult", "PairwiseTestMatrix", "ParseResult", "PostTable",
-    "SynthSpec", "TermGraph", "TooManyBins", "TopicMetrics", "TopicSeries",
-    "UndefinedCorrelation", "ZeroEngagement", "build_series", "cluster_report",
-    "extract_terms", "fit", "generate_corpus", "generate_topic",
+    "CATEGORIES", "CorrelationResult", "DegenerateFit", "DomainError",
+    "EmptyArticle", "EngdynError", "FitOptions", "FitResult",
+    "InsufficientData", "InvalidInput", "MannWhitneyResult",
+    "PairwiseTestMatrix", "ParseResult", "PostTable", "SynthSpec", "TermGraph",
+    "TooManyBins", "TopicMetrics", "TopicSeries", "UndefinedCorrelation",
+    "ZeroEngagement", "build_series", "cluster_report", "extract_terms",
+    "extract_terms_chunk", "fit", "generate_corpus", "generate_topic",
     "initial_guess", "load_posts", "load_stopwords", "louvain", "love_hate",
     "mann_whitney_u", "modularity", "pairwise_category_tests", "parse_posts",
     "project", "read_categories", "sample_times", "sigmoid", "spearman",
-    "speed_index", "term_columns", "topic_metrics",
+    "speed_index", "topic_metrics",
 ]

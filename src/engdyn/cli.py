@@ -329,16 +329,19 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------- extract-topics
 
 def _read_articles(stopwords: frozenset[str], lines):
-    """(terms, term counts, malformed line count, repeated article count,
-    ids): the columns ``topicgraph.project`` takes, with a term count of 0
-    for each article without usable terms, and the kept ids in that order.
+    """(vocabulary, term ids, term counts, malformed line count, repeated
+    article count, kept ids): a dict from each term to its id, ids in
+    first-seen order; the columns ``topicgraph.project`` takes, int32 term
+    ids and a term count for each kept article (0 without usable terms);
+    and the kept ids in that order.
 
     The first article of each id is kept and every later one skipped. Text
     articles go through the term kernel a chunk at a time, so they land
     after the pre-tokenized ones read with them; no output depends on the
     order of the articles.
     """
-    terms: list[str] = []
+    vocabulary: dict[str, int] = {}
+    term_ids = bytearray()  # int32s
     sizes: list[int] = []
     seen: set[str] = set()
     kept: list[str] = []
@@ -347,9 +350,8 @@ def _read_articles(stopwords: frozenset[str], lines):
     bad_lines = repeats = 0
 
     def count_chunk() -> None:
-        chunk_sizes, chunk_terms, _ = topicgraph.extract_terms_chunk(
-            ids, texts, stopwords)
-        terms.extend(chunk_terms)
+        chunk_sizes, terms, rows, _ = topicgraph.extract_terms_chunk(ids, texts, stopwords)
+        term_ids.extend(_term_ids(vocabulary, terms)[rows].tobytes())
         sizes.extend(chunk_sizes.tolist())
         kept.extend(ids)
         ids.clear()
@@ -391,8 +393,8 @@ def _read_articles(stopwords: frozenset[str], lines):
             except EmptyArticle:
                 sizes.append(0)
                 continue
-            terms += top.terms
-            sizes.append(len(top.top_terms))
+            term_ids.extend(_term_ids(vocabulary, [term for term, _ in top]).tobytes())
+            sizes.append(len(top))
             continue
         ids.append(article_id)
         texts.append(text)
@@ -400,29 +402,28 @@ def _read_articles(stopwords: frozenset[str], lines):
             count_chunk()
     if ids:
         count_chunk()
-    return terms, sizes, bad_lines, repeats, kept
+    return (vocabulary, np.frombuffer(term_ids, dtype=np.int32), sizes, bad_lines,
+            repeats, kept)
 
 
-def _send_articles(articles, out) -> None:
-    """Pickle :func:`_read_articles`' result, its terms as a vocabulary and int32 indices."""
-    terms, *rest = articles
-    vocabulary = sorted(set(terms))
-    index = dict(zip(vocabulary, range(len(vocabulary))))
-    pickle.dump((vocabulary, np.fromiter(map(index.__getitem__, terms), np.int32, len(terms)),
-                 *rest), out)
+def _term_ids(vocabulary: dict[str, int], terms) -> np.ndarray:
+    """The int32 ids of ``terms`` in ``vocabulary``, which gives a new term the next id."""
+    return np.array([vocabulary.setdefault(term, len(vocabulary)) for term in terms],
+                    dtype=np.int32)
 
 
 def _merge_articles(first, pipe):
-    """The articles of ``first``, then those :func:`_send_articles` wrote to
-    ``pipe`` but the ones of an id ``first`` kept, which are repeats."""
-    terms, sizes, bad_lines, repeats, kept = first
-    vocabulary, term_ids, later_sizes, later_bad, later_repeats, later_kept = pickle.load(pipe)
+    """The articles of ``first``, then those a child pickled to ``pipe`` but
+    the ones of an id ``first`` kept, which are repeats."""
+    vocabulary, term_ids, sizes, bad_lines, repeats, kept = first
+    later_terms, later_ids, later_sizes, later_bad, later_repeats, later_kept = pickle.load(pipe)
     seen = set(kept)
     new = np.array([article_id not in seen for article_id in later_kept], dtype=bool)
-    terms += np.array(vocabulary, dtype=object)[term_ids[np.repeat(new, later_sizes)]].tolist()
+    later_ids = _term_ids(vocabulary, later_terms)[later_ids[np.repeat(new, later_sizes)]]
     sizes += np.compress(new, later_sizes).tolist()
     kept += [article_id for article_id in later_kept if article_id not in seen]
-    return terms, sizes, bad_lines + later_bad, repeats + later_repeats + int((~new).sum()), kept
+    return (vocabulary, np.concatenate([term_ids, later_ids]), sizes, bad_lines + later_bad,
+            repeats + later_repeats + int((~new).sum()), kept)
 
 
 def cmd_extract_topics(args) -> int:
@@ -431,13 +432,13 @@ def cmd_extract_topics(args) -> int:
     # at U+2028 and the like, which JSON strings may hold raw
     try:
         read = functools.partial(_read_articles, topicgraph.load_stopwords(args.stopwords))
-        articles = model.read_halves(args.input, read, _send_articles, _merge_articles)
+        articles = model.read_halves(args.input, read, pickle.dump, _merge_articles)
         if articles is None:
             with open(args.input, encoding="utf-8-sig") as fh:
                 articles = read(fh)
     except OSError as exc:
         return _fail(str(exc))
-    terms, sizes, bad_lines, repeats, _ = articles
+    vocabulary, term_ids, sizes, bad_lines, repeats, _ = articles
     if bad_lines:
         print(f"warning: {bad_lines} malformed article line(s) skipped",
               file=sys.stderr)
@@ -450,7 +451,8 @@ def cmd_extract_topics(args) -> int:
     if empty_articles == len(sizes):
         return _fail("empty corpus")
 
-    graph = topicgraph.louvain(topicgraph.project(terms, sizes), seed=args.seed)
+    graph = topicgraph.louvain(topicgraph.project(term_ids, list(vocabulary), sizes),
+                               seed=args.seed)
     try:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

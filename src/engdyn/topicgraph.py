@@ -49,18 +49,6 @@ _LAST2_MASKS = np.array([((1 << 8 * max(n - 8, 0)) - 1) & 0x1F1F
 _MIN_GAIN = 1e-7
 
 
-@dataclass(frozen=True)
-class ArticleTerms:
-    """One article's representative terms, most frequent first."""
-
-    article_id: str
-    top_terms: tuple[tuple[str, int], ...]
-
-    @property
-    def terms(self) -> tuple[str, ...]:
-        return tuple(term for term, _ in self.top_terms)
-
-
 @dataclass(eq=False)
 class TermGraph:
     """Weighted term co-occurrence graph, optionally partitioned.
@@ -99,26 +87,28 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
 
 
 def extract_terms(article_id: str, text: str, stopwords: frozenset[str],
-                  k: int = 10) -> ArticleTerms:
-    """Top-k most frequent content words of one article.
+                  k: int = 10) -> tuple[tuple[str, int], ...]:
+    """Top-k most frequent content words of one article, as (term, count)
+    pairs, most frequent first.
 
     Tokens are maximal ASCII-letter runs of the lowercased text, so numbers
     and punctuation never survive; stopwords are dropped. Ties at the
     frequency cutoff break lexicographically.
     """
-    sizes, terms, counts = extract_terms_chunk([article_id], [text], stopwords, k)
+    sizes, terms, rows, counts = extract_terms_chunk([article_id], [text], stopwords, k)
     if not sizes[0]:
         raise EmptyArticle(f"article {article_id!r} has no usable tokens")
-    return ArticleTerms(article_id, tuple(zip(terms, counts.tolist())))
+    return tuple(zip(map(terms.__getitem__, rows.tolist()), counts.tolist()))
 
 
 def extract_terms_chunk(article_ids: Sequence[str], texts: Sequence[str],
                         stopwords: frozenset[str], k: int = 10
-                        ) -> tuple[np.ndarray, list[str], np.ndarray]:
+                        ) -> tuple[np.ndarray, list[str], np.ndarray, np.ndarray]:
     """:func:`extract_terms` of many articles at once, as columns: each
     article's term count in the order of ``article_ids`` (0 for an article
-    without usable tokens), then every article's ranked terms one after the
-    other, and their counts.
+    without usable tokens); the chunk's distinct terms; for every article's
+    ranked terms, one after the other, the term's index into those; and
+    their counts. ``project(rows, terms, sizes)`` takes them as they are.
 
     Words are counted and ranked as packed integer keys, with one sort each
     over the whole chunk: a word of up to ``_KEY_LETTERS`` letters is its
@@ -142,8 +132,13 @@ def extract_terms_chunk(article_ids: Sequence[str], texts: Sequence[str],
         half = n // 2
         first = extract_terms_chunk(article_ids[:half], texts[:half], stopwords, k)
         second = extract_terms_chunk(article_ids[half:], texts[half:], stopwords, k)
-        return (np.concatenate([first[0], second[0]]), first[1] + second[1],
-                np.concatenate([first[2], second[2]]))
+        # the second half's terms recoded past the first's, each term once
+        index = dict(zip(first[1], range(len(first[1]))))
+        recode = np.array([index.setdefault(term, len(index)) for term in second[1]],
+                          dtype=np.intp)
+        return (np.concatenate([first[0], second[0]]), list(index),
+                np.concatenate([first[2], recode[second[2]]]),
+                np.concatenate([first[3], second[3]]))
     run_article, counts, words, long_words = _count_words(parts, stopwords)
 
     # rank by (article, -count, word) with one sort: runs are in (article,
@@ -160,8 +155,8 @@ def extract_terms_chunk(article_ids: Sequence[str], texts: Sequence[str],
     per_article = np.bincount(run_article, minlength=n)
     place = np.arange(m) - (np.cumsum(per_article) - per_article)[run_article]
     kept = order[place < k]
-    return (np.minimum(per_article, k), _decode_terms(words[kept], long_words),
-            counts[kept])
+    keys, rows = np.unique(words[kept], return_inverse=True)
+    return np.minimum(per_article, k), _decode_terms(keys, long_words), rows, counts[kept]
 
 
 def _count_words(parts: list[bytes], stopwords: frozenset[str]
@@ -279,15 +274,11 @@ def _word_keys(raw: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarra
 
 
 def _decode_terms(words: np.ndarray, long_words: list[str]) -> list[str]:
-    """The terms of word keys: a packed word, or ``_LONG`` plus an index into
-    ``long_words``."""
-    is_long = words >= _LONG
-    if not is_long.any():
-        return _decode_keys(words)
-    terms = np.empty(len(words), dtype=object)
-    terms[~is_long] = _decode_keys(words[~is_long])
-    terms[is_long] = [long_words[i] for i in (words[is_long] - _LONG).tolist()]
-    return terms.tolist()
+    """The terms of sorted word keys: packed words, then ``_LONG`` plus an
+    index into ``long_words``."""
+    short = int(np.searchsorted(words, _LONG))
+    longer = [long_words[i] for i in (words[short:] - _LONG).tolist()]
+    return _decode_keys(words[:short]) + longer
 
 
 def _decode_keys(keys: np.ndarray) -> list[str]:
@@ -311,7 +302,7 @@ def _stopword_keys(stopwords: frozenset[str]) -> np.ndarray:
 
 
 def count_terms(article_id: str, tokens: Sequence[str],
-                stopwords: frozenset[str], k: int = 10) -> ArticleTerms:
+                stopwords: frozenset[str], k: int = 10) -> tuple[tuple[str, int], ...]:
     """Same selection as :func:`extract_terms` for pre-tokenized input."""
     if k < 1:
         raise InvalidInput(f"k must be at least 1, got {k}")
@@ -328,43 +319,45 @@ def count_terms(article_id: str, tokens: Sequence[str],
         # counts runs in C and beats heapq.nlargest's Python loop
         cutoff = sorted(counts.values(), reverse=True)[k - 1]
         items = [item for item in items if item[1] >= cutoff]
-    ranked = sorted(items, key=lambda item: (-item[1], item[0]))
-    return ArticleTerms(article_id=article_id, top_terms=tuple(ranked[:k]))
+    return tuple(sorted(items, key=lambda item: (-item[1], item[0]))[:k])
 
 
-def term_columns(articles: Sequence[ArticleTerms]) -> tuple[list[str], list[int]]:
-    """The columns :func:`project` takes, from single-article results: every
-    article's terms one after the other, and each article's term count."""
-    return ([term for article in articles for term, _ in article.top_terms],
-            [len(article.top_terms) for article in articles])
-
-
-def project(terms: Sequence[str], sizes: Sequence[int]) -> TermGraph:
+def project(term_ids: Sequence[int], vocabulary: Sequence[str],
+            sizes: Sequence[int]) -> TermGraph:
     """Collapse the article-term relation onto terms.
 
-    The articles come as columns: ``terms`` holds every article's terms one
-    after the other, the first ``sizes[0]`` of them the first article's and
-    so on, as :func:`extract_terms_chunk` returns them (or
-    :func:`term_columns` from :class:`ArticleTerms`). Two terms are
-    connected iff they share at least one article; the edge weight counts
-    the shared articles, so a term repeated within an article counts once.
+    The articles come as columns: ``term_ids`` holds every article's terms
+    one after the other, as indices into ``vocabulary``, the first
+    ``sizes[0]`` of them the first article's and so on, as
+    :func:`extract_terms_chunk` returns them. The nodes are the terms that
+    some article holds. Two terms are connected iff they share at least one
+    article; the edge weight counts the shared articles, so a term repeated
+    within an article counts once.
     """
     sizes = np.asarray(sizes, dtype=np.intp)
+    term_ids = np.asarray(term_ids, dtype=np.intp)
     if not len(sizes):
         raise InvalidInput("need at least one article")
-    if sizes.min() < 0 or sizes.sum() != len(terms):
-        raise InvalidInput(f"{len(terms)} terms do not split into articles "
+    if sizes.min() < 0 or sizes.sum() != len(term_ids):
+        raise InvalidInput(f"{len(term_ids)} terms do not split into articles "
                            "of the term counts given")
-    # python's str order, which a numpy string array would not keep: its
-    # fixed-width elements drop trailing NULs
-    nodes = sorted(set(terms))
-    index = dict(zip(nodes, range(len(nodes))))
-    n = len(nodes)
+    if len(term_ids) and not 0 <= term_ids.min() <= term_ids.max() < len(vocabulary):
+        raise InvalidInput(f"term ids must index the {len(vocabulary)} vocabulary terms")
+    if len(set(vocabulary)) < len(vocabulary):
+        raise InvalidInput("the vocabulary holds a term twice")
+    # the held terms in python's str order, which a numpy string array would
+    # not keep: its fixed-width elements drop trailing NULs
+    held = np.zeros(len(vocabulary), dtype=bool)
+    held[term_ids] = True
+    order = sorted(np.flatnonzero(held).tolist(), key=vocabulary.__getitem__)
+    node_of = np.empty(len(vocabulary), dtype=np.intp)
+    node_of[order] = np.arange(len(order))
+    n = len(order)
     # one key a row, article * n + term id, so one sort puts each article's
     # ids in ascending order; repeated rows are dropped
     keys = np.repeat(np.arange(len(sizes)) * n, sizes)
-    keys += np.fromiter(map(index.__getitem__, terms), dtype=np.intp,
-                        count=len(terms))
+    keys += node_of.take(term_ids)
+    del term_ids  # an intp copy where the caller's ids were narrower
     keys.sort()
     keys = keys[np.diff(keys, prepend=-1) != 0]
     article, ids = np.divmod(keys, n)
@@ -390,7 +383,8 @@ def project(terms: Sequence[str], sizes: Sequence[int]) -> TermGraph:
             block += rows[:, a + 1:]
             at += block.size
     pairs, weights = _runs(pairs)
-    return TermGraph(nodes=tuple(nodes), edges=np.column_stack(np.divmod(pairs, n)),
+    return TermGraph(nodes=tuple(map(vocabulary.__getitem__, order)),
+                     edges=np.column_stack(np.divmod(pairs, n)),
                      weights=weights)
 
 

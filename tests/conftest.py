@@ -72,6 +72,16 @@ def graph_of(nodes, edges):
                      weights=np.array([row[2] for row in rows]))
 
 
+def columns(articles):
+    """The columns ``project`` takes for ``articles``, each a sequence of
+    terms: term ids over a first-seen vocabulary, the vocabulary, and each
+    article's term count."""
+    vocabulary = {}
+    ids = [vocabulary.setdefault(term, len(vocabulary))
+           for terms in articles for term in terms]
+    return ids, list(vocabulary), [len(terms) for terms in articles]
+
+
 def edge_rows(graph):
     """``graph``'s edges as (term, term, weight) rows, in stored order."""
     return [(graph.nodes[a], graph.nodes[b], w)

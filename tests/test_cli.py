@@ -1,10 +1,12 @@
 import csv
+import importlib.util
 import json
 import os
 import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -18,6 +20,8 @@ from hypothesis import strategies as st
 import engdyn
 from engdyn import cli, topicgraph
 from engdyn.svgplot import fit_overlay_svg, scatter_svg
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 SPEC_OBJ = {
     "seed": 11,
@@ -781,6 +785,27 @@ class TestExtractTopics:
         err = runs[0][2].err
         assert "warning: 1 malformed article line(s) skipped" in err
         assert "warning: 1 article(s) without usable terms skipped" in err
+
+    def test_reader_holds_few_bytes_a_term_row(self, tmp_path, monkeypatch):
+        # 5,000 articles of the benchmark's extract-topics workload (seed 3):
+        # each term is held once, in the vocabulary, and a term row is an
+        # int32 id, not a str of its own
+        spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclasses
+        spec.loader.exec_module(workloads)
+        workloads.write_articles(tmp_path, 3, workloads.ArticleParams(n_articles=5000))
+        stopwords = topicgraph.load_stopwords(tmp_path / "stopwords.txt")
+        with open(tmp_path / "articles.jsonl", encoding="utf-8") as fh:
+            tracemalloc.start()
+            try:
+                articles = cli._read_articles(stopwords, fh)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        vocabulary, term_ids, sizes, *_, kept = articles
+        assert len(kept) == 5000 and len(term_ids) == sum(sizes) > 45_000
+        assert held / len(term_ids) <= 24
 
     def test_byte_order_mark_accepted(self, tmp_path):
         plain = self.run_lines(tmp_path, "plain", [])

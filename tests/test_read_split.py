@@ -136,20 +136,23 @@ def halves(first, second, end="\n"):
 
 def test_repeats_and_empty_articles_across_the_split(tmp_path, split_all):
     # "k" is kept in the first half and repeated twice in the second, once
-    # after an article without usable terms; "r" repeats within the second
+    # after an article without usable terms; "r" repeats within the second;
+    # "t" repeats in the second with a term that no kept article holds, so
+    # the child's vocabulary holds "zebra" but no row does
     first = [article("k", "vote ballot party"), article("e1", "the and 42"), "{",
              article("t", terms=["goal", "Team"]), article("s", terms=["x", "\ud800"])]
     second = [article("k", "goal team"), article("e2", terms=["the"]), article("r", "coach goal"),
               article("k", terms=["vote"]), article("r", "vote"), article("n", "team coach vote"),
-              "\ufeff" + article("b", "vote")]
+              article("t", "zebra"), "\ufeff" + article("b", "vote")]
     path = tmp_path / "articles.jsonl"
     path.write_bytes(halves(first, second, end="\r\n"))
-    (code, _, _, err), split = extract_and_compare(path)
+    (code, files, _, err), split = extract_and_compare(path)
     assert split
     assert code == 0
     assert err == ("warning: 3 malformed article line(s) skipped\n"
-                   "warning: 3 repeated article(s) skipped\n"
+                   "warning: 4 repeated article(s) skipped\n"
                    "warning: 2 article(s) without usable terms skipped\n")
+    assert b"zebra" not in b"".join(files.values())
 
 
 @pytest.mark.parametrize("bad_line", [3, 16])

@@ -15,11 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engdyn.errors import EmptyArticle, InvalidInput
-from engdyn.topicgraph import (ArticleTerms, TermGraph, count_terms,
-                               extract_terms, extract_terms_chunk, project,
-                               term_columns)
+from engdyn.topicgraph import (TermGraph, count_terms, extract_terms,
+                               extract_terms_chunk, project)
 
-from conftest import edge_rows
+from conftest import columns, edge_rows
 
 # ----------------------------------------------------------------- oracles
 
@@ -35,7 +34,7 @@ def oracle_extract_terms(article_id, text, stopwords, k=10):
     if not counts:
         raise EmptyArticle(f"article {article_id!r} has no usable tokens")
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return ArticleTerms(article_id=article_id, top_terms=tuple(ranked[:k]))
+    return tuple(ranked[:k])
 
 
 def oracle_extract_terms_chunk(article_ids, texts, stopwords, k=10):
@@ -59,7 +58,7 @@ def oracle_count_terms(article_id, tokens, stopwords, k=10):
     if not counts:
         raise EmptyArticle(f"article {article_id!r} has no usable tokens")
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return ArticleTerms(article_id=article_id, top_terms=tuple(ranked[:k]))
+    return tuple(ranked[:k])
 
 
 def oracle_project(articles):
@@ -69,7 +68,7 @@ def oracle_project(articles):
     nodes = set()
     edges = {}
     for article in articles:
-        terms = sorted(set(article.terms))
+        terms = sorted({term for term, _ in article})
         nodes.update(terms)
         for i in range(len(terms)):
             for j in range(i + 1, len(terms)):
@@ -80,16 +79,19 @@ def oracle_project(articles):
 
 def chunk_articles(article_ids, texts, stopwords, k=10):
     """The kernel's columns as per-article results, ``None`` where the
-    article has no terms, for comparison with the oracle's."""
-    sizes, terms, counts = extract_terms_chunk(article_ids, texts, stopwords, k)
+    article has no terms, for comparison with the oracle's; the chunk's
+    terms must be distinct, and each must be some row's."""
+    sizes, terms, rows, counts = extract_terms_chunk(article_ids, texts, stopwords, k)
+    assert len(set(terms)) == len(terms)
+    assert set(rows.tolist()) == set(range(len(terms)))
     ends = np.cumsum(sizes).tolist()
-    ranked = list(zip(terms, counts.tolist()))
-    return [ArticleTerms(article_id, tuple(ranked[end - size:end])) if size else None
-            for article_id, size, end in zip(article_ids, sizes.tolist(), ends)]
+    ranked = list(zip([terms[i] for i in rows], counts.tolist()))
+    return [tuple(ranked[end - size:end]) if size else None
+            for size, end in zip(sizes.tolist(), ends)]
 
 
 def project_articles(articles):
-    return project(*term_columns(articles))
+    return project(*columns([[term for term, _ in article] for article in articles]))
 
 
 def outcome(fn, *args):
@@ -194,11 +196,11 @@ class TestExtractTermsChunk:
         got = chunk_articles(ids, texts, frozenset({"the", PREFIX + "b"}), 6)
         assert got == oracle_extract_terms_chunk(
             ids, texts, frozenset({"the", PREFIX + "b"}), 6)
-        assert got[0].top_terms == ((PREFIX + "a", 3), ("zz", 2), (PREFIX[:9], 1),
-                                    (PREFIX, 1), (PREFIX + "c", 1),
-                                    (PREFIX[:9] + "k", 1))
-        assert got[1].top_terms == ((PREFIX + "aa", 1), ("yy", 1))
-        assert got[2].top_terms == ((PREFIX + "a", 1),)
+        assert got[0] == ((PREFIX + "a", 3), ("zz", 2), (PREFIX[:9], 1),
+                          (PREFIX, 1), (PREFIX + "c", 1),
+                          (PREFIX[:9] + "k", 1))
+        assert got[1] == ((PREFIX + "aa", 1), ("yy", 1))
+        assert got[2] == ((PREFIX + "a", 1),)
 
     def test_count_field_wider_than_sixteen_bits(self):
         # 300,001 repeats need 19 bits of count in the ranking key: the first
@@ -209,8 +211,8 @@ class TestExtractTermsChunk:
         got = chunk_articles(["small", "big"], texts, frozenset(), 3)
         assert got == oracle_extract_terms_chunk(["small", "big"], texts,
                                                  frozenset(), 3)
-        assert got[1].top_terms == (("alpha", 300_001), ("beta", 2),
-                                    (PREFIX + "k", 1))
+        assert got[1] == (("alpha", 300_001), ("beta", 2),
+                          (PREFIX + "k", 1))
 
     def test_chunk_past_the_article_field_is_split(self):
         # 2**14 + 1 articles need 15 bits of article index beside the
@@ -241,8 +243,7 @@ VOCAB = ["alpha", "beta", "delta", "eta", "gamma", "iota", "kappa", "mu",
 article_lists = st.lists(
     st.lists(st.sampled_from(VOCAB), max_size=14),  # 0, 1 or many, repeats
     max_size=25,
-).map(lambda rows: [ArticleTerms(f"a{i}", tuple((t, 1) for t in row))
-                    for i, row in enumerate(rows)])
+).map(lambda rows: [tuple((t, 1) for t in row) for row in rows])
 
 
 class TestProject:
@@ -261,8 +262,8 @@ class TestProject:
             assert got == want
 
     def test_articles_of_very_different_sizes(self):
-        big = ArticleTerms("big", tuple((f"t{i:03d}", 1) for i in range(300)))
-        small = ArticleTerms("small", (("t000", 1), ("t001", 1)))
+        big = tuple((f"t{i:03d}", 1) for i in range(300))
+        small = (("t000", 1), ("t001", 1))
         graph = project_articles([big, small])
         nodes, edges = oracle_project([big, small])
         assert graph.nodes == nodes
@@ -283,14 +284,15 @@ class TestColumnsAcrossChunks:
     def test_concatenated_columns_match_per_article_oracle(self, pieces, stopwords, k):
         # the columns of every kernel call and every pre-tokenized article
         # laid end to end, a term count of 0 for each article without terms,
-        # as cli._read_articles builds them; so each chunk's terms must start
-        # where the previous chunk's end
-        terms, sizes, oracle = [], [], []
+        # as cli._read_articles builds them, each term with an id in one
+        # first-seen vocabulary; so each chunk's terms must start where the
+        # previous chunk's end
+        vocabulary, term_ids, sizes, oracle = {}, [], [], []
         for at, (kind, batch) in enumerate(pieces):
             if kind == "texts":
                 ids = [f"c{at}-{i}" for i in range(len(batch))]
-                chunk_sizes, chunk_terms, _ = extract_terms_chunk(ids, batch, stopwords, k)
-                terms += chunk_terms
+                chunk_sizes, terms, rows, _ = extract_terms_chunk(ids, batch, stopwords, k)
+                term_ids += [vocabulary.setdefault(terms[i], len(vocabulary)) for i in rows]
                 sizes += chunk_sizes.tolist()
                 oracle += [article for article in oracle_extract_terms_chunk(
                     ids, batch, stopwords, k) if article is not None]
@@ -300,10 +302,10 @@ class TestColumnsAcrossChunks:
             except EmptyArticle:
                 sizes.append(0)
                 continue
-            terms += top.terms
-            sizes.append(len(top.top_terms))
+            term_ids += [vocabulary.setdefault(term, len(vocabulary)) for term, _ in top]
+            sizes.append(len(top))
             oracle.append(oracle_count_terms(f"t{at}", batch, stopwords, k))
-        graph = project(terms, sizes)
+        graph = project(term_ids, list(vocabulary), sizes)
         # articles without terms add nothing, so an all-empty input is a
         # graph without nodes (the CLI stops at "empty corpus" before it)
         nodes, edges = oracle_project(oracle) if oracle else ((), {})

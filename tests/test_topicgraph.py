@@ -6,12 +6,11 @@ import pytest
 
 from engdyn import topicgraph
 from engdyn.errors import EmptyArticle, InvalidInput
-from engdyn.topicgraph import (ArticleTerms, cluster_report, count_terms,
-                               extract_terms, extract_terms_chunk,
-                               load_stopwords, louvain, modularity, project,
-                               term_columns)
+from engdyn.topicgraph import (cluster_report, count_terms, extract_terms,
+                               extract_terms_chunk, load_stopwords, louvain,
+                               modularity, project)
 
-from conftest import TWO_CLIQUE, edge_rows, graph_of
+from conftest import TWO_CLIQUE, columns, edge_rows, graph_of
 
 
 def set_partitions(items):
@@ -79,7 +78,7 @@ class TestExtractTerms:
     def test_hand_counted_example(self):
         terms = extract_terms("a1", "The cat sat on the mat cat cat mat",
                               frozenset({"the", "on"}))
-        assert terms.top_terms == (("cat", 3), ("mat", 2), ("sat", 1))
+        assert terms == (("cat", 3), ("mat", 2), ("sat", 1))
 
     def test_stopword_only_text_is_empty(self):
         with pytest.raises(EmptyArticle):
@@ -87,7 +86,7 @@ class TestExtractTerms:
 
     def test_numbers_never_become_terms(self):
         terms = extract_terms("a1", "42 2024 covid19 covid19", frozenset())
-        assert terms.terms == ("covid",)
+        assert [term for term, _ in terms] == ["covid"]
 
     def test_top_ten_cutoff(self):
         vocab = [chr(ord("a") + i) * 3 for i in range(12)]  # aaa, bbb, ...
@@ -95,24 +94,24 @@ class TestExtractTerms:
         for i, word in enumerate(vocab):
             words.extend([word] * (12 - i))
         terms = extract_terms("a1", " ".join(words), frozenset())
-        assert len(terms.top_terms) == 10
-        assert terms.top_terms[0] == ("aaa", 12)
-        assert set(terms.terms) == set(vocab[:10])
+        assert len(terms) == 10
+        assert terms[0] == ("aaa", 12)
+        assert {term for term, _ in terms} == set(vocab[:10])
 
     def test_cutoff_ties_break_lexicographically(self):
         text = "zeta alpha beta gamma delta " * 2
         terms = extract_terms("a1", text, frozenset(), k=3)
-        assert terms.terms == ("alpha", "beta", "delta")
+        assert [term for term, _ in terms] == ["alpha", "beta", "delta"]
 
     def test_frequencies_non_increasing(self):
         terms = extract_terms("a1", "b b b a a c", frozenset())
-        freqs = [f for _, f in terms.top_terms]
+        freqs = [f for _, f in terms]
         assert freqs == sorted(freqs, reverse=True)
 
     def test_pretokenized_path(self):
         terms = count_terms("a1", ["News", "news", "the", "vote"],
                             frozenset({"the"}))
-        assert terms.top_terms == (("news", 2), ("vote", 1))
+        assert terms == (("news", 2), ("vote", 1))
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_rejected_on_both_paths(self, k):
@@ -124,11 +123,12 @@ class TestExtractTerms:
             count_terms("a", ["river", "vote", "vote", "ballot"], frozenset(), k)
 
     def test_chunk_columns(self):
-        sizes, terms, counts = extract_terms_chunk(
+        sizes, terms, rows, counts = extract_terms_chunk(
             ["a1", "a2", "a3"], ["vote vote ballot", "the 42", "river"],
             frozenset({"the"}))
         assert sizes.tolist() == [2, 0, 1]
-        assert terms == ["vote", "ballot", "river"]
+        assert sorted(terms) == ["ballot", "river", "vote"]
+        assert [terms[i] for i in rows] == ["vote", "ballot", "river"]
         assert counts.tolist() == [2, 1, 1]
 
     def test_bundled_stopwords(self):
@@ -143,16 +143,14 @@ class TestExtractTerms:
 
 class TestProject:
     def test_two_articles_share_one_term(self):
-        arts = [ArticleTerms("a1", (("a", 2), ("b", 1))),
-                ArticleTerms("a2", (("b", 3), ("c", 1)))]
-        graph = project(*term_columns(arts))
+        arts = [("a", "b"), ("b", "c")]
+        graph = project(*columns(arts))
         assert edge_rows(graph) == [("a", "b", 1), ("b", "c", 1)]
         assert graph.nodes == ("a", "b", "c")
 
     def test_repeated_cooccurrence_accumulates(self):
-        arts = [ArticleTerms("a1", (("a", 1), ("b", 1))),
-                ArticleTerms("a2", (("a", 1), ("b", 1)))]
-        assert edge_rows(project(*term_columns(arts))) == [("a", "b", 2)]
+        arts = [("a", "b"), ("a", "b")]
+        assert edge_rows(project(*columns(arts))) == [("a", "b", 2)]
 
     def test_weights_match_bruteforce_intersections(self):
         rng = np.random.default_rng(12)
@@ -160,49 +158,74 @@ class TestProject:
         arts = []
         for i in range(20):
             picks = rng.choice(vocab, size=rng.integers(2, 9), replace=False)
-            arts.append(ArticleTerms(f"a{i}",
-                                     tuple((w, 1) for w in sorted(picks))))
-        weights = {(a, b): w for a, b, w in edge_rows(project(*term_columns(arts)))}
+            arts.append(sorted(picks))
+        weights = {(a, b): w for a, b, w in edge_rows(project(*columns(arts)))}
         for t1, t2 in itertools.combinations(sorted({t for a in arts
-                                                     for t in a.terms}), 2):
+                                                     for t in a}), 2):
             expected = sum(1 for a in arts
-                           if t1 in a.terms and t2 in a.terms)
+                           if t1 in a and t2 in a)
             assert weights.get((t1, t2), 0) == expected
 
     def test_order_invariance(self):
-        arts = [ArticleTerms("a1", (("a", 1), ("b", 1))),
-                ArticleTerms("a2", (("b", 1), ("c", 1))),
-                ArticleTerms("a3", (("a", 1), ("c", 1)))]
-        forward = project(*term_columns(arts))
-        backward = project(*term_columns(list(reversed(arts))))
+        arts = [("a", "b"), ("b", "c"), ("a", "c")]
+        forward = project(*columns(arts))
+        backward = project(*columns(list(reversed(arts))))
         assert forward.nodes == backward.nodes
         assert edge_rows(forward) == edge_rows(backward)
 
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidInput):
-            project(*term_columns([]))
+            project(*columns([]))
 
     def test_columns_with_repeated_terms_and_empty_articles(self):
         # a term repeated within an article counts that article once, and an
         # article without terms adds nothing
-        graph = project(["a", "b", "a", "b", "c", "b"], [4, 0, 2])
+        graph = project([0, 1, 0, 1, 2, 1], ["a", "b", "c"], [4, 0, 2])
         assert graph.nodes == ("a", "b", "c")
         assert edge_rows(graph) == [("a", "b", 1), ("b", "c", 1)]
 
     @pytest.mark.parametrize("sizes", [[1, 1], [2, 2], [4, -1]])
     def test_sizes_that_do_not_cover_the_terms_rejected(self, sizes):
         with pytest.raises(InvalidInput, match="do not split"):
-            project(["a", "b", "c"], sizes)
+            project([0, 1, 2], ["a", "b", "c"], sizes)
+
+    @pytest.mark.parametrize("term_ids, vocabulary, nodes, edges", [
+        ([0, 2, 2, 0], ["vote", "zebra", "ballot"], ("ballot", "vote"),
+         [("ballot", "vote", 2)]),
+        ([1, 2, 3, 2], ["zebra", "vote", "ballot", "yak"], ("ballot", "vote", "yak"),
+         [("ballot", "vote", 1), ("ballot", "yak", 1)]),
+        ([0, 0, 0, 0], ["vote", "ballot"], ("vote",), []),
+    ])
+    def test_vocabulary_terms_that_no_row_holds_are_no_nodes(self, term_ids, vocabulary,
+                                                             nodes, edges):
+        graph = project(term_ids, vocabulary, [2, 2])
+        assert graph.nodes == nodes
+        assert edge_rows(graph) == edges
+
+    @pytest.mark.parametrize("vocabulary", [["vote", "vote"], ["vote", "ballot", "vote"]])
+    def test_repeated_vocabulary_term_rejected(self, vocabulary):
+        with pytest.raises(InvalidInput, match="holds a term twice"):
+            project([0, 1], vocabulary, [2])
+
+    @pytest.mark.parametrize("term_ids", [[-1, 0], [0, 2], [0, 2**40]])
+    def test_ids_outside_the_vocabulary_rejected(self, term_ids):
+        with pytest.raises(InvalidInput, match="must index the 2 vocabulary terms"):
+            project(term_ids, ["vote", "ballot"], [2])
+
+    @pytest.mark.parametrize("vocabulary", [["vote", "vote\x00"], ["vote\x00", "vote"]])
+    def test_terms_differing_by_a_trailing_nul_stay_two_nodes(self, vocabulary):
+        graph = project([0, 1], vocabulary, [2])
+        assert graph.nodes == ("vote", "vote\x00")
+        assert edge_rows(graph) == [("vote", "vote\x00", 1)]
 
     def test_int32_and_int64_keys_give_the_same_graph(self, monkeypatch):
         rng = np.random.default_rng(5)
         vocab = [f"w{i}" for i in range(300)]
-        arts = [ArticleTerms(f"a{i}", tuple((w, 1) for w in sorted(
-                    rng.choice(vocab, size=rng.integers(1, 11), replace=False))))
+        arts = [sorted(rng.choice(vocab, size=rng.integers(1, 11), replace=False))
                 for i in range(200)]
-        narrow = project(*term_columns(arts))
+        narrow = project(*columns(arts))
         monkeypatch.setattr(topicgraph, "_INT32_KEYS", 0)
-        wide = project(*term_columns(arts))
+        wide = project(*columns(arts))
         assert narrow.nodes == wide.nodes and len(narrow.edges) > 1000
         assert edge_rows(narrow) == edge_rows(wide)
         assert narrow.weights.dtype == wide.weights.dtype
@@ -214,15 +237,16 @@ class TestProject:
         rng = np.random.default_rng(7)
         n = 10_000
         ids = np.argsort(rng.random((n, 50)), axis=1)[:, :10] + 50 * rng.integers(60, size=(n, 1))
-        terms = [f"w{i}" for i in ids.ravel().tolist()]
+        term_ids = ids.ravel()
+        vocabulary = [f"w{i}" for i in range(3000)]
         tracemalloc.start()
         try:
-            graph = project(terms, [10] * n)
+            graph = project(term_ids, vocabulary, [10] * n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert (len(graph.nodes), len(graph.edges)) == (3000, 73325)
-        assert peak / len(terms) <= 64
+        assert peak / len(term_ids) <= 64
 
 
 class TestLouvain:
