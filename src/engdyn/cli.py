@@ -336,9 +336,10 @@ def _read_articles(stopwords: frozenset[str], lines):
     and the kept ids in that order.
 
     The first article of each id is kept and every later one skipped. Text
-    articles go through the term kernel a chunk at a time, so they land
-    after the pre-tokenized ones read with them; no output depends on the
-    order of the articles.
+    articles go through the term kernel a chunk at a time, a chunk closing
+    at the article that brings its text to ``topicgraph.CHUNK_CHARS``
+    characters, so they land after the pre-tokenized ones read with them;
+    no output depends on the order of the articles.
     """
     vocabulary: dict[str, int] = {}
     term_ids = bytearray()  # int32s
@@ -347,15 +348,17 @@ def _read_articles(stopwords: frozenset[str], lines):
     kept: list[str] = []
     ids: list[str] = []
     texts: list[str] = []
-    bad_lines = repeats = 0
+    bad_lines = repeats = chars = 0
 
     def count_chunk() -> None:
+        nonlocal chars
         chunk_sizes, terms, rows, _ = topicgraph.extract_terms_chunk(ids, texts, stopwords)
         term_ids.extend(_term_ids(vocabulary, terms)[rows].tobytes())
         sizes.extend(chunk_sizes.tolist())
         kept.extend(ids)
         ids.clear()
         texts.clear()
+        chars = 0
 
     for line in lines:
         if not line.strip():
@@ -398,7 +401,8 @@ def _read_articles(stopwords: frozenset[str], lines):
             continue
         ids.append(article_id)
         texts.append(text)
-        if len(ids) == topicgraph.CHUNK_ARTICLES:
+        chars += len(text)
+        if chars >= topicgraph.CHUNK_CHARS:
             count_chunk()
     if ids:
         count_chunk()

@@ -24,12 +24,18 @@ from .errors import EmptyArticle, InvalidInput
 _INT32_KEYS = 2**31
 # bytes.translate table: a-z map to themselves, every other byte to a space
 _LETTERS = bytes(b if 0x61 <= b <= 0x7A else 0x20 for b in range(256))
-# text articles per extract_terms_chunk call from the CLI. Larger chunks
-# spread numpy's per-call cost wider but leave more freed heap behind: on
-# articles of 200 tokens, extract-topics peaks 0.8 MiB above counting one
-# article at a time with 32, 1.1 MiB with 64, 1.6 MiB with 128 and 16 MiB
-# with 1,024, while 32 is within a few percent of 128's speed
-CHUNK_ARTICLES = 32
+# characters of text an extract_terms_chunk call from the CLI takes: a chunk
+# closes at the article that brings it to this many. The kernel's temporaries
+# grow with the text, and each call costs some 60 numpy operations whatever
+# its size, so a text budget spreads that cost over many short articles and
+# never puts many long ones in one call. extract-topics on the benchmark's
+# 20,000 articles of 1.3 KB (2-vCPU Xeon, 16 alternating runs, medians of
+# wall time, CPU time and the run's own peak): 32 articles a chunk 0.85 s,
+# 1.17 s, 53.3 MiB; 2**17 characters 0.74 s, 1.03 s, 51.4 MiB; 2**18 0.77 s,
+# 1.08 s, 50.5 MiB; 2**19 0.72 s, 0.97 s, 51.3 MiB; 2**20 0.71 s, 0.96 s,
+# 61.8 MiB. On 64 articles of 60,000 letters the reader's tracemalloc peak
+# is 7.8 MiB at 2**19 against 31 MiB at 32 articles a chunk
+CHUNK_CHARS = 1 << 19
 # a word of up to _KEY_LETTERS letters has an exact key of 5 bits a letter,
 # first letter highest, so keys sort as the words do; the low 5 bits of a
 # letter's ASCII code are 1-26
@@ -413,9 +419,18 @@ def _level(graph: TermGraph) -> tuple[np.ndarray, ...]:
     (src, dst, w) sorted by (src, dst), and every node's weighted degree k."""
     first, second, weights = _edge_list(graph)
     n = len(graph.nodes)
-    src, dst, w = _merge(np.concatenate([first, second]),
-                         np.concatenate([second, first]),
-                         np.concatenate([weights, weights]), n)
+    keys = first * n + second
+    if (first < second).all() and (keys[1:] > keys[:-1]).all():
+        # distinct pairs i < j, as project yields them: every directed key
+        # occurs once, so one sort of the keys orders the edges
+        keys = np.concatenate([keys, second * n + first])
+        order = keys.argsort()
+        src, dst = np.divmod(keys.take(order), n)
+        w = np.concatenate([weights, weights]).take(order)
+    else:
+        src, dst, w = _merge(np.concatenate([first, second]),
+                             np.concatenate([second, first]),
+                             np.concatenate([weights, weights]), n)
     return src, dst, w, np.bincount(src, weights=w, minlength=n)
 
 
@@ -507,13 +522,12 @@ def _one_level(level: tuple[np.ndarray, ...], rng: random.Random, ints: bool) ->
                 cu = comm[u]
                 links[cu] = links.get(cu, 0.0) + wu
             tot[cv] -= kv
-            stay = links.get(cv, 0.0) - tot[cv] * kv / two_m
+            stay = links.pop(cv, 0.0) - tot[cv] * kv / two_m
             best_c, best_s = cv, stay
-            for c in sorted(links):
-                if c == cv:
-                    continue
-                s = links[c] - tot[c] * kv / two_m
-                if s > best_s:
+            # stay on a tie with staying, else take the lowest community id
+            for c, link in links.items():
+                s = link - tot[c] * kv / two_m
+                if s > best_s or (s == best_s and best_c != cv and c < best_c):
                     best_c, best_s = c, s
             tot[best_c] += kv
             comm[v] = best_c

@@ -723,9 +723,10 @@ class TestExtractTopics:
         assert "not UTF-8" in capsys.readouterr().err
 
     def test_chunks_match_a_line_at_a_time(self, tmp_path, capsys, monkeypatch):
-        # 2 chunks and one line of every kind: text (with a word past the
-        # packed keys' 10 letters), pre-tokenized, malformed, stopword-only
-        # and blank; the output and both warnings equal those of 1-line chunks
+        # chunks of several text articles and one line of every kind: text
+        # (with a word past the packed keys' 10 letters), pre-tokenized,
+        # malformed, stopword-only and blank; the output and both warnings
+        # equal those of one-article chunks
         kinds = [
             lambda i: json.dumps({"article_id": f"t{i}", "text": (
                 "market trade economy bank " if i % 2 else
@@ -736,17 +737,29 @@ class TestExtractTopics:
             lambda i: json.dumps({"article_id": f"s{i}", "text": "the and of 42"}),
             lambda i: "",
         ]
-        size = topicgraph.CHUNK_ARTICLES
-        lines = [kinds[i % len(kinds)](i) for i in range(2 * size + 1)]
+        lines = [kinds[i % len(kinds)](i) for i in range(65)]
         path = tmp_path / "articles.jsonl"
         path.write_text("\n".join(lines) + "\n")
+        kernel = topicgraph.extract_terms_chunk
+        calls = []
+
+        def counted(ids, *rest):
+            calls.append(len(ids))
+            return kernel(ids, *rest)
+
+        monkeypatch.setattr(topicgraph, "extract_terms_chunk", counted)
         runs = []
-        for name, chunk in (("chunked", size), ("per_line", 1)):
-            monkeypatch.setattr(topicgraph, "CHUNK_ARTICLES", chunk)
+        # every text is non-empty, so a 1-character budget closes each chunk
+        # at its first article
+        for name, budget in (("chunked", 256), ("per_line", 1)):
+            monkeypatch.setattr(topicgraph, "CHUNK_CHARS", budget)
+            calls.clear()
             out = tmp_path / name
             code = cli.main(["extract-topics", "--input", str(path),
                              "--out", str(out), "--seed", "1"])
             runs.append((code, read_tree(out), capsys.readouterr().err))
+            assert len(calls) > 1 and sum(calls) == 26
+        assert calls == [1] * 26  # of the last run
         assert runs[0] == runs[1]
         assert runs[0][0] == 0
         malformed = sum(1 for i in range(len(lines)) if i % len(kinds) == 2)
@@ -755,9 +768,10 @@ class TestExtractTopics:
         assert f"warning: {stopword_only} article(s) without usable terms " \
             "skipped" in runs[0][2]
 
-    def test_article_order_changes_no_output(self, tmp_path, capsys):
+    def test_article_order_changes_no_output(self, tmp_path, capsys, monkeypatch):
         # more than two chunks of text articles, so that the chunk bounds
         # move, with pre-tokenized, term-less and malformed lines among them
+        monkeypatch.setattr(topicgraph, "CHUNK_CHARS", 2048)
         rnd = random.Random(4)
         vocabularies = ["market trade economy inflation bank growth".split(),
                         "match goal team league player coach".split(),
@@ -765,7 +779,7 @@ class TestExtractTopics:
         lines = [json.dumps({"article_id": f"t{i}", "text": " ".join(
                      rnd.choices(vocabularies[i % 3], k=12)
                      + rnd.choices(vocabularies[(i + 1) % 3], k=2))})
-                 for i in range(2 * topicgraph.CHUNK_ARTICLES + 7)]
+                 for i in range(71)]
         lines[10:10] = [json.dumps({"article_id": "p1", "terms": ["Vote", "market"]}),
                         json.dumps({"article_id": "p2", "terms": ["goal", "team"]}),
                         json.dumps({"article_id": "e", "text": "the and of 42"}),
@@ -785,6 +799,50 @@ class TestExtractTopics:
         err = runs[0][2].err
         assert "warning: 1 malformed article line(s) skipped" in err
         assert "warning: 1 article(s) without usable terms skipped" in err
+
+    def test_chunks_close_at_the_budget(self, monkeypatch):
+        # texts of 0-600 characters and one past the budget: every chunk but
+        # the last reaches the budget, and only with its last article
+        monkeypatch.setattr(topicgraph, "CHUNK_CHARS", 500)
+        rng = random.Random(8)
+        words = "vote ballot party goal team coach market trade".split()
+        texts = [" ".join(rng.choices(words, k=rng.randrange(100))) for _ in range(60)]
+        texts[30] = "internationally " * 40
+        kernel = topicgraph.extract_terms_chunk
+        calls = []
+
+        def counted(ids, chunk_texts, *rest):
+            calls.append(list(chunk_texts))
+            return kernel(ids, chunk_texts, *rest)
+
+        monkeypatch.setattr(topicgraph, "extract_terms_chunk", counted)
+        lines = [json.dumps({"article_id": f"t{i}", "text": text}) for i, text in enumerate(texts)]
+        lines.insert(5, json.dumps({"article_id": "p", "terms": ["vote"]}))
+        cli._read_articles(frozenset(), lines)
+        assert [text for chunk in calls for text in chunk] == texts
+        assert len(calls) > 3
+        for chunk in calls[:-1]:
+            assert sum(map(len, chunk[:-1])) < 500 <= sum(map(len, chunk))
+        assert sum(map(len, calls[-1][:-1])) < 500
+        assert any(chunk[-1] == texts[30] for chunk in calls)
+
+    def test_long_articles_keep_the_reader_peak_low(self):
+        # 64 articles of about 60,000 letters: the kernel takes a few of them
+        # a call, so its temporaries stay those of the budget's text
+        rng = random.Random(12)
+        words = ["".join(rng.choices("abcdefghijklmnopqrstuvwxyz", k=rng.randint(3, 9)))
+                 for _ in range(5000)]
+        lines = [json.dumps({"article_id": f"a{i}", "text": " ".join(rng.choices(words, k=10_000))})
+                 for i in range(64)]
+        assert 55_000 < len(lines[0]) < 75_000
+        tracemalloc.start()
+        try:
+            sizes = cli._read_articles(frozenset(), lines)[2]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes == [10] * 64
+        assert peak <= 12 * 2**20
 
     def test_reader_holds_few_bytes_a_term_row(self, tmp_path, monkeypatch):
         # 5,000 articles of the benchmark's extract-topics workload (seed 3):

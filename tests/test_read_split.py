@@ -116,9 +116,10 @@ def split_all(monkeypatch):
 def test_split_read_equals_serial(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("split") / "articles.jsonl"
     path.write_bytes(data)
-    # chunks of two text articles, so that chunks end in either half
+    # chunks of about two text articles of three words, so that chunks end
+    # in either half
     with mock.patch.object(model, "_SPLIT_MIN_BYTES", 0), \
-            mock.patch.object(topicgraph, "CHUNK_ARTICLES", 2):
+            mock.patch.object(topicgraph, "CHUNK_CHARS", 24):
         _, split = extract_and_compare(path)
     assert split == (b"\n" in data[len(data) // 2:-1])
 

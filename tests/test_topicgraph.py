@@ -1,16 +1,23 @@
+import importlib.util
 import itertools
+import sys
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from engdyn import topicgraph
+from engdyn import cli, topicgraph
 from engdyn.errors import EmptyArticle, InvalidInput
-from engdyn.topicgraph import (cluster_report, count_terms, extract_terms,
+from engdyn.topicgraph import (TermGraph, cluster_report, count_terms, extract_terms,
                                extract_terms_chunk, load_stopwords, louvain,
                                modularity, project)
 
 from conftest import TWO_CLIQUE, columns, edge_rows, graph_of
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def set_partitions(items):
@@ -247,6 +254,141 @@ class TestProject:
             tracemalloc.stop()
         assert (len(graph.nodes), len(graph.edges)) == (3000, 73325)
         assert peak / len(term_ids) <= 64
+
+
+def merged_level(graph):
+    """``topicgraph._level`` of ``graph`` through ``_merge``, which sums
+    repeated pairs with ``np.unique``."""
+    first, second, weights = topicgraph._edge_list(graph)
+    n = len(graph.nodes)
+    src, dst, w = topicgraph._merge(np.concatenate([first, second]),
+                                    np.concatenate([second, first]),
+                                    np.concatenate([weights, weights]), n)
+    return src, dst, w, np.bincount(src, weights=w, minlength=n)
+
+
+def sorted_one_level(level, rng, ints):
+    """``topicgraph._one_level`` with each visit's communities in sorted
+    order: a move must gain more than staying and more than every lower id."""
+    src, dst, w, k = level
+    n = len(k)
+    comm = list(range(n))
+    two_m = float(k.sum())
+    if two_m == 0:
+        return comm
+    bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
+    dst, w, k = dst.tolist(), (w.astype(np.int64) if ints else w).tolist(), k.tolist()
+    tot = k.copy()
+    order = list(range(n))
+    rng.shuffle(order)
+    while True:
+        sweep_gain = 0.0
+        for v in order:
+            cv, kv = comm[v], k[v]
+            links = {}
+            for u, wu in zip(dst[bounds[v]:bounds[v + 1]], w[bounds[v]:bounds[v + 1]]):
+                links[comm[u]] = links.get(comm[u], 0.0) + wu
+            tot[cv] -= kv
+            stay = links.get(cv, 0.0) - tot[cv] * kv / two_m
+            best_c, best_s = cv, stay
+            for c in sorted(links):
+                s = links[c] - tot[c] * kv / two_m
+                if c != cv and s > best_s:
+                    best_c, best_s = c, s
+            tot[best_c] += kv
+            comm[v] = best_c
+            sweep_gain += 2.0 * (best_s - stay) / two_m
+        if sweep_gain < topicgraph._MIN_GAIN:
+            return comm
+
+
+def visiting(order):
+    """An rng whose shuffle sets the visit order to ``order``."""
+    return SimpleNamespace(shuffle=lambda items: items.__setitem__(slice(None), order))
+
+
+@pytest.fixture(scope="module")
+def benchmark_graph(tmp_path_factory):
+    """``project``'s graph of the benchmark's extract-topics articles (seed 3)."""
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {"workloads": workloads}):  # for its dataclasses
+        spec.loader.exec_module(workloads)
+    corpus = tmp_path_factory.mktemp("articles")
+    workloads.write_articles(corpus, 3, workloads.ArticleParams())
+    stopwords = load_stopwords(corpus / "stopwords.txt")
+    with open(corpus / "articles.jsonl", encoding="utf-8") as fh:
+        vocabulary, term_ids, sizes, *_ = cli._read_articles(stopwords, fh)
+    return project(term_ids, list(vocabulary), sizes)
+
+
+class TestLevel:
+    def assert_same_arrays(self, got, want):
+        assert len(got) == len(want) == 4
+        for a, b in zip(got, want):
+            # but on no edges, where _merge's bincount of nothing is int64
+            assert a.dtype == b.dtype or not len(a)
+            assert np.array_equal(a, b)
+
+    def test_strictly_increasing_edges_equal_the_merge(self):
+        rng = np.random.default_rng(17)
+        for trial in range(30):
+            n = int(rng.integers(2, 40))
+            pairs = [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.3]
+            weights = (rng.integers(1, 6, len(pairs)) if trial % 2 else
+                       rng.uniform(0.1, 3.0, len(pairs)))
+            graph = TermGraph(nodes=tuple(f"n{i:02d}" for i in range(n)),
+                              edges=np.array(pairs, dtype=np.intp).reshape(-1, 2),
+                              weights=weights)
+            self.assert_same_arrays(topicgraph._level(graph), merged_level(graph))
+
+    def test_project_output_equals_the_merge(self, benchmark_graph):
+        self.assert_same_arrays(topicgraph._level(benchmark_graph),
+                                merged_level(benchmark_graph))
+
+    @pytest.mark.parametrize("edges, weights", [
+        ([[0, 1], [0, 1], [1, 2]], [1, 2, 4]),  # a repeated pair
+        ([[1, 2], [0, 1], [0, 1]], [4, 2, 1]),  # and out of order
+        ([[1, 0], [0, 1], [2, 1]], [2, 1, 4]),  # a pair written both ways
+    ])
+    def test_repeated_pairs_sum_their_weights(self, edges, weights):
+        graph = TermGraph(nodes=("a", "b", "c"), edges=np.array(edges), weights=np.array(weights))
+        src, dst, w, k = topicgraph._level(graph)
+        assert list(zip(src.tolist(), dst.tolist(), w.tolist())) == [
+            (0, 1, 3.0), (1, 0, 3.0), (1, 2, 4.0), (2, 1, 4.0)]
+        assert k.tolist() == [3.0, 7.0, 4.0]
+
+
+class TestOneLevel:
+    def test_equal_gains_pick_the_lowest_community_id(self):
+        # visiting 1 then 2 moves 1 into {4} and 2 into {3}; node 0 then
+        # meets community 4 first and gains the same in 3 and 4, more than
+        # staying, so it joins 3
+        level = merged_level(graph_of(range(5), {(1, 4): 1.0, (2, 3): 1.0,
+                                                 (0, 1): 1.0, (0, 2): 1.0}))
+        comm = topicgraph._one_level(level, visiting([1, 2, 0, 3, 4]), False)
+        assert comm == [3, 4, 3, 3, 4]
+        assert comm == sorted_one_level(level, visiting([1, 2, 0, 3, 4]), False)
+
+    def test_a_move_that_gains_what_staying_gains_stays(self):
+        # on the path 0 - 1 - 2, node 2 joins {1}; node 1 then gains 0.5 by
+        # staying and 0.5 by moving to the lower id 0, so it stays, and node
+        # 0 joins it
+        level = merged_level(graph_of(range(3), {(0, 1): 1.0, (1, 2): 1.0}))
+        comm = topicgraph._one_level(level, visiting([2, 1, 0]), False)
+        assert comm == [1, 1, 1]
+        assert comm == sorted_one_level(level, visiting([2, 1, 0]), False)
+
+    def test_benchmark_partitions_equal_the_sorted_reference(self, benchmark_graph, monkeypatch):
+        results = [louvain(benchmark_graph, seed) for seed in range(6)]
+        monkeypatch.setattr(topicgraph, "_level", merged_level)
+        monkeypatch.setattr(topicgraph, "_one_level", sorted_one_level)
+        for seed, got in enumerate(results):
+            want = louvain(benchmark_graph, seed)
+            assert got.partition == want.partition
+            assert got.modularity == want.modularity
+            assert got.history == want.history
+        assert len(benchmark_graph.nodes) == 2816
 
 
 class TestLouvain:

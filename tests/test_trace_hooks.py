@@ -70,12 +70,12 @@ def test_analyze_reaches_load_posts_through_the_module(tmp_path, monkeypatch):
 def test_extract_topics_reaches_its_layers_through_the_module(tmp_path, monkeypatch):
     # the term kernel is not in WRAPPED, so its time shows in cli.self_s;
     # counting calls to the attribute shows that cli still goes through it
-    n_articles = 2 * topicgraph.CHUNK_ARTICLES + 1
+    texts = [("river vote " if i % 2 else "ballot rain ") * 3 for i in range(65)]
     path = tmp_path / "articles.jsonl"
-    path.write_text("".join(
-        json.dumps({"article_id": f"a{i}", "text": ("river vote " if i % 2 else
-                                                    "ballot rain ") * 3}) + "\n"
-        for i in range(n_articles)))
+    path.write_text("".join(json.dumps({"article_id": f"a{i}", "text": text}) + "\n"
+                            for i, text in enumerate(texts)))
+    # 32 articles reach the budget exactly, so chunks of 32, 32 and 1
+    monkeypatch.setattr(topicgraph, "CHUNK_CHARS", sum(map(len, texts[:32])))
     kernel_calls = []
     kernel = topicgraph.extract_terms_chunk
 
@@ -92,7 +92,7 @@ def test_extract_topics_reaches_its_layers_through_the_module(tmp_path, monkeypa
     recorder.close(root)
     assert code == 0
 
-    assert kernel_calls == [topicgraph.CHUNK_ARTICLES] * 2 + [1]
+    assert kernel_calls == [32, 32, 1]
     names = [span[2] for span in recorder.spans]
     for layer in ("topicgraph.project", "topicgraph.louvain",
                   "topicgraph.cluster_report"):
