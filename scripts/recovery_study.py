@@ -9,7 +9,7 @@ fits of the same series:
 
 - ``paper``: the default ``fit(series)``, the full 0 -> 1 logistic with
   iid-residual standard errors s^2 (J'J)^-1;
-- ``window``: ``fit(series, FitOptions(window=...))`` with the generator's
+- ``window``: ``fit(series, window=...)`` with the generator's
   window [0, horizon], the truncated-logistic model and Brownian-bridge
   sandwich standard errors.
 
@@ -82,12 +82,9 @@ def run_cell(alpha, beta, horizon, n_posts, replicates):
                               bin_width=BIN_WIDTH)
         shift = ((series.t0 - synth.CORPUS_EPOCH).total_seconds() / 86400.0
                  + BIN_WIDTH)
-        options = {
-            "paper": curvefit.FitOptions(),
-            "window": curvefit.FitOptions(window=(-shift, horizon - shift)),
-        }
-        for name, opts in options.items():
-            r = curvefit.fit(series, opts)
+        windows = {"paper": None, "window": (-shift, horizon - shift)}
+        for name, window in windows.items():
+            r = curvefit.fit(series, window)
             estimates, errors, converged = runs[name]
             estimates.append((r.alpha_hat, r.beta_hat + shift))
             errors.append((r.se_alpha, r.se_beta))

@@ -5,7 +5,7 @@ topics by Speed Index and Love-Hate balance, extracts topic candidates
 from term co-occurrence graphs, and compares categories with rank tests.
 """
 
-from .curvefit import FitOptions, FitResult, fit, initial_guess, sigmoid
+from .curvefit import FitResult, fit, initial_guess, sigmoid
 from .errors import (DegenerateFit, DomainError, EmptyArticle, EngdynError,
                      InsufficientData, InvalidInput, TooManyBins,
                      UndefinedCorrelation, ZeroEngagement)
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CATEGORIES", "CorrelationResult", "DegenerateFit", "DomainError",
-    "EmptyArticle", "EngdynError", "FitOptions", "FitResult",
+    "EmptyArticle", "EngdynError", "FitResult",
     "InsufficientData", "InvalidInput", "MannWhitneyResult",
     "PairwiseTestMatrix", "ParseResult", "PostTable", "SynthSpec", "TermGraph",
     "TooManyBins", "TopicMetrics", "TopicSeries", "UndefinedCorrelation",

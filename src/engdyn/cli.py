@@ -114,10 +114,13 @@ def run_analysis(args) -> dict:
         if ids:
             members[cat] = ids
 
-    correlations = _correlation_report(results, members)
-    _write_json(out / "correlations.json", correlations)
+    # each topic's values in MATRIX_METRICS order; a topic without
+    # reactions has no love-hate score
+    values = {tid: (fr.alpha_hat, fr.beta_hat, tm.speed_index, tm.lh_score)
+              for tid, (_, fr, tm, _) in results.items()}
+    _write_json(out / "correlations.json", _correlation_report(values, members))
 
-    tests_summary, matrices = _category_tests(results, members, args.alpha_level)
+    tests_summary, matrices = _category_tests(values, members, args.alpha_level)
     matrix_dir = out / "matrices"
     matrix_dir.mkdir(exist_ok=True)
     for name, matrix in matrices.items():
@@ -125,7 +128,7 @@ def run_analysis(args) -> dict:
         _write_json(matrix_dir / f"{name}_summary.json", matrix.summary())
     _write_significance_table(matrix_dir / "significance_summary.csv", matrices)
 
-    category_table = _category_table(results, members)
+    category_table = _category_table(values, members)
     columns = ["category", "alpha_mean", "alpha_sd", "beta_mean", "beta_sd",
                "si_mean", "si_sd"]
     write_csv(out / "category_summary.csv", columns,
@@ -192,10 +195,9 @@ def _fit_all(grouped, tids, args) -> list:
     return _fit_topics(grouped, tids, args)
 
 
-def _correlation_report(results, members) -> dict:
+def _correlation_report(values, members) -> dict:
     """Speed Index vs Love-Hate rank correlation, overall and per category."""
-    pairs = {tid: (tm.speed_index, tm.lh_score)
-             for tid, (_, _, tm, _) in results.items() if tm.lh_score is not None}
+    pairs = {tid: v[2:] for tid, v in values.items() if v[3] is not None}
 
     def corr(ids):
         xs = [pairs[t][0] for t in ids]
@@ -207,7 +209,7 @@ def _correlation_report(results, members) -> dict:
         return {"rho": r.rho, "p_value": r.p_value, "n": r.n}
 
     report = {"metric": "speed_index_vs_love_hate",
-              "all": corr(sorted(pairs))}
+              "all": corr(pairs)}
     by_category: dict[str, dict] = {}
     for cat, ids in members.items():
         with_lh = [t for t in ids if t in pairs]
@@ -217,11 +219,7 @@ def _correlation_report(results, members) -> dict:
     return report
 
 
-def _category_tests(results, members, alpha_level):
-    # each topic's values in MATRIX_METRICS order; a topic without
-    # reactions has no love-hate score
-    values = {tid: (fr.alpha_hat, fr.beta_hat, tm.speed_index, tm.lh_score)
-              for tid, (_, fr, tm, _) in results.items()}
+def _category_tests(values, members, alpha_level):
     summaries: dict[str, dict] = {}
     matrices: dict[str, stats.PairwiseTestMatrix] = {}
     for i, name in enumerate(MATRIX_METRICS):
@@ -264,24 +262,15 @@ def _write_significance_table(path: Path, matrices) -> None:
                ["above_threshold"] + [_fmt(1.0 - v) for v in below]])
 
 
-def _category_table(results, members) -> list[dict]:
-    def mean_sd(xs):
-        arr = np.asarray(xs)
-        mean = float(arr.mean())
-        sd = float(arr.std(ddof=1)) if len(arr) > 1 else None
-        return mean, sd
-
+def _category_table(values, members) -> list[dict]:
     table = []
     for cat, ids in members.items():
-        a_mean, a_sd = mean_sd([results[t][1].alpha_hat for t in ids])
-        b_mean, b_sd = mean_sd([results[t][1].beta_hat for t in ids])
-        s_mean, s_sd = mean_sd([results[t][2].speed_index for t in ids])
-        table.append({
-            "category": cat, "n_topics": len(ids),
-            "alpha_mean": a_mean, "alpha_sd": a_sd,
-            "beta_mean": b_mean, "beta_sd": b_sd,
-            "si_mean": s_mean, "si_sd": s_sd,
-        })
+        row = {"category": cat, "n_topics": len(ids)}
+        for i, key in enumerate(("alpha", "beta", "si")):
+            arr = np.asarray([values[t][i] for t in ids])
+            row[f"{key}_mean"] = float(arr.mean())
+            row[f"{key}_sd"] = float(arr.std(ddof=1)) if len(arr) > 1 else None
+        table.append(row)
     return table
 
 
@@ -352,7 +341,7 @@ def _read_articles(stopwords: frozenset[str], lines):
 
     def count_chunk() -> None:
         nonlocal chars
-        chunk_sizes, terms, rows, _ = topicgraph.extract_terms_chunk(ids, texts, stopwords)
+        chunk_sizes, terms, rows, _ = topicgraph.extract_terms_chunk(texts, stopwords)
         term_ids.extend(_term_ids(vocabulary, terms)[rows].tobytes())
         sizes.extend(chunk_sizes.tolist())
         kept.extend(ids)

@@ -7,14 +7,14 @@ Jacobian, run over (log alpha, beta) so alpha stays positive. Standard
 errors come from s2 * inv(J'J) with s2 = RSS / (n - 2), expressed in the
 original (alpha, beta) coordinates.
 
-``FitOptions(window=(start, end))`` switches to a fit for curves whose
+``fit(series, window=(start, end))`` switches to a fit for curves whose
 posts were drawn from the logistic law truncated to a known observation
 window: the model becomes the truncated cumulative curve
 F(t) = (f(t) - f(start)) / (f(end) - f(start)), fitted by the same loop,
 and the standard errors become the sandwich
 inv(J'J) J' Sigma J inv(J'J) with Sigma the Brownian-bridge covariance
 (min(F_i, F_j) - F_i F_j) / n_posts of an empirical distribution function
-(Seber & Wild, *Nonlinear Regression*, ch. 6). The default options are the
+(Seber & Wild, *Nonlinear Regression*, ch. 6). Without a window it is the
 paper's fit.
 """
 
@@ -38,15 +38,6 @@ _DAMPING_UP = 10.0
 _DAMPING_DOWN = 0.1
 # a predicted decrease at or below this multiple of the RSS is rounding noise
 _FLAT = 16.0 * np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """The curve to fit."""
-
-    # (start, end) of the observation window in series days; None = the
-    # paper's full 0 -> 1 sigmoid with iid-residual standard errors
-    window: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -146,7 +137,7 @@ def initial_guess(series: TopicSeries) -> tuple[float, float]:
     return alpha0, beta0
 
 
-def fit(series: TopicSeries, options: FitOptions = FitOptions()) -> FitResult:
+def fit(series: TopicSeries, window: tuple[float, float] | None = None) -> FitResult:
     """Fit the logistic curve to a series by damped Gauss-Newton.
 
     Non-convergence within ``_MAX_ITER`` (200) iterations is reported
@@ -155,17 +146,17 @@ def fit(series: TopicSeries, options: FitOptions = FitOptions()) -> FitResult:
     ``converged=True`` guarantees the gradient infinity-norm is below
     ``_GRAD_TOL`` (1e-10) and both standard errors are finite.
 
-    With ``options.window`` set, the truncated curve
-    F(t) = (f(t) - f(start)) / (f(end) - f(start)) is fitted, 0 at the window
-    start and 1 at its end, and the standard errors are the
-    bridge sandwich with ``series.n_posts`` as the sample size; the window
-    is in the series' own days (see :class:`~engdyn.model.TopicSeries`).
+    Without a ``window`` this is the paper's full 0 -> 1 sigmoid with
+    iid-residual standard errors. With ``window=(start, end)`` the truncated
+    curve F(t) = (f(t) - f(start)) / (f(end) - f(start)) is fitted, 0 at the
+    window start and 1 at its end, and the standard errors are the bridge
+    sandwich with ``series.n_posts`` as the sample size; the window is in
+    the series' own days (see :class:`~engdyn.model.TopicSeries`).
     """
     t, y = series.times, series.fractions
     n = len(t)
     if n < 3:
         raise InsufficientData(f"fit needs at least 3 points, got {n}")
-    window = options.window
     if window is not None and not (
             math.isfinite(window[0]) and math.isfinite(window[1])
             and window[0] < window[1]):

@@ -101,17 +101,16 @@ def extract_terms(article_id: str, text: str, stopwords: frozenset[str],
     and punctuation never survive; stopwords are dropped. Ties at the
     frequency cutoff break lexicographically.
     """
-    sizes, terms, rows, counts = extract_terms_chunk([article_id], [text], stopwords, k)
+    sizes, terms, rows, counts = extract_terms_chunk([text], stopwords, k)
     if not sizes[0]:
         raise EmptyArticle(f"article {article_id!r} has no usable tokens")
     return tuple(zip(map(terms.__getitem__, rows.tolist()), counts.tolist()))
 
 
-def extract_terms_chunk(article_ids: Sequence[str], texts: Sequence[str],
-                        stopwords: frozenset[str], k: int = 10
+def extract_terms_chunk(texts: Sequence[str], stopwords: frozenset[str], k: int = 10
                         ) -> tuple[np.ndarray, list[str], np.ndarray, np.ndarray]:
     """:func:`extract_terms` of many articles at once, as columns: each
-    article's term count in the order of ``article_ids`` (0 for an article
+    article's term count in the order of ``texts`` (0 for an article
     without usable tokens); the chunk's distinct terms; for every article's
     ranked terms, one after the other, the term's index into those; and
     their counts. ``project(rows, terms, sizes)`` takes them as they are.
@@ -136,8 +135,8 @@ def extract_terms_chunk(article_ids: Sequence[str], texts: Sequence[str],
     if n > 1 and (n - 1).bit_length() + max(
             _KEY_BITS, 2 * sum(map(len, parts)).bit_length()) > 64:
         half = n // 2
-        first = extract_terms_chunk(article_ids[:half], texts[:half], stopwords, k)
-        second = extract_terms_chunk(article_ids[half:], texts[half:], stopwords, k)
+        first = extract_terms_chunk(texts[:half], stopwords, k)
+        second = extract_terms_chunk(texts[half:], stopwords, k)
         # the second half's terms recoded past the first's, each term once
         index = dict(zip(first[1], range(len(first[1]))))
         recode = np.array([index.setdefault(term, len(index)) for term in second[1]],
@@ -505,8 +504,10 @@ def _one_level(level: tuple[np.ndarray, ...], rng: random.Random, ints: bool) ->
     # bounds[v]:bounds[v + 1] of dst and w; sliced per visit, since a tuple
     # per edge would set the peak memory of extract-topics
     bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
+    # each neighbour one of n shared ints rather than a new int per edge;
     # whole weights as ints, which add up as their floats do: most share cached ints
-    dst, w, k = dst.tolist(), (w.astype(np.int64) if ints else w).tolist(), k.tolist()
+    dst = np.array(range(n), dtype=object).take(dst).tolist()
+    w, k = (w.astype(np.int64) if ints else w).tolist(), k.tolist()
     tot = k.copy()
     order = list(range(n))
     rng.shuffle(order)

@@ -3,7 +3,7 @@ PASS/FAIL line (run with ``pytest -s tests/test_acceptance.py`` to see them).
 
 The round-trip recovery criterion is checked with the estimator that fits
 the data the generator makes: the window-aware fit
-(``FitOptions(window=...)``, the logistic law truncated to the generator's
+(``fit(series, window=...)``, the logistic law truncated to the generator's
 window, with Brownian-bridge sandwich standard errors), and beta converted
 from series days to the generator's days. The paper's default fit fails
 the same criterion on these streams (hit rate ~0): its iid-residual
@@ -64,8 +64,8 @@ def test_parameter_recovery_roundtrip_grid():
                                       bin_width=bin_width)
                 shift = ((series.t0 - synth.CORPUS_EPOCH).total_seconds()
                          / 86400.0 + bin_width)
-                r = curvefit.fit(series, curvefit.FitOptions(
-                    window=(-shift, spec.horizon_days - shift)))
+                r = curvefit.fit(series,
+                                 window=(-shift, spec.horizon_days - shift))
                 beta_hat = r.beta_hat + shift
                 if (r.converged
                         and abs(r.alpha_hat - alpha) <= 3 * r.se_alpha

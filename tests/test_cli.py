@@ -743,9 +743,9 @@ class TestExtractTopics:
         kernel = topicgraph.extract_terms_chunk
         calls = []
 
-        def counted(ids, *rest):
-            calls.append(len(ids))
-            return kernel(ids, *rest)
+        def counted(texts, *rest):
+            calls.append(len(texts))
+            return kernel(texts, *rest)
 
         monkeypatch.setattr(topicgraph, "extract_terms_chunk", counted)
         runs = []
@@ -811,9 +811,9 @@ class TestExtractTopics:
         kernel = topicgraph.extract_terms_chunk
         calls = []
 
-        def counted(ids, chunk_texts, *rest):
+        def counted(chunk_texts, *rest):
             calls.append(list(chunk_texts))
-            return kernel(ids, chunk_texts, *rest)
+            return kernel(chunk_texts, *rest)
 
         monkeypatch.setattr(topicgraph, "extract_terms_chunk", counted)
         lines = [json.dumps({"article_id": f"t{i}", "text": text}) for i, text in enumerate(texts)]

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engdyn import curvefit, synth
-from engdyn.curvefit import (FitOptions, _sigmoid_parts, _truncated_parts,
-                             bridge_meat, fit, initial_guess, sigmoid)
+from engdyn.curvefit import (_sigmoid_parts, _truncated_parts, bridge_meat, fit,
+                             initial_guess, sigmoid)
 from engdyn.errors import (DegenerateFit, EngdynError, InsufficientData,
                            InvalidInput)
 from engdyn.model import build_series
@@ -265,18 +265,19 @@ class TestWindowFit:
         window = (-20.0, 990.0)
         series = series_from_curve(
             t, _truncated_parts(t, 0.003, 300.0, window)[0], n_posts=1000)
-        r = fit(series, FitOptions(window=window))
+        r = fit(series, window=window)
         assert r.converged
         assert r.alpha_hat == pytest.approx(0.003, rel=1e-6)
         assert r.beta_hat == pytest.approx(300.0, rel=1e-6)
 
     @pytest.mark.parametrize("window", [(5.0, 5.0), (10.0, 0.0),
-                                        (0.0, math.inf), (math.nan, 1.0)])
+                                        (0.0, math.inf), (math.nan, 1.0),
+                                        (6.0, 5.0), (math.nan, 10.0)])
     def test_invalid_window_rejected(self, window):
         t = np.arange(0.0, 101.0)
-        with pytest.raises(InvalidInput):
-            fit(series_from_curve(t, sigmoid(t, 0.1, 50.0)),
-                FitOptions(window=window))
+        with pytest.raises(InvalidInput) as info:
+            fit(series_from_curve(t, sigmoid(t, 0.1, 50.0)), window=window)
+        assert str(info.value) == f"window must be finite with start < end, got {window}"
 
 
 def digest_series(i):
@@ -311,8 +312,7 @@ class TestFitBytes:
         for i in range(40):
             series, window = digest_series(i)
             try:
-                lines.append(repr(fit(series, FitOptions(
-                    window=window if windowed else None))))
+                lines.append(repr(fit(series, window=window if windowed else None)))
             except EngdynError as exc:
                 lines.append(type(exc).__name__)
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == expected
@@ -339,7 +339,7 @@ class TestFitBytes:
         for i in (0, 13, 27):
             series, window = digest_series(i)
             del trials[:], on_grid[:], on_window[:]
-            r = fit(series, FitOptions(window=window if windowed else None))
+            r = fit(series, window=window if windowed else None)
             assert r.converged and len(trials) >= r.iterations > 0
             assert len(on_grid) == len(trials) + 2
             assert len(on_window) == (len(trials) + 2 if windowed else 0)

@@ -1,7 +1,6 @@
 import itertools
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -353,12 +352,10 @@ class TestPairwiseCategoryTests:
     def test_small_category_excluded_with_warning(self, capsys):
         # analyze drops a category with fewer than 2 topics before the
         # pairwise tests and says so on stderr
-        values = {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0, "e": 5.0}
-        results = {tid: (None, SimpleNamespace(alpha_hat=v, beta_hat=v),
-                         SimpleNamespace(speed_index=v, lh_score=v), None)
-                   for tid, v in values.items()}
+        values = {tid: (v, v, v, v) for tid, v in
+                  {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0, "e": 5.0}.items()}
         members = {"Politics": ["a", "b"], "Health": ["c", "d"], "Economy": ["e"]}
-        summaries, matrices = cli._category_tests(results, members, 0.05)
+        summaries, matrices = cli._category_tests(values, members, 0.05)
         err = capsys.readouterr().err.splitlines()
         for name in cli.MATRIX_METRICS:
             assert (f"warning: category 'Economy' has 1 topic(s); excluded from "

@@ -77,11 +77,11 @@ def oracle_project(articles):
     return tuple(sorted(nodes)), {pair: edges[pair] for pair in sorted(edges)}
 
 
-def chunk_articles(article_ids, texts, stopwords, k=10):
+def chunk_articles(texts, stopwords, k=10):
     """The kernel's columns as per-article results, ``None`` where the
     article has no terms, for comparison with the oracle's; the chunk's
     terms must be distinct, and each must be some row's."""
-    sizes, terms, rows, counts = extract_terms_chunk(article_ids, texts, stopwords, k)
+    sizes, terms, rows, counts = extract_terms_chunk(texts, stopwords, k)
     assert len(set(terms)) == len(terms)
     assert set(rows.tolist()) == set(range(len(terms)))
     ends = np.cumsum(sizes).tolist()
@@ -166,21 +166,20 @@ class TestExtractTermsChunk:
     @settings(max_examples=500, deadline=None)
     def test_matches_regex_tokenizer_per_article(self, texts, stopwords, k):
         ids = [f"a{i}" for i in range(len(texts))]
-        assert chunk_articles(ids, texts, stopwords, k) == \
+        assert chunk_articles(texts, stopwords, k) == \
             oracle_extract_terms_chunk(ids, texts, stopwords, k)
 
     @pytest.mark.parametrize("texts", [
         [], [""], ["", "123 ...", "the a"], ["\u00e9\u00df 42", "the the"]])
     def test_chunk_without_usable_tokens(self, texts):
         stopwords = frozenset({"the", "a"})
-        assert chunk_articles([f"a{i}" for i in range(len(texts))], texts,
-                              stopwords) == [None] * len(texts)
+        assert chunk_articles(texts, stopwords) == [None] * len(texts)
 
     def test_long_words_only(self):
         texts = [PREFIX + "k " + PREFIX + "a " + PREFIX + "k", "the", PREFIX * 3]
         ids = ["a", "b", "c"]
         for k in (1, 2, 10):
-            assert chunk_articles(ids, texts, frozenset({"the"}), k) == \
+            assert chunk_articles(texts, frozenset({"the"}), k) == \
                 oracle_extract_terms_chunk(ids, texts, frozenset({"the"}), k)
 
     def test_long_and_short_words_share_one_ranking(self):
@@ -193,7 +192,7 @@ class TestExtractTermsChunk:
                  "yy " + PREFIX + "aa",
                  "the " + PREFIX + "a"]
         ids = ["a", "b", "c"]
-        got = chunk_articles(ids, texts, frozenset({"the", PREFIX + "b"}), 6)
+        got = chunk_articles(texts, frozenset({"the", PREFIX + "b"}), 6)
         assert got == oracle_extract_terms_chunk(
             ids, texts, frozenset({"the", PREFIX + "b"}), 6)
         assert got[0] == ((PREFIX + "a", 3), ("zz", 2), (PREFIX[:9], 1),
@@ -208,7 +207,7 @@ class TestExtractTermsChunk:
         # second article's only if none of those bits spill into its index
         texts = ["delta delta epsilon",
                  "alpha " * 300_001 + "beta beta gamma " + PREFIX + "k"]
-        got = chunk_articles(["small", "big"], texts, frozenset(), 3)
+        got = chunk_articles(texts, frozenset(), 3)
         assert got == oracle_extract_terms_chunk(["small", "big"], texts,
                                                  frozenset(), 3)
         assert got[1] == (("alpha", 300_001), ("beta", 2),
@@ -220,7 +219,7 @@ class TestExtractTermsChunk:
         texts = [f"w{'abc'[i % 3]} {'xyz'[i % 3]}{'xyz'[i % 2]} the"
                  for i in range(2**14 + 1)]
         ids = [str(i) for i in range(len(texts))]
-        assert chunk_articles(ids, texts, frozenset({"the"}), 2) == \
+        assert chunk_articles(texts, frozenset({"the"}), 2) == \
             oracle_extract_terms_chunk(ids, texts, frozenset({"the"}), 2)
 
 
@@ -291,7 +290,7 @@ class TestColumnsAcrossChunks:
         for at, (kind, batch) in enumerate(pieces):
             if kind == "texts":
                 ids = [f"c{at}-{i}" for i in range(len(batch))]
-                chunk_sizes, terms, rows, _ = extract_terms_chunk(ids, batch, stopwords, k)
+                chunk_sizes, terms, rows, _ = extract_terms_chunk(batch, stopwords, k)
                 term_ids += [vocabulary.setdefault(terms[i], len(vocabulary)) for i in rows]
                 sizes += chunk_sizes.tolist()
                 oracle += [article for article in oracle_extract_terms_chunk(
