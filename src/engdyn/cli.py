@@ -24,6 +24,10 @@ from .errors import (DegenerateFit, EmptyArticle, EngdynError,
                      UndefinedCorrelation, ZeroEngagement)
 from .model import write_csv
 
+# a fitted topic's row: the fits.csv and metrics.csv columns after topic_id, then its SVG
+FIT_COLUMNS = ("alpha", "beta", "se_alpha", "se_beta", "rss", "n_points", "converged", "iterations")
+METRIC_COLUMNS = ("speed_index", "lh_score", "lh_mode", "total_love", "total_angry", "n_posts")
+COLUMNS = FIT_COLUMNS + METRIC_COLUMNS + ("plot",)
 MATRIX_METRICS = ("alpha", "beta", "speed_index", "love_hate")
 ROUNDED_THRESHOLD = 0.001  # the conventional rounding of 0.05 / 45
 SCATTER_NAME = "si_vs_lh"  # plots/ stem of the scatter; no topic plot takes it
@@ -67,8 +71,9 @@ def _safe_name(name: str) -> str:
 def run_analysis(args) -> dict:
     """The full per-topic pipeline plus the cross-category statistics.
 
-    Returns a manifest with the skipped-topic map; file outputs land under
-    ``args.out``.
+    Each fitted topic's row (:data:`COLUMNS`) goes once into a table of one
+    list per column in sorted topic order, which every writer reads. Returns
+    a manifest with the skipped-topic map; file outputs land under ``args.out``.
     """
     posts_path = Path(args.input)
     parse_result = model.load_posts(posts_path)
@@ -79,45 +84,32 @@ def run_analysis(args) -> dict:
         assignments = model.read_categories(Path(args.categories))
 
     grouped = model.group_by_topic(parse_result.records)
-    # topics in sorted order, so ``results`` lists the fitted ones sorted
-    results: dict[str, tuple] = {}
-    skipped: dict[str, str] = {}
     tids = sorted(grouped)
-    for tid, outcome in zip(tids, _fit_all(grouped, tids, args)):
-        if isinstance(outcome, str):
-            skipped[tid] = outcome
-        else:
-            results[tid] = outcome
+    outcomes = _fit_all(grouped, tids, args)
+    skipped = {tid: outcome for tid, outcome in zip(tids, outcomes) if isinstance(outcome, str)}
+    ids = [tid for tid in tids if tid not in skipped]  # the fitted topics, sorted
+    table = {name: [row[i] for row in outcomes if not isinstance(row, str)]
+             for i, name in enumerate(COLUMNS)}
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "fits.csv",
-              ["topic_id", "alpha", "beta", "se_alpha", "se_beta", "rss",
-               "n_points", "converged", "iterations"],
-              ([tid, _fmt(fr.alpha_hat), _fmt(fr.beta_hat), _fmt(fr.se_alpha),
-                _fmt(fr.se_beta), _fmt(fr.rss), fr.n_points, _fmt(fr.converged),
-                fr.iterations] for tid, (_, fr, _, _) in results.items()),
-              texts=results)
-    write_csv(out / "metrics.csv",
-              ["topic_id", "speed_index", "lh_score", "lh_mode", "total_love",
-               "total_angry", "n_posts"],
-              ([tid, _fmt(tm.speed_index), _fmt(tm.lh_score), args.lh_mode,
-                tm.total_love, tm.total_angry, n_posts]
-               for tid, (n_posts, _, tm, _) in results.items()),
-              texts=results)
+    for name, columns in (("fits.csv", FIT_COLUMNS), ("metrics.csv", METRIC_COLUMNS)):
+        write_csv(out / name, ["topic_id", *columns],
+                  zip(ids, *(map(_fmt, table[column]) for column in columns)),
+                  texts=ids)
 
     # each category's fitted topics in sorted order, categories in
     # CATEGORIES order; a topic counts in each of its categories
     members = {}
     for cat in model.CATEGORIES:
-        ids = [tid for tid in results if cat in assignments.get(tid, ())]
-        if ids:
-            members[cat] = ids
+        in_cat = [tid for tid in ids if cat in assignments.get(tid, ())]
+        if in_cat:
+            members[cat] = in_cat
 
     # each topic's values in MATRIX_METRICS order; a topic without
     # reactions has no love-hate score
-    values = {tid: (fr.alpha_hat, fr.beta_hat, tm.speed_index, tm.lh_score)
-              for tid, (_, fr, tm, _) in results.items()}
+    values = dict(zip(ids, zip(table["alpha"], table["beta"], table["speed_index"],
+                               table["lh_score"])))
     _write_json(out / "correlations.json", _correlation_report(values, members))
 
     tests_summary, matrices = _category_tests(values, members, args.alpha_level)
@@ -135,7 +127,7 @@ def run_analysis(args) -> dict:
               ([_fmt(row[key]) for key in columns] for row in category_table))
 
     if args.plots:
-        _write_plots(out / "plots", results)
+        _write_plots(out / "plots", ids, table)
 
     summary = {
         "config": {
@@ -145,8 +137,8 @@ def run_analysis(args) -> dict:
             "seed": args.seed,
         },
         "n_input_topics": len(grouped),
-        "n_fitted": len(results),
-        "n_converged": sum(1 for _, fr, _, _ in results.values() if fr.converged),
+        "n_fitted": len(ids),
+        "n_converged": sum(table["converged"]),
         "n_rejected_lines": parse_result.n_rejected,
         "skipped": skipped,
         "per_category": category_table,
@@ -157,32 +149,33 @@ def run_analysis(args) -> dict:
 
 
 def _fit_topics(grouped, tids, args) -> list:
-    """For each of ``tids``, its (post count, fit, metrics, SVG plot or None
-    without ``--plots``), or the name of the error that skips it."""
+    """For each of ``tids``, its row of plain values in :data:`COLUMNS` order
+    (``plot`` None without ``--plots``), or the name of the error that skips it."""
     outcomes = []
     for tid in tids:
         posts = grouped[tid]
         try:
             series = model.build_series(posts, tid, args.bin_width_days)
-            fit_result = curvefit.fit(series)
-            topic_metrics = metrics.topic_metrics(
-                tid, posts, fit_result.alpha_hat, fit_result.beta_hat,
-                series.horizon_days, args.lh_mode)
+            fr = curvefit.fit(series)
+            tm = metrics.topic_metrics(tid, posts, fr.alpha_hat, fr.beta_hat,
+                                       series.horizon_days, args.lh_mode)
         except (InsufficientData, TooManyBins, ZeroEngagement, DegenerateFit) as exc:
             outcomes.append(type(exc).__name__)
             continue
-        svg = (svgplot.fit_overlay_svg(series.times, series.fractions, fit_result.alpha_hat,
-                                       fit_result.beta_hat, tid) if args.plots else None)
-        outcomes.append((series.n_posts, fit_result, topic_metrics, svg))
+        svg = (svgplot.fit_overlay_svg(series.times, series.fractions, fr.alpha_hat,
+                                       fr.beta_hat, tid) if args.plots else None)
+        outcomes.append((fr.alpha_hat, fr.beta_hat, fr.se_alpha, fr.se_beta, fr.rss, fr.n_points,
+                         fr.converged, fr.iterations, tm.speed_index, tm.lh_score, args.lh_mode,
+                         tm.total_love, tm.total_angry, series.n_posts, svg))
     return outcomes
 
 
 def _fit_all(grouped, tids, args) -> list:
     """:func:`_fit_topics` of ``tids``. With :data:`_SPLIT_MIN_POSTS` posts or
-    more, ``tids`` is cut where the running post count passes half its
-    total, and a forked child fits the topics after the cut (see
-    ``model.fork_halves``); if either half fails, all are fitted here again,
-    so errors read as those of one process."""
+    more, ``tids`` is cut where the running post count passes half its total,
+    and a forked child fits the topics after the cut and pickles their rows
+    (see ``model.fork_halves``); if either half fails, all are fitted here
+    again, so errors read as those of one process."""
     running = np.cumsum([len(grouped[tid]) for tid in tids])
     if len(tids) > 1 and running[-1] >= _SPLIT_MIN_POSTS:
         cut = min(int(np.searchsorted(running, running[-1] / 2)) + 1, len(tids) - 1)
@@ -274,11 +267,14 @@ def _category_table(values, members) -> list[dict]:
     return table
 
 
-def _write_plots(plot_dir: Path, results) -> None:
-    plot_dir.mkdir(exist_ok=True)
+def _write_plots(plot_dir: Path, ids, table) -> None:
+    """Each of ``ids`` its ``table["plot"]`` SVG, and the scatter of the
+    ``speed_index`` and ``lh_score`` columns (one list each, in ``ids`` order)
+    where the score is set. Every name is chosen before any file is written."""
     used = {SCATTER_NAME}
     free = {}  # base -> a suffix no higher than its first free one
-    for tid, (_, _, _, svg) in results.items():
+    names = []
+    for tid in ids:
         name = base = _safe_name(tid)
         suffix = free.get(base, 1)
         while name in used:  # distinct ids can sanitize or cut identically
@@ -286,9 +282,12 @@ def _write_plots(plot_dir: Path, results) -> None:
             suffix += 1
         free[base] = suffix  # names are only added, so the lower ones stay taken
         used.add(name)
+        names.append(name)
+    plot_dir.mkdir(exist_ok=True)
+    for name, svg in zip(names, table["plot"]):
         (plot_dir / f"{name}.svg").write_text(svg, encoding="utf-8")
-    points = [(tm.speed_index, tm.lh_score)
-              for _, _, tm, _ in results.values() if tm.lh_score is not None]
+    points = [(si, lh) for si, lh in zip(table["speed_index"], table["lh_score"])
+              if lh is not None]
     if points:
         svg = svgplot.scatter_svg([p[0] for p in points], [p[1] for p in points],
                                   "speed index", "love-hate score",

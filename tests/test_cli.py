@@ -10,7 +10,6 @@ import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -468,9 +467,9 @@ class TestAnalyze:
             used.add(name)
             want[name] = tid
         assert [want[name] for name in ("__-12", "si_vs_lh-1", "__-1-1")] == ids[10:13]
-        stub = SimpleNamespace(lh_score=None)  # no love-hate score: no scatter
-        # each topic's plot holds its id
-        cli._write_plots(tmp_path, {tid: (2, stub, stub, tid) for tid in ids})
+        # each topic's plot holds its id; no love-hate score: no scatter
+        cli._write_plots(tmp_path, ids, {"plot": ids, "speed_index": [0.5] * len(ids),
+                                         "lh_score": [None] * len(ids)})
         assert {svg.stem: svg.read_text(encoding="utf-8")
                 for svg in tmp_path.glob("*.svg")} == want
 

@@ -1,4 +1,5 @@
-"""The README's Library example runs as written."""
+"""The README's Library example runs as written, and its file formats name the
+CSV columns that analyze writes."""
 
 import json
 import re
@@ -41,3 +42,10 @@ def test_library_block_runs(tmp_path, monkeypatch, capsys):
     assert min(names["sizes"].tolist()) > 0 and {"river", "vote"} <= set(names["terms"])
     assert isinstance(names["graph"], TermGraph)
     assert set(names["graph"].partition) == set(names["terms"])
+
+
+def test_file_formats_name_the_csv_columns():
+    text = README.read_text(encoding="utf-8")
+    rows = dict(re.findall(r"^\| `(fits\.csv|metrics\.csv)` \| `([^`]*)` \|$", text, re.M))
+    assert rows == {"fits.csv": ",".join(("topic_id",) + cli.FIT_COLUMNS),
+                    "metrics.csv": ",".join(("topic_id",) + cli.METRIC_COLUMNS)}
